@@ -579,12 +579,13 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except (GrouError, np.linalg.LinAlgError) as exc:
+        # before ValueError: LinAlgError subclasses it, but is a numerical error
+        print(f"{type(exc).__module__}.{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (GrouError, np.linalg.LinAlgError) as exc:
-        print(f"{type(exc).__module__}.{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

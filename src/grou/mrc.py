@@ -17,6 +17,7 @@ reproducible against a naive double-loop evaluation.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -178,6 +179,17 @@ class RollingMrc:
         return SampledPath(grid=grid, values=values, labels=self.pair_labels)
 
 
+def _window_starts(t0: float, t_end: float, window: float, step: float) -> list[float]:
+    """Starts ``t0 + i*step`` of every window ``[start, start + window]`` within ``t_end``.
+
+    Each start is computed from ``t0`` directly, so rounding does not build
+    up over a long session the way repeated ``start += step`` would.
+    """
+    count = max(0, int(np.floor((t_end - window - t0) / step)) + 2)
+    starts = t0 + step * np.arange(count)
+    return starts[starts + window <= t_end].tolist()
+
+
 def rolling_mrc(
     prices: PriceMatrix,
     cfg: MrcConfig,
@@ -194,16 +206,11 @@ def rolling_mrc(
     """
     if step is None:
         step = window
-    if window < step:
-        raise ValueError("window must be at least as long as step")
-    t0, t1 = prices.times[0], prices.times[-1]
+    if not 0 < step <= window:
+        raise ValueError("step must be positive and no longer than the window")
     # a window counts as covered up to one typical spacing past the last tick
     slack = float(np.median(np.diff(prices.times)))
-    candidates = []
-    start = t0
-    while start + window <= t1 + slack + 1e-9:
-        candidates.append(start)
-        start += step
+    candidates = _window_starts(prices.times[0], prices.times[-1] + slack + 1e-9, window, step)
 
     def one(start):
         lo = np.searchsorted(prices.times, start, side="left")
@@ -348,10 +355,16 @@ def ingest_prices(
 
 
 def write_edge_series_csv(rolling: RollingMrc, file, header_lines=()) -> None:
-    """Long-format rows ``window_start,pair,value``."""
-    with open(file, "w") as fh:
+    """Long-format rows ``window_start,pair,value``.
+
+    ``# assets: [...]`` (a JSON list) and ``# is_corr: true|false`` header
+    lines carry what the pair labels cannot: asset ids may contain ``-``.
+    """
+    with open(file, "w", encoding="utf-8") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
+        fh.write(f"# assets: {json.dumps(list(rolling.asset_ids))}\n")
+        fh.write(f"# is_corr: {json.dumps(bool(rolling.is_corr))}\n")
         fh.write("window_start,pair,value\n")
         for t, row in zip(rolling.window_starts, rolling.values):
             for label, v in zip(rolling.pair_labels, row):
@@ -359,30 +372,49 @@ def write_edge_series_csv(rolling: RollingMrc, file, header_lines=()) -> None:
 
 
 def read_edge_series_csv(file) -> RollingMrc:
-    """Inverse of :func:`write_edge_series_csv`."""
-    with open(file) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "window_start,pair,value":
+    """Inverse of :func:`write_edge_series_csv`.
+
+    Without an ``# assets:`` header line (files written by older versions)
+    the asset ids are recovered by splitting the pair labels on ``-``, and
+    ``is_corr`` defaults to False.
+    """
+    meta: dict[str, object] = {}
+    lines = []
+    with open(file, encoding="utf-8") as fh:
+        for ln in fh:
+            if ln.startswith("#"):
+                key, sep, text = ln[1:].strip().partition(": ")
+                if sep and key in ("assets", "is_corr"):
+                    try:
+                        meta[key] = json.loads(text)
+                    except json.JSONDecodeError as exc:
+                        raise IngestionError(f"{file}: malformed '# {key}:' header") from exc
+            elif ln.strip():
+                lines.append(ln.rstrip("\r\n"))
+    if not lines or lines[0].strip() != "window_start,pair,value":
         raise IngestionError(f"{file}: expected 'window_start,pair,value' header")
-    by_time: dict[float, dict[str, float]] = {}
-    labels_seen: list[str] = []
-    for ln in lines[1:]:
-        t_str, label, v_str = ln.split(",")
-        t = float(t_str)
-        by_time.setdefault(t, {})[label] = float(v_str)
-        if label not in labels_seen:
-            labels_seen.append(label)
-    starts = sorted(by_time)
-    values = np.array([[by_time[t][lab] for lab in labels_seen] for t in starts])
-    assets: list[str] = []
-    for lab in labels_seen:
-        for a in lab.split("-"):
-            if a not in assets:
-                assets.append(a)
+    rows = [ln.split(",") for ln in lines[1:]]
+    if any(len(row) != 3 for row in rows):
+        raise IngestionError(f"{file}: expected three fields per row")
+    if "assets" in meta:
+        assets = tuple(str(a) for a in meta["assets"])
+        labels = _pair_labels(assets)
+    else:
+        labels = tuple(dict.fromkeys(row[1] for row in rows))
+        assets = tuple(dict.fromkeys(a for lab in labels for a in lab.split("-")))
+    P = len(labels)
+    starts = [float(row[0]) for row in rows[::P]] if P else []
+    if (
+        not starts
+        or len(rows) != P * len(starts)
+        or any(row[1] != labels[k % P] for k, row in enumerate(rows))
+        or any(float(row[0]) != starts[k // P] for k, row in enumerate(rows))
+    ):
+        raise IngestionError(f"{file}: expected one row per pair, in pair order, for every window")
     return RollingMrc(
         window_starts=np.asarray(starts),
-        values=values,
-        pair_labels=tuple(labels_seen),
-        asset_ids=tuple(assets),
-        is_corr=False,
+        values=np.array([float(row[2]) for row in rows]).reshape(len(starts), P),
+        pair_labels=labels,
+        asset_ids=assets,
+        is_corr=bool(meta.get("is_corr", False)),
     )

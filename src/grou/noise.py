@@ -235,8 +235,10 @@ def sample_increments(spec: LevySpec, grid, rng_seed) -> IncrementBatch:
     n = dt.size
 
     factor = psd_factor(spec.brownian_cov)
-    z = rng.standard_normal((n, K))
-    continuous = spec.drift * dt[:, None] + (z @ factor.T) * np.sqrt(dt)[:, None]
+    # updated in place: on long grids every (n, K) temporary is megabytes
+    continuous = rng.standard_normal((n, K)) @ factor.T
+    continuous *= np.sqrt(dt)[:, None]
+    continuous += spec.drift * dt[:, None]
 
     small = np.zeros((n, K))
     large = np.zeros((n, K))
@@ -259,7 +261,8 @@ def sample_increments(spec: LevySpec, grid, rng_seed) -> IncrementBatch:
     elif isinstance(spec.jumps, SymmetricGammaJumps):
         k, s = spec.jumps.shape, spec.jumps.scale
         shape_per = np.repeat(k * dt, K).reshape(n, K)
-        small = rng.gamma(shape_per, s) - rng.gamma(shape_per, s)
+        small = rng.gamma(shape_per, s)
+        small -= rng.gamma(shape_per, s)
 
     return IncrementBatch(
         times=times,

@@ -9,7 +9,16 @@ conditional-Gaussian recursion
 
 with each jump propagated from its exact arrival time, so the scheme is
 distribution-exact between jumps.  The infinite-activity Gamma regime is
-composed by Euler-Maruyama steps over exactly-sampled increments.
+composed by Euler-Maruyama steps ``X_{t+dt} = (I + dt*T) X_t + increment``
+over exactly-sampled increments, and raises ``StationarityError`` on a step
+for which ``I + dt*T`` does not contract a stable system.
+
+Both recursions are ``x_{i+1} = P x_i + shock_i``.  The fine-grid spacings
+are split into maximal runs of equal spacing (within a relative 1e-9 of the
+run's first spacing), each run gets one set of step operators, and each run
+is solved by an in-place doubling scan over a single state buffer, so a
+uniform grid costs one set of operators and ``log2(n)`` batched products.
+A fully irregular grid gives runs of length one, i.e. plain stepping.
 """
 
 from __future__ import annotations
@@ -278,101 +287,141 @@ def simulate_path(
         if x0.size != dim:
             raise ValueError(f"init state has length {x0.size}, expected {dim}")
 
-    gamma_regime = isinstance(noise.jumps, SymmetricGammaJumps)
-    if gamma_regime:
-        values, truth_inc, _ = _euler_maruyama(system, noise, grid.fine, x0, rng_main)
-        truth = PathTruth(
-            params=None, noise=noise, seed=rng_seed, init_state=x0, increments=truth_inc
-        )
-    else:
-        values, arr_t, arr_s, _ = _exact_path(system, noise, grid.fine, x0, rng_main)
-        truth = PathTruth(
-            params=None,
-            noise=noise,
-            seed=rng_seed,
-            init_state=x0,
-            arrival_times=arr_t,
-            arrival_sizes=arr_s,
-        )
+    states, increments, arr_t, arr_s = _state_path(system, noise, grid.fine, x0, rng_main)
+    truth = PathTruth(
+        params=None,
+        noise=noise,
+        seed=rng_seed,
+        init_state=x0,
+        arrival_times=arr_t,
+        arrival_sizes=arr_s,
+        increments=increments,
+    )
+    values = np.ascontiguousarray(states[:, :K])
     return SampledPath(grid=grid, values=values, labels=_default_labels(K), truth=truth)
 
 
-def _step_operators(system, noise, dt_values):
-    """Per-unique-spacing propagator, drift vector, and noise factor."""
-    T, E = system.transition, system.noise_selector
-    b = noise.mean_rate
-    rhs = E @ noise.brownian_cov @ E.T
-    ops = {}
-    for dt in np.unique(dt_values):
-        prop = expm(dt * T)
-        drift = drift_integral(T, E @ b, dt)
-        _, cov = cov_integral(T, rhs, dt)
-        ops[dt] = (prop, drift, psd_factor(cov))
-    return ops
+# Spacings within this relative distance of their run's first spacing share
+# that run's step operators.
+_SPACING_RTOL = 1e-9
+# Rows per block update of the scan; bounds every temporary it allocates.
+_SCAN_ROWS = 4096
 
 
-def _exact_path(system, noise, times, x0, rng):
-    """Conditional-Gaussian recursion with exact jump placement."""
+def _runs(dt):
+    """``(start, stop)`` step ranges of the maximal runs of equal spacing.
+
+    Each run is searched in windows that grow fourfold, so finding a run
+    costs time in proportion to its length, not to the rest of the grid.
+    """
+    runs, start = [], 0
+    while start < dt.size:
+        width = 64
+        while True:
+            seg = dt[start : start + width]
+            off = np.flatnonzero(np.abs(seg - dt[start]) > _SPACING_RTOL * dt[start])
+            if off.size or start + width >= dt.size:
+                break
+            width *= 4
+        stop = start + int(off[0]) if off.size else dt.size
+        runs.append((start, stop))
+        start = stop
+    return runs
+
+
+def _scan(rows, prop):
+    """In place, ``rows[j] = prop @ rows[j-1] + rows[j]`` for ``j >= 1``.
+
+    Doubling scan: after the round with span ``s`` each row holds the sum of
+    its last ``2s`` inputs, each propagated to that row, so ``log2(n)`` rounds
+    of batched products replace the ``n``-step recurrence.  Each round updates
+    blocks of rows from the last to the first, so the rows a block reads are
+    still those of the previous round.
+    """
+    n = rows.shape[0]
+    tmp = np.empty((min(n, _SCAN_ROWS), rows.shape[1]))
+    power, span = prop.T, 1
+    while span < n:
+        for hi in range(n, span, -_SCAN_ROWS):
+            lo = max(span, hi - _SCAN_ROWS)
+            out = tmp[: hi - lo]
+            np.matmul(rows[lo - span : hi - span], power, out=out)
+            rows[lo:hi] += out
+        power, span = power @ power, 2 * span
+    return rows
+
+
+def _state_path(system, noise, times, x0, rng):
+    """Companion states on ``times`` from ``x0``: one scan per run of equal spacing.
+
+    The shocks are drawn straight into the state buffer, then each run is
+    scanned with its own propagator.  Brownian and compound-Poisson noise use
+    the exact conditional-Gaussian step ``expm(h T)``, with each jump
+    propagated from its arrival time; symmetric-Gamma noise uses the Euler
+    step ``I + h T`` over exactly-sampled increments.  Returns the states,
+    the Gamma increment batch, and the jump arrival times and sizes; the
+    batch is None outside the Gamma regime, the arrivals None inside it.
+    """
     dim, K = system.dim, system.n_edges
+    T, E = system.transition, system.noise_selector
     dt = np.diff(times)
-    n = dt.size
-    ops = _step_operators(system, noise, dt)
-
-    # Gaussian draws always come first so that zeroing one noise source
-    # leaves the draws of the others untouched (superposition property)
-    z = rng.standard_normal((n, dim))
-    shocks = np.empty((n, dim))
-    props = [None] * n
-    for dt_val, (prop, drift, factor) in ops.items():
-        mask = dt == dt_val
-        shocks[mask] = z[mask] @ factor.T + drift
-        for i in np.nonzero(mask)[0]:
-            props[i] = prop
-
-    arr_t = np.empty(0)
-    arr_s = np.empty((0, K))
-    jumps = noise.jumps
-    if jumps is not None and jumps.rate > 0:
-        counts = rng.poisson(jumps.rate * dt)
-        total = int(counts.sum())
-        jfactor = psd_factor(jumps.jump_cov)
-        arr_t = np.empty(total)
-        arr_s = rng.standard_normal((total, K)) @ jfactor.T
-        pos = 0
-        T, E = system.transition, system.noise_selector
-        for i in np.nonzero(counts)[0]:
-            c = counts[i]
-            u = np.sort(rng.uniform(times[i], times[i + 1], size=c))
-            arr_t[pos : pos + c] = u
-            for j in range(c):
-                response = expm((times[i + 1] - u[j]) * T) @ (E @ arr_s[pos + j])
-                shocks[i] += response
-            pos += c
-
-    values = np.empty((n + 1, K))
-    x = x0.copy()
-    values[0] = x[:K]
-    for i in range(n):
-        x = props[i] @ x + shocks[i]
-        values[i + 1] = x[:K]
-    return values, arr_t, arr_s, x
-
-
-def _euler_maruyama(system, noise, times, x0, rng):
-    """Explicit Euler composition of exactly-sampled noise increments."""
-    K = system.n_edges
-    dt = np.diff(times)
-    batch = sample_increments(noise, times, rng)
-    increments = batch.total
-    T = system.transition
-    values = np.empty((times.size, K))
-    x = x0.copy()
-    values[0] = x[:K]
-    for i in range(dt.size):
-        x = x + dt[i] * (T @ x)
-        x[-K:] += increments[i]
-        values[i + 1] = x[:K]
-    return values, batch, x
+    runs = _runs(dt)
+    increments = arr_t = arr_s = None
+    props = []
+    if isinstance(noise.jumps, SymmetricGammaJumps):
+        eig = np.linalg.eigvals(T)
+        for start, _ in runs:
+            h = dt[start]
+            radius = np.abs(1.0 + h * eig).max()
+            if radius >= 1.0 and eig.real.max() < 0:
+                limit = np.min(-2.0 * eig.real / np.abs(eig) ** 2)
+                raise StationarityError(
+                    f"Euler step {h:.6g} at t={times[start]:.6g} is unstable for this system "
+                    f"(spectral radius of I + h*T is {radius:.6g}); use a mesh below {limit:.6g}"
+                )
+            props.append(np.eye(dim) + h * T)
+        increments = sample_increments(noise, times, rng)
+        states = np.zeros((dt.size + 1, dim))
+        shocks = states[1:]
+        # the sum ``increments.total``, formed in place
+        np.add(increments.continuous, increments.small_jump, out=shocks[:, -K:])
+        shocks[:, -K:] += increments.large_jump
+    else:
+        states = np.empty((dt.size + 1, dim))
+        shocks = states[1:]
+        # Gaussian draws always come first so that zeroing one noise source
+        # leaves the draws of the others untouched (superposition property)
+        rng.standard_normal(out=shocks)
+        rhs = E @ noise.brownian_cov @ E.T
+        tmp = np.empty((min(dt.size, _SCAN_ROWS), dim))
+        for start, stop in runs:
+            prop, cov = cov_integral(T, rhs, dt[start])
+            drift = drift_integral(T, E @ noise.mean_rate, dt[start])
+            factor_t = psd_factor(cov).T
+            for lo in range(start, stop, _SCAN_ROWS):
+                block = shocks[lo : min(stop, lo + _SCAN_ROWS)]
+                out = tmp[: block.shape[0]]
+                np.matmul(block, factor_t, out=out)
+                np.add(out, drift, out=block)
+            props.append(prop)
+        jumps = noise.jumps
+        if jumps is not None and jumps.rate > 0:
+            counts = rng.poisson(jumps.rate * dt)
+            arr_t = np.empty(int(counts.sum()))
+            arr_s = rng.standard_normal((arr_t.size, K)) @ psd_factor(jumps.jump_cov).T
+            pos = 0
+            for i in np.nonzero(counts)[0]:
+                c = counts[i]
+                arr_t[pos : pos + c] = np.sort(rng.uniform(times[i], times[i + 1], size=c))
+                for j in range(pos, pos + c):
+                    shocks[i] += expm((times[i + 1] - arr_t[j]) * T) @ (E @ arr_s[j])
+                pos += c
+        else:
+            arr_t, arr_s = np.empty(0), np.empty((0, K))
+    states[0] = x0
+    for (start, stop), prop in zip(runs, props):
+        _scan(states[start : stop + 1], prop)
+    return states, increments, arr_t, arr_s
 
 
 # Burn-in steps: exact regimes tolerate arbitrarily long steps, the Euler
@@ -386,12 +435,10 @@ def _burn_in(system, noise, x0, duration, rng):
         return x0
     if isinstance(noise.jumps, SymmetricGammaJumps):
         n = max(16, int(np.ceil(duration / _BURN_MESH_EULER)))
-        times = np.linspace(0.0, duration, n + 1)
-        _, _, x = _euler_maruyama(system, noise, times, x0, rng)
-        return x
-    times = np.linspace(0.0, duration, _BURN_STEPS_EXACT + 1)
-    _, _, _, x = _exact_path(system, noise, times, x0, rng)
-    return x
+    else:
+        n = _BURN_STEPS_EXACT
+    times = np.linspace(0.0, duration, n + 1)
+    return _state_path(system, noise, times, x0, rng)[0][-1].copy()
 
 
 def write_path_csv(path: SampledPath, file, header_lines=()) -> None:

@@ -90,6 +90,55 @@ def simulate_full_state(system, spec, times, x0, rng):
     return linear_scan(prop, x0, shocks), jump_sums
 
 
+def stepwise_path(system, spec, times, x0, rng, steps=None):
+    """Every companion state of the step-by-step simulation recursion.
+
+    The plain loop that ``grou.simulate`` replaces with a doubling scan, kept
+    as its oracle.  Takes the draws in the library's order: for Brownian and
+    compound-Poisson noise the Gaussian block, the Poisson counts, the jump
+    sizes and then the arrival uniforms, with the exact step ``expm(h T)``
+    and each jump propagated from its arrival time; for symmetric-Gamma noise
+    ``sample_increments`` and the Euler step ``x + h T x``.  ``steps`` sets
+    the spacing each step's operators are built from (default: the grid's
+    own spacings); the arrival windows always follow ``times``.  Returns
+    shape ``(n + 1, dim)``.
+    """
+    times = np.asarray(times, dtype=float)
+    dt = np.diff(times)
+    steps = dt if steps is None else np.asarray(steps, dtype=float)
+    T, E = system.transition, system.noise_selector
+    n, dim, K = dt.size, system.dim, system.n_edges
+    states = np.empty((n + 1, dim))
+    states[0] = x0
+    if isinstance(spec.jumps, SymmetricGammaJumps):
+        increments = sample_increments(spec, times, rng).total
+        for i in range(n):
+            x = states[i] + steps[i] * (T @ states[i])
+            x[-K:] += increments[i]
+            states[i + 1] = x
+        return states
+    rhs = E @ spec.brownian_cov @ E.T
+    ops = {}
+    for h in np.unique(steps):
+        factor = psd_factor(cov_integral(T, rhs, h)[1])
+        ops[h] = (expm(h * T), drift_integral(T, E @ spec.drift, h), factor)
+    z = rng.standard_normal((n, dim))
+    shocks = np.array([z[i] @ ops[h][2].T + ops[h][1] for i, h in enumerate(steps)])
+    jumps = spec.jumps
+    if jumps is not None and jumps.rate > 0:
+        counts = rng.poisson(jumps.rate * dt)
+        sizes = rng.standard_normal((int(counts.sum()), K)) @ psd_factor(jumps.jump_cov).T
+        pos = 0
+        for i in np.nonzero(counts)[0]:
+            arrivals = np.sort(rng.uniform(times[i], times[i + 1], size=counts[i]))
+            for u, size in zip(arrivals, sizes[pos : pos + counts[i]]):
+                shocks[i] += expm((times[i + 1] - u) * T) @ (E @ size)
+            pos += counts[i]
+    for i, h in enumerate(steps):
+        states[i + 1] = ops[h][0] @ states[i] + shocks[i]
+    return states
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -6,7 +6,7 @@ import pytest
 from grou.cli import run
 from grou.graphs import path_graph
 from grou.model import GrouParams
-from grou.noise import CompoundPoissonJumps, LevySpec
+from grou.noise import CompoundPoissonJumps, LevySpec, SymmetricGammaJumps
 
 
 @pytest.fixture
@@ -66,6 +66,19 @@ class TestSimulate:
         args = simulate_args(workdir)
         args[args.index("--graph") + 1] = str(workdir / "nope.json")
         assert run(args) == 1
+
+    def test_unstable_gamma_mesh_exit_2(self, workdir, capsys):
+        # alpha = 5 with Euler steps of 0.5: I + h*T has eigenvalue -1.5
+        params = GrouParams(np.array([[5.0, 5.0]]), (np.empty(0),))
+        (workdir / "params.json").write_text(params.to_json())
+        noise = LevySpec(np.zeros(2), np.eye(2), SymmetricGammaJumps(1.0, 1.0))
+        (workdir / "noise.json").write_text(noise.to_json())
+        args = simulate_args(workdir)
+        args[args.index("--mesh-fine") + 1] = "0.5"
+        args[args.index("--ratio") + 1] = "1"
+        assert run(args) == 2
+        assert "Euler step 0.5" in capsys.readouterr().err
+        assert not (workdir / "path.csv").exists()
 
 
 class TestEstimateForecast:
@@ -178,6 +191,24 @@ class TestEstimateForecast:
             ]
         )
         assert code == 2
+
+    def test_singular_fit_exit_2(self, workdir, monkeypatch, capsys):
+        # numpy's LinAlgError subclasses ValueError, but is a numerical error
+        def singular_fit(*args, **kwargs):
+            return np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+
+        monkeypatch.setattr("grou.cli.estimate_drift", singular_fit)
+        run(simulate_args(workdir))
+        code = run(
+            [
+                "estimate",
+                "--path", str(workdir / "path.csv"),
+                "--stages", "0",
+                "--out", str(workdir / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert "LinAlgError" in capsys.readouterr().err
 
     def test_stage_requires_graph(self, workdir):
         run(simulate_args(workdir))
@@ -340,6 +371,32 @@ class TestSelect:
         assert code == 0
         report = json.loads((workdir / "selection.json").read_text())
         assert "chosen_graph" in report
+
+
+class TestHyphenatedTickers:
+    def test_mrc_then_select(self, workdir):
+        rng = np.random.default_rng(7)
+        prices = 50 * np.exp(rng.normal(size=(2000, 3)).cumsum(axis=0) * 1e-4)
+        lines = ["timestamp,BRK-B,BF-B,SPY"]
+        lines += [f"{k}," + ",".join(f"{p:.10f}" for p in row) for k, row in enumerate(prices)]
+        (workdir / "prices.csv").write_text("\n".join(lines) + "\n")
+        edges = str(workdir / "edges.csv")
+        mrc_args = ["mrc", "--prices", str(workdir / "prices.csv"), "--freq", "1", "--window", "10"]
+        assert run([*mrc_args, "--out", edges]) == 0
+        (workdir / "net.json").write_text(json.dumps({"n_vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]]}))
+        config = {
+            "edge_series": edges,
+            "mode": "shapes",
+            "graph": str(workdir / "net.json"),
+            "shapes": [[1, [1]]],
+            "mesh_fine": 0.01,
+            "ratio": 1,
+            "seed": 1,
+        }
+        (workdir / "select.json").write_text(json.dumps(config))
+        out = workdir / "selection.json"
+        assert run(["select", "--config", str(workdir / "select.json"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["chosen"]["shape"]["L"] == 1
 
 
 class TestUsage:

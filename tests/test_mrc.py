@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grou.errors import IngestionError
 from grou.mrc import (
     MrcConfig,
     PriceMatrix,
+    RollingMrc,
+    _window_starts,
     ingest_prices,
     mrc,
     mrc_window_length,
@@ -195,6 +199,75 @@ class TestRollingMrc:
         np.testing.assert_array_equal(back.window_starts, out.window_starts)
         assert back.pair_labels == out.pair_labels
         assert back.asset_ids == out.asset_ids
+        assert back.is_corr is False
+
+    def test_window_starts_do_not_accumulate_rounding(self):
+        # one day of epoch seconds at a step that binary floating point
+        # cannot represent; repeated addition drifts by 0.08 s over the day
+        t0, step, window = 1.7e9, 0.1, 0.5
+        starts = _window_starts(t0, t0 + 86_400.0, window, step)
+        expected = t0 + step * np.arange(len(starts))
+        np.testing.assert_array_equal(starts, expected)
+        assert len(starts) == 863_996
+        assert starts[-1] + window <= t0 + 86_400.0 < starts[-1] + step + window
+
+    def test_step_must_be_positive(self):
+        pm = self.make_prices()
+        with pytest.raises(ValueError):
+            rolling_mrc(pm, MrcConfig(), window=100.0, step=0.0)
+
+    def test_headerless_edge_series_splits_labels(self, tmp_path):
+        file = tmp_path / "edges.csv"
+        file.write_text("window_start,pair,value\n0,A-B,1\n0,A-C,2\n0,B-C,3\n5,A-B,4\n5,A-C,5\n5,B-C,6\n")
+        back = read_edge_series_csv(file)
+        assert back.asset_ids == ("A", "B", "C")
+        np.testing.assert_array_equal(back.window_starts, [0.0, 5.0])
+        np.testing.assert_array_equal(back.values, [[1, 2, 3], [4, 5, 6]])
+
+    def test_edge_series_out_of_pair_order_rejected(self, tmp_path):
+        file = tmp_path / "edges.csv"
+        file.write_text("window_start,pair,value\n0,A-B,1\n0,A-C,2\n5,A-C,5\n5,A-B,4\n")
+        with pytest.raises(IngestionError):
+            read_edge_series_csv(file)
+
+
+# asset ids as a price-file header could carry them: printable, no comma
+asset_ids = st.lists(
+    st.text(
+        st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters=","),
+        min_size=1,
+        max_size=8,
+    ),
+    min_size=2,
+    max_size=5,
+    unique=True,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(assets=asset_ids, is_corr=st.booleans(), n_windows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+# two different pairs share the label "a-b-c"
+@example(assets=["a-b", "c", "a", "b-c"], is_corr=True, n_windows=2, seed=0)
+def test_edge_series_round_trip_with_any_asset_labels(tmp_path_factory, assets, is_corr, n_windows, seed):
+    rng = np.random.default_rng(seed)
+    n_pairs = len(assets) * (len(assets) - 1) // 2
+    values = rng.standard_normal((n_windows, n_pairs)) * 10.0 ** rng.uniform(-300, 300, (n_windows, n_pairs))
+    starts = 1.7e9 + np.cumsum(rng.uniform(0.1, 60.0, n_windows))
+    rolling = RollingMrc(
+        window_starts=starts,
+        values=values,
+        pair_labels=tuple(f"{a}-{b}" for i, a in enumerate(assets) for b in assets[i + 1 :]),
+        asset_ids=tuple(assets),
+        is_corr=is_corr,
+    )
+    file = tmp_path_factory.mktemp("edges") / "edges.csv"
+    write_edge_series_csv(rolling, file, header_lines=["config: {}"])
+    back = read_edge_series_csv(file)
+    assert back.asset_ids == rolling.asset_ids
+    assert back.pair_labels == rolling.pair_labels
+    assert back.is_corr is is_corr
+    np.testing.assert_array_equal(back.window_starts, rolling.window_starts)
+    np.testing.assert_array_equal(back.values, rolling.values)
 
 
 class TestIngest:

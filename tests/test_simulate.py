@@ -3,12 +3,16 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import ks_2samp
 
+import grou.model
+import grou.simulate
 from grou.errors import StationarityError
 from grou.graphs import complete_graph, path_graph, weight_matrices
 from grou.model import GrouParams, build_companion
 from grou.noise import CompoundPoissonJumps, LevySpec, SymmetricGammaJumps, stream_rng
 from grou.simulate import (
     SampledPath,
+    _runs,
+    _scan,
     grid_from_times,
     make_uniform_grids,
     power_law_grids,
@@ -17,7 +21,7 @@ from grou.simulate import (
     write_path_csv,
 )
 
-from conftest import linear_scan, simulate_full_state
+from conftest import linear_scan, simulate_full_state, stepwise_path
 
 
 def scalar_system(rate=2.0):
@@ -297,3 +301,132 @@ class TestFullStateSimulator:
             assert np.allclose(jump_sums, path.truth.increments.jump)
         else:
             assert not jump_sums.any()
+
+
+REGIMES = {
+    "brownian": None,
+    "compound_poisson": CompoundPoissonJumps(3.0, np.eye(2)),
+    "gamma": SymmetricGammaJumps(1.0, 1.0),
+}
+
+
+def random_grid(seed=11, n=300):
+    steps = np.random.default_rng(seed).uniform(0.001, 0.02, size=n)
+    return grid_from_times(np.concatenate([[0.0], np.cumsum(steps)]), ratio=4)
+
+
+class TestScanKernel:
+    """The doubling-scan kernel against the step-by-step recursion it replaced."""
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("kind", ["dyadic", "non_dyadic", "non_uniform"])
+    def test_matches_stepwise_reference(self, regime, kind):
+        system = two_edge_system()
+        spec = LevySpec(np.array([0.2, -0.1]), np.eye(2), REGIMES[regime])
+        if kind == "dyadic":
+            grid = make_uniform_grids(2.0, 1 / 256, 16)
+        elif kind == "non_dyadic":
+            grid = make_uniform_grids(2.0, 2 / 2186, 1)
+        else:
+            grid = random_grid()
+        dt = np.diff(grid.fine)
+        # a uniform grid is one run, which takes its operators from its
+        # first spacing; a non-dyadic mesh has spacings that differ in the
+        # last bits, so the reference is given that same spacing
+        steps = np.full(dt.size, dt[0]) if kind == "non_dyadic" else None
+        if kind == "non_dyadic":
+            assert np.unique(dt).size > 1
+        if kind == "non_uniform":
+            assert np.unique(dt).size == dt.size
+        x0 = np.array([0.3, -0.2, 1.0, 0.5])
+        path = simulate_path(system, spec, grid, init=x0, rng_seed=5)
+        states = stepwise_path(system, spec, grid.fine, x0, stream_rng(5, 1), steps=steps)
+        assert np.abs(path.values - states[:, :2]).max() <= 1e-10
+
+    def test_stationary_init_continues_from_the_burn_in_state(self):
+        system = two_edge_system()
+        spec = LevySpec(np.zeros(2), np.eye(2), REGIMES["compound_poisson"])
+        grid = make_uniform_grids(1.0, 1 / 64, 4)
+        path = simulate_path(system, spec, grid, rng_seed=21)
+        states = stepwise_path(system, spec, grid.fine, path.truth.init_state, stream_rng(21, 1))
+        assert np.abs(path.values - states[:, :2]).max() <= 1e-10
+
+    def test_expm_calls_do_not_grow_with_n(self, monkeypatch):
+        calls = []
+
+        def counting_expm(matrix):
+            calls.append(matrix.shape)
+            return expm(matrix)
+
+        monkeypatch.setattr(grou.simulate, "expm", counting_expm)
+        monkeypatch.setattr(grou.model, "expm", counting_expm)
+        system = two_edge_system()
+        spec = LevySpec(np.zeros(2), np.eye(2))
+        counts = []
+        for n in (2186, 4374, 8748):
+            calls.clear()
+            simulate_path(system, spec, make_uniform_grids(2.0, 2 / n, 1), rng_seed=3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
+        # one run each for the 64-step burn-in and for the path, and one
+        # covariance and one drift exponential per run
+        assert counts[0] == 4
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * grou.simulate._SCAN_ROWS + 3])
+    def test_chunk_boundaries(self, offset):
+        self._check_scan(grou.simulate._SCAN_ROWS + offset, seed=offset)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 23, 37])
+    def test_rounds_wider_than_a_chunk(self, n, monkeypatch):
+        monkeypatch.setattr(grou.simulate, "_SCAN_ROWS", 5)
+        self._check_scan(n, seed=n)
+
+    @staticmethod
+    def _check_scan(n, seed):
+        rng = np.random.default_rng(seed + 100)
+        prop = expm(0.05 * two_edge_system().transition)
+        rows = rng.normal(size=(n, 4))
+        expected = rows.copy()
+        for j in range(1, n):
+            expected[j] = prop @ expected[j - 1] + rows[j]
+        got = _scan(rows, prop)
+        assert got is rows
+        assert np.abs(got - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
+
+    def test_runs_of_equal_spacing(self):
+        assert _runs(np.diff(np.linspace(0.0, 3.7, 1001))) == [(0, 1000)]
+        assert _runs(np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.1])) == [(0, 2), (2, 5), (5, 6)]
+        steps = np.diff(random_grid().fine)
+        assert _runs(steps) == [(i, i + 1) for i in range(steps.size)]
+        # each step within the tolerance of the last, but a run is held to
+        # its first spacing
+        drifting = 0.01 * (1.0 + 4e-10 * np.arange(10))
+        assert _runs(drifting) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+
+
+class TestEulerStability:
+    """The Gamma regime's Euler step must contract a stable system."""
+
+    def test_coarse_mesh_raises_naming_the_step(self):
+        system = scalar_system(5.0)
+        spec = LevySpec(np.zeros(1), np.eye(1), SymmetricGammaJumps(1.0, 1.0))
+        grid = make_uniform_grids(10.0, 0.5, 1)
+        with pytest.raises(StationarityError, match=r"Euler step 0\.5 .*mesh below 0\.4"):
+            simulate_path(system, spec, grid, init="stationary", rng_seed=1)
+
+    def test_contracting_mesh_is_simulated(self):
+        system = scalar_system(5.0)
+        spec = LevySpec(np.zeros(1), np.eye(1), SymmetricGammaJumps(1.0, 1.0))
+        path = simulate_path(system, spec, make_uniform_grids(10.0, 0.3, 1), rng_seed=1)
+        assert np.all(np.abs(path.values) < 1e3)
+
+    def test_random_walk_is_not_a_stability_error(self):
+        # alpha = 0: I + h*T is the identity, and the Euler composition is
+        # the exact Levy path, however coarse the mesh
+        system = scalar_system(0.0)
+        spec = LevySpec(np.zeros(1), np.eye(1), SymmetricGammaJumps(1.0, 1.0))
+        grid = make_uniform_grids(4.0, 0.5, 1)
+        path = simulate_path(system, spec, grid, init=[0.0], rng_seed=2)
+        np.testing.assert_allclose(
+            path.values[1:, 0], np.cumsum(path.truth.increments.total[:, 0]), atol=1e-12
+        )

@@ -4,14 +4,27 @@ The estimator works on two grids: forward finite differences recover the
 unobserved derivative states on the fine grid, while the score and
 information statistics accumulate over the coarser sub-grid,
 
-    score  = - sum_m H_m S^{-1} c_m,
-    info   =   sum_m H_m S^{-1} H_m^T (u_{m+1} - u_m),
+    score  = - sum_m H_m S c_m,
+    info   =   sum_m dt_m H_m S H_m^T,
 
 where ``c_m`` is the drift-corrected, jump-truncated increment of the
-highest derivative over the m-th coarse interval, ``H_m`` stacks the
-per-edge and neighborhood regressors at the left endpoint, and S is the
-Brownian covariance of the driving noise.  The drift estimate solves
-``(info + ridge*I) theta = score``.
+highest derivative over the m-th coarse interval, ``dt_m`` its length,
+``H_m`` stacks the per-edge and neighborhood regressors at the left
+endpoint, and ``S`` is the inverse of the Brownian covariance of the
+driving noise, taken from one Cholesky factorization.  The drift estimate
+solves ``(info + ridge*I) theta = score``.
+
+The stacks are never formed.  Each ``H_m`` is structured: lag l
+contributes the diagonal ``diag(D_l[m])`` of the matching derivative and
+one row ``A_q[m] = D_l[m] W_r^T`` per neighborhood stage, so ``info`` is
+built from K-by-K weighted Gram matrices, ``S o (D_l^T diag(dt) D_l')``
+between diagonal blocks and dt-weighted sums of ``(A S)[m]`` against
+``D_l[m]`` and ``A'[m]`` for the aggregate rows.  For an unrestricted
+drift ``H_m = I_K kron x_m``, which gives ``info = S kron (X^T diag(dt) X)``
+and ``score = -vec(S C^T X)``.  For M coarse intervals and a fixed shape
+either costs O(M K^2), where contracting the (M, p, K) stacks costs
+O(M K p^2).  ``build_h_matrix`` and ``mcar_h_matrix`` still assemble the
+stacks, from the same regressor blocks the fits use.
 
 Jump truncation keeps a component only when the corrected increment stays
 within ``spacing**beta_exp``; admissible exponents depend on whether the
@@ -177,17 +190,15 @@ def threshold_increments(
     )
 
 
-def build_h_matrix(path: SampledPath, weights: WeightMatrices | None, shape) -> np.ndarray:
-    """Regressor stacks H_m over the usable coarse points.
+def _regressors(path: SampledPath, weights: WeightMatrices | None, shape):
+    """Regressor blocks at the left ends of the usable coarse intervals.
 
-    For each coarse point this stacks, lag block by lag block, the K-by-K
-    diagonal of the matching derivative (lag 1 pairs with the highest
-    derivative, lag L with the raw values) followed by one row per
-    neighborhood stage holding the weighted neighborhood aggregate.  Row
-    order matches the flattened parameter vector.
-
-    Returns an array of shape ``(M, p, K)`` with M the number of usable
-    coarse increments.
+    Returns ``(derivs, aggregates)``: ``derivs[l - 1]`` is the derivative
+    paired with lag l (lag 1 with the highest finite difference, lag L with
+    the raw values), shape ``(L, M, K)``; ``aggregates`` stacks the
+    neighborhood aggregates ``derivs[l - 1] @ W_r^T``, lag by lag and stage
+    by stage, shape ``(sum(R), M, K)``.  This is the one definition of the
+    regressors behind both the fits and :func:`build_h_matrix`.
     """
     lags, stages = shape
     stages = tuple(int(r) for r in stages)
@@ -202,19 +213,39 @@ def build_h_matrix(path: SampledPath, weights: WeightMatrices | None, shape) -> 
             raise ConfigurationError(
                 f"weights are for {weights.n_edges} edges, path has {K}"
             )
-    idx = _estimation_window(path, lags)
-    points = idx[:-1]
-    n_params = lags * K + sum(stages)
-    H = np.zeros((points.size, n_params, K))
+    points = _estimation_window(path, lags)[:-1]
+    derivs = np.stack([finite_differences(path, lags - l)[points] for l in range(1, lags + 1)])
+    aggregates = [
+        derivs[l] @ weights.stage(r).T for l in range(lags) for r in range(1, stages[l] + 1)
+    ]
+    return derivs, np.array(aggregates).reshape(len(aggregates), points.size, K)
+
+
+def build_h_matrix(path: SampledPath, weights: WeightMatrices | None, shape) -> np.ndarray:
+    """Regressor stacks H_m over the usable coarse points.
+
+    For each coarse point this stacks, lag block by lag block, the K-by-K
+    diagonal of the matching derivative (lag 1 pairs with the highest
+    derivative, lag L with the raw values) followed by one row per
+    neighborhood stage holding the weighted neighborhood aggregate.  Row
+    order matches the flattened parameter vector.
+
+    Returns an array of shape ``(M, p, K)`` with M the number of usable
+    coarse increments.  The fits never form this tensor; they accumulate
+    their statistics from the same regressor blocks.
+    """
+    lags, stages = shape
+    derivs, aggregates = _regressors(path, weights, shape)
+    _, M, K = derivs.shape
+    H = np.zeros((M, lags * K + aggregates.shape[0], K))
     cols = np.arange(K)
-    row = 0
-    for l in range(1, lags + 1):
-        deriv = finite_differences(path, lags - l)[points]
-        H[:, row + cols, cols] = deriv
+    row, q = 0, 0
+    for l in range(lags):
+        H[:, row + cols, cols] = derivs[l]
         row += K
-        for r in range(1, stages[l - 1] + 1):
-            H[:, row, :] = deriv @ weights.stage(r).T
-            row += 1
+        for _ in range(int(stages[l])):
+            H[:, row, :] = aggregates[q]
+            row, q = row + 1, q + 1
     return H
 
 
@@ -222,13 +253,13 @@ def mcar_h_matrix(path: SampledPath, lags: int = 1) -> np.ndarray:
     """Regressor stacks for an unrestricted (full-matrix) drift, one lag.
 
     The parameter vector is the row-major flattening of the K-by-K drift
-    coefficient matrix.
+    coefficient matrix, so ``H_m = I_K kron x_m`` with ``x_m`` the values
+    at the m-th usable coarse point.
     """
     if lags != 1:
         raise ConfigurationError("full-matrix estimation is implemented for one lag")
     K = path.n_edges
-    idx = _estimation_window(path, lags)
-    vals = path.values[idx[:-1]]
+    vals = _regressors(path, None, (1, (0,)))[0][0]
     H = np.zeros((vals.shape[0], K * K, K))
     for a in range(K):
         H[:, a * K : (a + 1) * K, a] = vals
@@ -348,25 +379,68 @@ def grid_diagnostics(grid) -> dict:
     }
 
 
-def _accumulate(H, increments, spacings, sigma_w):
-    sigma_inv_H = np.linalg.solve(sigma_w, H.transpose(0, 2, 1)).transpose(0, 2, 1)
-    # sigma_inv_H[m] = H[m] @ inv(sigma); contraction over intervals and edges
-    info = np.tensordot(sigma_inv_H * spacings[:, None, None], H, axes=([0, 2], [0, 2]))
-    score = -np.tensordot(sigma_inv_H, increments, axes=([0, 2], [0, 1]))
-    return 0.5 * (info + info.T), score
+def _precision(triplet: LevySpec) -> np.ndarray:
+    """Inverse of the working covariance from a single Cholesky factorization."""
+    sigma = _working_covariance(triplet)
+    return cho_solve(cho_factor(sigma), np.eye(sigma.shape[0]))
 
 
-def _finish(H, path, triplet, policy, ridge, structure, shape, lags, ridge_scale=None):
-    thresholded = threshold_increments(path, policy, triplet, lags=lags)
-    sigma_w = _working_covariance(triplet)
-    info, score = _accumulate(H, thresholded.values, thresholded.spacings, sigma_w)
+def _drift_statistics(derivs, aggregates, stages, increments, spacings, prec):
+    """Information matrix and score of a structured drift, in parameter order.
+
+    With ``D_l`` the lag-l derivative rows, ``A_q`` the aggregate rows,
+    ``C`` the thresholded increments and ``S`` the precision:
+
+        diagonal x diagonal   S o (D_l^T diag(dt) D_l')
+        diagonal x aggregate  sum_m dt_m D_l[m] o (A_q S)[m]
+        aggregate x aggregate sum_m dt_m (A_q S)[m] . A_q'[m]
+        score                 -sum_m D_l[m] o (C S)[m],  -sum_m A_q[m] . (C S)[m]
+    """
+    L, M, K = derivs.shape
+    Q = aggregates.shape[0]
+    wide = derivs.transpose(1, 0, 2).reshape(M, L * K)
+    weighted_aggs = aggregates @ prec * spacings[:, None]
+    inc_prec = increments @ prec
+    cross = np.einsum("lmk,qmk->lkq", derivs, weighted_aggs).reshape(L * K, Q)
+    info = np.block(
+        [
+            [np.tile(prec, (L, L)) * ((wide * spacings[:, None]).T @ wide), cross],
+            [cross.T, weighted_aggs.reshape(Q, M * K) @ aggregates.reshape(Q, M * K).T],
+        ]
+    )
+    score = -np.concatenate(
+        [
+            np.einsum("lmk,mk->lk", derivs, inc_prec).reshape(-1),
+            aggregates.reshape(Q, M * K) @ inc_prec.reshape(-1),
+        ]
+    )
+    # the statistics come out grouped as [all diagonal blocks | all
+    # aggregates]; GrouParams.flatten's layout interleaves them lag by lag
+    order = GrouParams(
+        np.arange(L * K).reshape(L, K),
+        np.split(np.arange(L * K, L * K + Q), np.cumsum(stages)[:-1]),
+    ).flatten().astype(int)
+    return info[np.ix_(order, order)], score[order]
+
+
+def _mcar_statistics(values, increments, spacings, prec):
+    """``info = S kron (X^T diag(dt) X)`` and ``score = -vec(S C^T X)``."""
+    gram = (values * spacings[:, None]).T @ values
+    return np.kron(prec, gram), -(prec @ (increments.T @ values)).reshape(-1)
+
+
+def _bic(theta, info, n_coarse) -> float:
+    return float(-theta @ info @ theta + theta.size * np.log(n_coarse))
+
+
+def _finish(info, score, thresholded, path, triplet, ridge, structure, shape, ridge_scale=None):
+    info = 0.5 * (info + info.T)
     if ridge is None and ridge_scale is not None:
         ridge = ridge_scale * np.trace(info) / info.shape[0]
     theta, ridge_used = _solve_with_ridge(info, score, ridge)
     loglik = float(theta @ score - 0.5 * theta @ info @ theta)
     n_coarse = thresholded.spacings.size
-    p = theta.size
-    bic = float(-theta @ info @ theta + p * np.log(n_coarse)) if n_coarse > 1 else float("nan")
+    bic = _bic(theta, info, n_coarse) if n_coarse > 1 else float("nan")
     diag = grid_diagnostics(path.grid)
     diag["kept_fraction"] = thresholded.kept_fraction
     # data-driven grids routinely end on a shorter coarse interval (the
@@ -425,8 +499,12 @@ def estimate_drift(
         policy = ThresholdPolicy.for_noise(triplet)
     lags, stages = shape
     shape = (int(lags), tuple(int(r) for r in stages))
-    H = build_h_matrix(path, weights, shape)
-    return _finish(H, path, triplet, policy, ridge, "grou", shape, shape[0])
+    derivs, aggregates = _regressors(path, weights, shape)
+    thresholded = threshold_increments(path, policy, triplet, lags=shape[0])
+    info, score = _drift_statistics(
+        derivs, aggregates, shape[1], thresholded.values, thresholded.spacings, _precision(triplet)
+    )
+    return _finish(info, score, thresholded, path, triplet, ridge, "grou", shape)
 
 
 def estimate_mcar(
@@ -445,8 +523,12 @@ def estimate_mcar(
     """
     if policy is None:
         policy = ThresholdPolicy.for_noise(triplet)
-    H = mcar_h_matrix(path, lags=1)
-    return _finish(H, path, triplet, policy, ridge, "mcar", None, 1, ridge_scale=ridge_scale)
+    values = _regressors(path, None, (1, (0,)))[0][0]
+    thresholded = threshold_increments(path, policy, triplet, lags=1)
+    info, score = _mcar_statistics(
+        values, thresholded.values, thresholded.spacings, _precision(triplet)
+    )
+    return _finish(info, score, thresholded, path, triplet, ridge, "mcar", None, ridge_scale)
 
 
 def estimate_triplet(

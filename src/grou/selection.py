@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .benchmarks import directional_accuracy
 from .errors import GrouError
-from .estimate import EstimationResult, ThresholdPolicy, estimate_drift, estimate_triplet
+from .estimate import EstimationResult, ThresholdPolicy, _bic, estimate_drift, estimate_triplet
 from .forecast import rolling_forecast
 from .graphs import EdgeGraph, pair_order, random_er_graph, weight_matrices
 from .noise import LevySpec, stream_rng
@@ -45,8 +46,7 @@ def bic(result: EstimationResult) -> float:
     n = result.n_coarse
     if n <= 1:
         raise ValueError(f"need more than one coarse increment, have {n}")
-    theta, info = result.theta_hat, result.info
-    return float(-theta @ info @ theta + theta.size * np.log(n))
+    return _bic(result.theta_hat, result.info, n)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def _dir_acc(path, fitted, weights, eval_idx, horizon):
     preds = rolling_forecast(path, fitted, weights, eval_idx, horizon=horizon)
     realized = path.values[eval_idx]
     previous = path.values[np.asarray(list(eval_idx)) - 1]
-    with np.errstate(invalid="ignore"):
-        return float(np.mean(np.sign(preds - previous) == np.sign(realized - previous)))
+    return directional_accuracy(realized, preds, previous)
 
 
 def _score_shape(path, weights, shape, n_train, triplet, policy, ridge, horizon):

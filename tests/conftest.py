@@ -36,6 +36,19 @@ def draw_hurwitz_system(rng, max_edges=5, max_lags=3):
     raise RuntimeError("failed to draw a Hurwitz system")
 
 
+def dense_statistics(H, increments, spacings, sigma_w):
+    """Information matrix and score from the dense regressor stacks.
+
+    ``H`` has shape ``(M, p, K)`` (``build_h_matrix`` or ``mcar_h_matrix``);
+    each interval takes its own solve against the working covariance:
+    ``info = sum_m dt_m H_m S H_m^T`` and ``score = -sum_m H_m S c_m``.
+    """
+    sigma_inv_H = np.linalg.solve(sigma_w, H.transpose(0, 2, 1)).transpose(0, 2, 1)
+    info = np.tensordot(sigma_inv_H * spacings[:, None, None], H, axes=([0, 2], [0, 2]))
+    score = -np.tensordot(sigma_inv_H, increments, axes=([0, 2], [0, 1]))
+    return 0.5 * (info + info.T), score
+
+
 def linear_scan(prop, first, shocks):
     """Every state of ``x_{i+1} = prop @ x_i + shocks[i]`` from ``x_0 = first``.
 

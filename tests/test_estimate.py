@@ -1,8 +1,13 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grou.benchmarks import predictive_study_config
 from grou.errors import ConfigurationError, EstimationError, SingularityError
 from grou.estimate import (
     ThresholdPolicy,
@@ -15,11 +20,14 @@ from grou.estimate import (
     mcar_h_matrix,
     threshold_increments,
     _coarse_increments,
+    _working_covariance,
 )
-from grou.graphs import EdgeGraph, path_graph, weight_matrices
+from grou.graphs import EdgeGraph, complete_graph, path_graph, weight_matrices
 from grou.model import GrouParams, build_companion
 from grou.noise import CompoundPoissonJumps, LevySpec
-from grou.simulate import SampledPath, make_uniform_grids, simulate_path
+from grou.simulate import SampledPath, grid_from_times, make_uniform_grids, simulate_path
+
+from conftest import dense_statistics
 
 
 def scalar_system(rate=2.0):
@@ -116,6 +124,114 @@ class TestHMatrix:
         np.testing.assert_array_equal(H[0, 0:2, 0], [1.0, 2.0])
         np.testing.assert_array_equal(H[0, 2:4, 1], [1.0, 2.0])
         np.testing.assert_array_equal(H[0, 0:2, 1], 0.0)
+
+
+# Four-edge path graph with stage-2 neighbors, simulated with a
+# non-diagonal Brownian covariance and compound-Poisson jumps.
+ORACLE_COV = np.array(
+    [[2.0, 0.5, 0.0, 0.2], [0.5, 1.0, 0.3, 0.0], [0.0, 0.3, 1.5, -0.4], [0.2, 0.0, -0.4, 1.0]]
+)
+# Exactly singular (the last edge has no Brownian part), so the working
+# covariance carries the jitter.  The null direction is an axis, which any
+# two factorizations invert alike; a null direction mixing edges is known
+# only to cond * eps ~ 1e-8 and no two solvers agree there to 1e-12.
+SINGULAR_COV = np.array(
+    [[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+)
+
+
+def oracle_path(irregular):
+    weights = weight_matrices(path_graph(5), 2)
+    params = GrouParams(
+        np.array([[4.0, 3.0, 3.5, 2.5], [2.0, 1.0, 1.5, 1.2]]), (np.array([0.5]), np.array([0.3]))
+    )
+    noise = LevySpec(np.zeros(4), ORACLE_COV, CompoundPoissonJumps(1.0, np.eye(4)))
+    if irregular:
+        times = np.sort(np.random.default_rng(3).uniform(0.0, 4.0, size=1024))
+        grid = grid_from_times(np.concatenate([[0.0], times]), ratio=4)
+    else:
+        grid = make_uniform_grids(4.0, 1 / 256, 4)
+    system = build_companion(params, weights)
+    return weights, simulate_path(system, noise, grid, init="stationary", rng_seed=17)
+
+
+def assert_relative(actual, desired, rtol=1e-12):
+    scale = np.abs(desired).max()
+    assert scale > 0
+    np.testing.assert_allclose(actual, desired, rtol=0, atol=rtol * scale)
+
+
+class TestStructuredStatistics:
+    """The fits' Gram and Kronecker statistics against the dense stacks."""
+
+    @pytest.mark.parametrize("shape", [(1, (0,)), (1, (1,)), (2, (1, 1)), (2, (2, 0)), "mcar"])
+    @pytest.mark.parametrize("case", ["non_diagonal", "irregular_grid", "near_singular"])
+    def test_matches_dense_oracle(self, case, shape):
+        weights, path = oracle_path(irregular=case == "irregular_grid")
+        cov = SINGULAR_COV if case == "near_singular" else ORACLE_COV
+        triplet = LevySpec(np.zeros(4), cov, CompoundPoissonJumps(1.0, np.eye(4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the irregular grid warns
+            if shape == "mcar":
+                fit, lags = estimate_mcar(path, triplet), 1
+                H = mcar_h_matrix(path)
+            else:
+                fit, lags = estimate_drift(path, weights, shape, triplet), shape[0]
+                H = build_h_matrix(path, weights, shape)
+        sigma_w = _working_covariance(triplet)
+        assert (case == "near_singular") == (not np.array_equal(sigma_w, cov))
+        inc = threshold_increments(path, ThresholdPolicy.for_noise(triplet), triplet, lags)
+        info, score = dense_statistics(H, inc.values, inc.spacings, sigma_w)
+        assert_relative(fit.info, info)
+        assert_relative(fit.score, score)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_flattened_parameters_give_the_implied_drift(self, n_vertices, stages, seed):
+        # H_m^T theta is the drift the parameters imply at point m, so the
+        # statistics follow GrouParams.flatten's order
+        lags = len(stages)
+        graph = complete_graph(n_vertices)
+        K = graph.n_edges
+        weights = weight_matrices(graph, 2)
+        rng = np.random.default_rng(seed)
+        params = GrouParams(rng.normal(size=(lags, K)), tuple(rng.normal(size=r) for r in stages))
+        grid = make_uniform_grids(1.0, 1 / 32, 4)
+        path = SampledPath(grid=grid, values=rng.normal(size=(grid.fine.size, K)))
+        H = build_h_matrix(path, weights, (lags, stages))
+        points = path.grid.coarse_idx[path.grid.coarse_idx <= grid.fine.size - 1 - lags][:-1]
+        expected = np.zeros((points.size, K))
+        for l in range(lags):
+            deriv = finite_differences(path, lags - 1 - l)[points]
+            expected += params.alpha[l] * deriv
+            for r, b in enumerate(params.beta[l], start=1):
+                expected += b * deriv @ weights.stage(r).T
+        implied = np.einsum("mpk,p->mk", H, params.flatten())
+        np.testing.assert_allclose(implied, expected, rtol=1e-12, atol=1e-12)
+
+    def test_mcar_fit_forms_no_dense_regressors(self):
+        # training section of one K=10 predictive-study path: M = 1,785
+        # intervals, so one (M, K^2, K) regressor tensor would hold 14.3 MB
+        config = predictive_study_config(n_paths=1)
+        system = build_companion(config.params, weight_matrices(config.graph, 1))
+        grid = make_uniform_grids(config.t_end, config.t_end / (config.n_obs - 1), 1)
+        path = simulate_path(system, config.noise, grid, init="stationary", rng_seed=0)
+        train = path.section(0, config.n_obs - config.test_size)
+        triplet = estimate_triplet(train)
+        tracemalloc.start()
+        try:
+            fit = estimate_mcar(train, triplet)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        K = train.n_edges
+        assert fit.n_coarse == 1785
+        dense_bytes = fit.n_coarse * K * K * K * 8
+        assert peak < 4e6 < dense_bytes / 3
 
 
 class TestThresholdPolicy:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grou.errors import ConfigurationError, StationarityError
 from grou.graphs import path_graph, weight_matrices
@@ -65,6 +66,29 @@ class TestParams:
         theta = rng.normal(size=lags * n_edges + sum(stages))
         params = GrouParams.unflatten(theta, lags, stages, n_edges)
         np.testing.assert_array_equal(params.flatten(), theta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_params_flatten_round_trip(self, data):
+        lags = data.draw(st.integers(min_value=1, max_value=4))
+        n_edges = data.draw(st.integers(min_value=1, max_value=6))
+        stages = data.draw(st.lists(st.integers(0, 3), min_size=lags, max_size=lags))
+        finite = st.floats(-1e6, 1e6, allow_nan=False)
+        alpha = data.draw(arrays(float, (lags, n_edges), elements=finite))
+        beta = tuple(data.draw(arrays(float, r, elements=finite)) for r in stages)
+        theta = GrouParams(alpha, beta).flatten()
+        assert theta.size == lags * n_edges + sum(stages)
+        pos = 0
+        for l in range(lags):
+            np.testing.assert_array_equal(theta[pos : pos + n_edges], alpha[l])
+            pos += n_edges
+            np.testing.assert_array_equal(theta[pos : pos + stages[l]], beta[l])
+            pos += stages[l]
+        back = GrouParams.unflatten(theta, lags, stages, n_edges)
+        np.testing.assert_array_equal(back.alpha, alpha)
+        assert back.stages == tuple(stages)
+        for b, b0 in zip(back.beta, beta):
+            np.testing.assert_array_equal(b, b0)
 
     def test_json_round_trip(self):
         params = GrouParams(np.array([[1.0, 2.0]]), (np.array([0.25, 0.5]),))

@@ -50,6 +50,10 @@ class TestBic:
         # matches the stored result fields up to the ridge perturbation
         assert bic(result) == pytest.approx(result.bic, rel=1e-10)
 
+    def test_matches_the_fit_exactly(self):
+        result = fitted_result()
+        assert bic(result) == result.bic
+
     def test_tiny_n_rejected(self):
         from dataclasses import replace
 

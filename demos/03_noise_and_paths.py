@@ -19,7 +19,6 @@ from grou import (
     sample_increments,
     simulate_path,
     stationary_moments,
-    triplet_moments,
     weight_matrices,
 )
 
@@ -31,7 +30,7 @@ regimes = {
     "symmetric Gamma": LevySpec(np.zeros(2), np.eye(2), SymmetricGammaJumps(1.0, 1.0)),
 }
 for name, spec in regimes.items():
-    mu, cov = triplet_moments(spec)
+    mu, cov = spec.mean_rate, spec.covariance_rate
     print(f"{name:17s} mean rate {mu}  variance rate diag {np.diag(cov)}")
 
 # Increments split into continuous and jump parts for simulated noise.

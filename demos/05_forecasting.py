@@ -12,8 +12,8 @@ from grou import (
     GrouParams,
     LevySpec,
     build_companion,
+    conditional_moments,
     estimate_drift,
-    forecast,
     init_state,
     make_uniform_grids,
     path_graph,
@@ -35,7 +35,7 @@ path = simulate_path(system, noise, grid, init="stationary", rng_seed=5)
 state = init_state(path, shape=(2, [1, 1]))
 print("forecast origin state (derivative block zeroed):", np.round(state.x, 3))
 for h in (0.05, 0.25, 1.0):
-    mean, var = forecast(system, noise, state, h)
+    mean, var = conditional_moments(system, noise, state.x, h)
     sd = np.sqrt(np.diag(var))
     print(f"h={h:4.2f}  mean {np.round(mean, 3)}  sd {np.round(sd, 3)}")
 

@@ -41,7 +41,7 @@ from .estimate import (
     mcar_h_matrix,
     threshold_increments,
 )
-from .forecast import ForecastState, forecast, init_state, rolling_forecast
+from .forecast import ForecastState, init_state, rolling_forecast
 from .graphs import (
     EdgeGraph,
     NeighborStages,
@@ -71,7 +71,6 @@ from .noise import (
     SymmetricGammaJumps,
     sample_increments,
     stream_rng,
-    triplet_moments,
 )
 from .selection import SelectionOutcome, bic, joint_network_model_search, select_model
 from .simulate import (

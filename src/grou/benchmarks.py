@@ -376,11 +376,8 @@ def monte_carlo_study(config: StudyConfig, threads: int = 1) -> list[dict]:
     def job(i):
         return _study_one_path(config, system, i)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_reports = list(pool.map(job, range(config.n_paths)))
-    else:
-        all_reports = [job(i) for i in range(config.n_paths)]
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        all_reports = list(pool.map(job, range(config.n_paths)))
 
     rows = []
     for j, kind in enumerate(config.models):

@@ -66,40 +66,15 @@ def _seed_from(args, config=None):
     return int(os.environ.get("GROU_SEED", "0"))
 
 
-def _read_json(path, what):
+def _load(path, what, from_json):
+    """Parse a JSON input file with ``from_json``; any fault in it exits 1."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return from_json(fh.read())
     except FileNotFoundError:
         raise _UsageError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"{what} file {path} is not valid JSON: {exc}") from None
-
-
-def _load_graph(path):
-    doc = _read_json(path, "graph")
-    try:
-        return EdgeGraph(doc["n_vertices"], [tuple(e) for e in doc["edges"]], doc.get("directed", False))
     except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"bad graph file {path}: {exc}") from None
-
-
-def _load_params(path):
-    doc = _read_json(path, "params")
-    try:
-        return GrouParams(np.asarray(doc["alpha"]), tuple(np.asarray(b) for b in doc["beta"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"bad params file {path}: {exc}") from None
-
-
-def _load_noise(path):
-    try:
-        with open(path) as fh:
-            return LevySpec.from_json(fh.read())
-    except FileNotFoundError:
-        raise _UsageError(f"noise file not found: {path}") from None
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"bad noise file {path}: {exc}") from None
+        raise _UsageError(f"bad {what} file {path}: {exc}") from None
 
 
 def _policy_from(args):
@@ -120,9 +95,9 @@ def _config_header(config):
 
 
 def _cmd_simulate(args):
-    graph = _load_graph(args.graph)
-    params = _load_params(args.params)
-    noise = _load_noise(args.noise)
+    graph = _load(args.graph, "graph", EdgeGraph.from_json)
+    params = _load(args.params, "params", GrouParams.from_json)
+    noise = _load(args.noise, "noise", LevySpec.from_json)
     if params.n_edges != graph.n_edges:
         raise _UsageError(
             f"params are for {params.n_edges} edges but graph has {graph.n_edges}"
@@ -180,14 +155,17 @@ def _cmd_estimate(args):
     if max(shape[1], default=0) > 0:
         if not args.graph:
             raise _UsageError("--graph is required when any neighborhood stage is positive")
-        graph = _load_graph(args.graph)
+        graph = _load(args.graph, "graph", EdgeGraph.from_json)
         if graph.n_edges != path.n_edges:
             raise _UsageError(
                 f"graph has {graph.n_edges} edges but path has {path.n_edges} columns"
             )
         weights = weight_matrices(graph, max(shape[1]))
     policy = _policy_from(args)
-    triplet = _load_noise(args.triplet) if args.triplet else estimate_triplet(path, policy)
+    if args.triplet:
+        triplet = _load(args.triplet, "noise", LevySpec.from_json)
+    else:
+        triplet = estimate_triplet(path, policy)
     result = estimate_drift(path, weights, shape, triplet, policy, ridge=args.ridge)
     config = {
         "subcommand": "estimate",
@@ -235,7 +213,7 @@ def _fit_from_report(doc):
 
 def _cmd_forecast(args):
     path = read_path_csv(args.path, ratio=args.ratio)
-    doc = _read_json(args.fit, "fit report")
+    doc = _load(args.fit, "fit report", json.loads)
     try:
         fitted = _fit_from_report(doc)
     except (KeyError, ValueError) as exc:
@@ -244,7 +222,7 @@ def _cmd_forecast(args):
     if fitted.structure == "grou" and max(fitted.shape[1], default=0) > 0:
         if not args.graph:
             raise _UsageError("--graph is required for a network-structured fit")
-        graph = _load_graph(args.graph)
+        graph = _load(args.graph, "graph", EdgeGraph.from_json)
         weights = weight_matrices(graph, max(fitted.shape[1]))
     if fitted.n_edges != path.n_edges:
         raise _UsageError(
@@ -318,9 +296,9 @@ def _study_from_config(doc, seed):
             sigma2=float(design.get("sigma2", 10.0)), scenario=scenario, **common
         )
     try:
-        graph = _load_graph(doc["graph"])
-        params = _load_params(doc["params"])
-        noise = _load_noise(doc["noise"])
+        graph = _load(doc["graph"], "graph", EdgeGraph.from_json)
+        params = _load(doc["params"], "params", GrouParams.from_json)
+        noise = _load(doc["noise"], "noise", LevySpec.from_json)
     except KeyError as exc:
         raise _UsageError(f"study config missing field {exc}") from None
     shape = doc.get("shape", {"L": 1, "R": [1]})
@@ -342,7 +320,7 @@ def _study_from_config(doc, seed):
 
 
 def _cmd_benchmark(args):
-    doc = _read_json(args.config, "study config")
+    doc = _load(args.config, "study config", json.loads)
     seed = _seed_from(args, doc)
     config = _study_from_config(doc, seed)
     rows = monte_carlo_study(config, threads=args.threads)
@@ -354,7 +332,7 @@ def _cmd_benchmark(args):
 
 
 def _cmd_select(args):
-    doc = _read_json(args.config, "selection config")
+    doc = _load(args.config, "selection config", json.loads)
     seed = _seed_from(args, doc)
     try:
         rolling = read_edge_series_csv(doc["edge_series"])
@@ -389,7 +367,7 @@ def _cmd_select(args):
     if mode == "shapes":
         if "graph" not in doc:
             raise _UsageError("selection config needs 'graph' in shapes mode")
-        graph = _load_graph(doc["graph"])
+        graph = _load(doc["graph"], "graph", EdgeGraph.from_json)
         order = {p: k for k, p in enumerate(pair_order(len(rolling.asset_ids)))}
         cols = [order[e] for e in graph.edges]
         outcome = select_model(train.select_columns(cols), graph, shapes, **common)

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .model import CompanionSystem, build_companion, conditional_moments, drift_integral
+from .model import CompanionSystem, build_companion, drift_integral
 from .simulate import SampledPath
 
 __all__ = [
     "ForecastState",
     "init_state",
-    "forecast",
     "one_step_map",
     "rolling_forecast",
     "system_from_fit",
@@ -51,22 +50,14 @@ def init_state(path: SampledPath, shape) -> ForecastState:
     return ForecastState(x=x, origin_time=float(path.grid.fine[-1]))
 
 
-def forecast(system: CompanionSystem, noise, state: ForecastState, h: float):
-    """Mean and variance of the edge process ``h`` ahead of ``state``.
-
-    Requires a stationary (Hurwitz) system; errors from the moment
-    machinery propagate unchanged.
-    """
-    return conditional_moments(system, noise, state.x, h)
-
-
 def one_step_map(system: CompanionSystem, mean_rate, h: float):
     """Affine representation of the h-ahead conditional mean for zero-init states.
 
     Returns ``(const, gain)`` with ``mean = const + gain @ last_observation``.
-    Unlike :func:`forecast` this needs no stationarity, which keeps rolling
-    benchmark evaluation robust when a fitted competitor drifts out of the
-    stable region; for Hurwitz systems the two agree exactly.
+    Unlike :func:`grou.model.conditional_moments` this needs no
+    stationarity, which keeps rolling benchmark evaluation robust when a
+    fitted competitor drifts out of the stable region; for Hurwitz systems
+    the two agree exactly.
     """
     if h < 0:
         raise ValueError(f"horizon must be >= 0, got {h}")

@@ -11,8 +11,11 @@ neighborhood matrices::
 
     Q_l = diag(alpha[l]) + sum_r beta[l][r] * W_r
 
-Stationary moments come from a Lyapunov solve; conditional moments use
-augmented matrix exponentials, so no quadrature is involved anywhere.
+Stationary moments come from one Schur-based Lyapunov solve. Conditional
+moments use augmented matrix exponentials: the propagator and variance from
+``cov_integral``, the mean as the affine map
+``observation @ (expm(h*T) @ x + drift_integral(T, E @ mu, h))``.  No
+quadrature is involved anywhere.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ __all__ = [
     "cov_integral",
     "drift_integral",
 ]
-
-# Dense Kronecker solves are exact and simple for the system sizes used in
-# practice; fall back to the Schur-based solver beyond this state dimension.
-_KRONECKER_LIMIT = 200
 
 HURWITZ_MARGIN = 1e-10
 
@@ -283,20 +282,10 @@ def companion_inverse(system: CompanionSystem) -> np.ndarray:
 def lyapunov_solve(transition: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``transition @ X + X @ transition.T = -rhs`` for symmetric X.
 
-    Uses a dense Kronecker-vectorized linear solve up to moderate dimension
-    and the Schur-based solver above that.
+    Bartels-Stewart (Schur) solve; callers check that ``transition`` is
+    Hurwitz, which makes the solution unique.
     """
-    n = transition.shape[0]
-    if n <= _KRONECKER_LIMIT:
-        eye = np.eye(n)
-        coeff = np.kron(transition, eye) + np.kron(eye, transition)
-        try:
-            x = np.linalg.solve(coeff, -rhs.reshape(-1))
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError("Lyapunov operator is singular") from exc
-        X = x.reshape(n, n)
-    else:
-        X = solve_continuous_lyapunov(transition, -rhs)
+    X = solve_continuous_lyapunov(transition, -rhs)
     return 0.5 * (X + X.T)
 
 
@@ -382,16 +371,23 @@ def conditional_moments(system: CompanionSystem, noise, state_x, horizon_h: floa
     Returns
     -------
     (mean, variance) : (ndarray (K,), ndarray (K, K))
+
+    Raises
+    ------
+    StationarityError
+        If the system is not Hurwitz.
     """
     if horizon_h < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon_h}")
     state_x = np.asarray(state_x, dtype=float).reshape(-1)
     if state_x.size != system.dim:
         raise ValueError(f"state has length {state_x.size}, expected {system.dim}")
-    moments = stationary_moments(system, noise)
-    A, E = system.observation, system.noise_selector
+    if not is_hurwitz(system):
+        raise StationarityError("transition matrix is not Hurwitz; no stationary law")
+    A, E, T = system.observation, system.noise_selector, system.transition
+    mu = np.asarray(noise.mean_rate, dtype=float)
     Sigma_L = np.asarray(noise.covariance_rate, dtype=float)
-    prop, integral = cov_integral(system.transition, E @ Sigma_L @ E.T, horizon_h)
-    mean = moments.mean + A @ prop @ (state_x - moments.state_mean)
+    prop, integral = cov_integral(T, E @ Sigma_L @ E.T, horizon_h)
+    mean = A @ (prop @ state_x + drift_integral(T, E @ mu, horizon_h))
     variance = A @ integral @ A.T
     return mean, 0.5 * (variance + variance.T)

@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -220,13 +221,8 @@ def rolling_mrc(
         except ValueError:
             return None
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, candidates))
-    else:
-        results = [one(s) for s in candidates]
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        results = list(pool.map(one, candidates))
 
     starts, rows, skipped = [], [], 0
     for start, values in zip(candidates, results):

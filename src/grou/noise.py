@@ -20,7 +20,6 @@ __all__ = [
     "LevySpec",
     "IncrementBatch",
     "sample_increments",
-    "triplet_moments",
     "aggregate_increments",
     "stream_rng",
     "psd_factor",
@@ -184,11 +183,6 @@ class LevySpec:
         else:
             raise ValueError(f"unknown jump type {kind!r}")
         return cls(np.asarray(doc["b"]), np.asarray(doc["sigma"]), jumps)
-
-
-def triplet_moments(spec: LevySpec):
-    """Mean and variance of the driving noise per unit time."""
-    return spec.mean_rate, spec.covariance_rate
 
 
 @dataclass(frozen=True)

@@ -217,11 +217,8 @@ def joint_network_model_search(
             return None
         return (acc, i)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            screened = list(pool.map(screen, range(n_candidates)))
-    else:
-        screened = [screen(i) for i in range(n_candidates)]
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        screened = list(pool.map(screen, range(n_candidates)))
     screened = [s for s in screened if s is not None]
     if not screened:
         raise GrouError("no candidate network survived screening")

@@ -34,7 +34,6 @@ from .model import (
     GrouParams,
     cov_integral,
     drift_integral,
-    is_hurwitz,
     spectral_abscissa,
     stationary_moments,
 )
@@ -275,8 +274,6 @@ def simulate_path(
     if stationary_init:
         if init != "stationary":
             raise ValueError(f"unknown init mode {init!r}")
-        if not is_hurwitz(system):
-            raise StationarityError("stationary initialization needs a Hurwitz system")
         moments = stationary_moments(system, noise)
         x0 = moments.state_mean + psd_factor(moments.state_cov) @ rng_init.standard_normal(dim)
         if burn_in:

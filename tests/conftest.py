@@ -49,6 +49,20 @@ def dense_statistics(H, increments, spacings, sigma_w):
     return 0.5 * (info + info.T), score
 
 
+def kronecker_lyapunov(transition, rhs):
+    """Solve ``T X + X T^T = -rhs`` as one dense ``n^2``-by-``n^2`` linear system.
+
+    ``vec(T X + X T^T) = (T kron I + I kron T) vec(X)`` for row-major
+    ``vec``; the direct solve that ``grou.model.lyapunov_solve`` replaced
+    with the Schur method, kept as its oracle.
+    """
+    n = transition.shape[0]
+    eye = np.eye(n)
+    coeff = np.kron(transition, eye) + np.kron(eye, transition)
+    X = np.linalg.solve(coeff, -rhs.reshape(-1)).reshape(n, n)
+    return 0.5 * (X + X.T)
+
+
 def linear_scan(prop, first, shocks):
     """Every state of ``x_{i+1} = prop @ x_i + shocks[i]`` from ``x_0 = first``.
 

@@ -67,6 +67,13 @@ class TestSimulate:
         args[args.index("--graph") + 1] = str(workdir / "nope.json")
         assert run(args) == 1
 
+    def test_params_shape_mismatch_exit_1(self, workdir, capsys):
+        doc = json.loads((workdir / "params.json").read_text())
+        doc["R"] = [2]
+        (workdir / "params.json").write_text(json.dumps(doc))
+        assert run(simulate_args(workdir)) == 1
+        assert "bad params file" in capsys.readouterr().err
+
     def test_unstable_gamma_mesh_exit_2(self, workdir, capsys):
         # alpha = 5 with Euler steps of 0.5: I + h*T has eigenvalue -1.5
         params = GrouParams(np.array([[5.0, 5.0]]), (np.empty(0),))

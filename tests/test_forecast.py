@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,7 +8,6 @@ from grou.errors import StationarityError
 from grou.estimate import estimate_drift
 from grou.forecast import (
     ForecastState,
-    forecast,
     init_state,
     one_step_map,
     rolling_forecast,
@@ -59,7 +60,7 @@ class TestForecast:
         m = stationary_moments(system, spec)
         state = ForecastState(x=m.state_mean, origin_time=0.0)
         for h in (0.1, 1.0, 5.0):
-            mean, _ = forecast(system, spec, state, h)
+            mean, _ = conditional_moments(system, spec, state.x, h)
             np.testing.assert_allclose(mean, m.mean, atol=1e-9)
 
     def test_scalar_exponential_decay(self):
@@ -67,14 +68,14 @@ class TestForecast:
         spec = LevySpec(np.zeros(1), np.eye(1))
         state = ForecastState(x=np.array([1.5]), origin_time=0.0)
         for h in (0.1, 0.5, 2.0):
-            mean, _ = forecast(system, spec, state, h)
+            mean, _ = conditional_moments(system, spec, state.x, h)
             assert mean[0] == pytest.approx(1.5 * np.exp(-2 * h), rel=1e-10)
 
     def test_short_horizon_single_lag_is_flat(self):
         system = scalar_system(2.0)
         spec = LevySpec(np.zeros(1), np.eye(1))
         state = ForecastState(x=np.array([0.7]), origin_time=0.0)
-        mean, var = forecast(system, spec, state, 1e-9)
+        mean, var = conditional_moments(system, spec, state.x, 1e-9)
         assert mean[0] == pytest.approx(0.7, abs=1e-8)
         assert var[0, 0] == pytest.approx(0.0, abs=1e-8)
 
@@ -82,7 +83,7 @@ class TestForecast:
         system = scalar_system(0.0)
         spec = LevySpec(np.zeros(1), np.eye(1))
         with pytest.raises(StationarityError):
-            forecast(system, spec, ForecastState(np.array([1.0]), 0.0), 0.5)
+            conditional_moments(system, spec, np.array([1.0]), 0.5)
 
     def test_tower_property(self):
         # forecasting 2h ahead equals forecasting h ahead from the
@@ -184,3 +185,9 @@ class TestRollingForecast:
         assert rebuilt.transition.shape == (1, 1)
         preds = rolling_forecast(path, fitted, None, range(1, 5))
         assert preds.shape == (4, 1)
+
+
+def test_package_attribute_is_the_module():
+    import grou.forecast as m
+
+    assert m is sys.modules["grou.forecast"]

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
 from grou.errors import ConfigurationError, StationarityError
 from grou.graphs import path_graph, weight_matrices
@@ -19,7 +22,7 @@ from grou.model import (
 )
 from grou.noise import LevySpec
 
-from conftest import draw_hurwitz_system
+from conftest import draw_hurwitz_system, kronecker_lyapunov
 
 
 def scalar_ou(rate=2.0):
@@ -36,10 +39,24 @@ def paper_two_edge_system():
     return weights, params, build_companion(params, weights)
 
 
+def random_stable(rng, n):
+    """Random dense matrix shifted so its spectral abscissa is -0.5."""
+    M = rng.normal(size=(n, n))
+    return M - (np.max(np.linalg.eigvals(M).real) + 0.5) * np.eye(n)
+
+
+def stationary_centred_mean(system, spec, x, h):
+    """Conditional mean as ``mean + A expm(hT) (x - state_mean)``.
+
+    The stationary-centred form ``conditional_moments`` used before its
+    affine drift-integral form, kept as its oracle.
+    """
+    m = stationary_moments(system, spec)
+    return m.mean + system.observation @ expm(h * system.transition) @ (x - m.state_mean)
+
+
 def quadrature_cov_integral(transition, rhs, h, n=4000):
     """Independent trapezoid oracle for the conditional-variance integral."""
-    from scipy.linalg import expm
-
     us = np.linspace(0.0, h, n + 1)
     vals = np.array([expm(u * transition) @ rhs @ expm(u * transition).T for u in us])
     return np.trapezoid(vals, us, axis=0)
@@ -277,6 +294,17 @@ class TestConditionalMoments:
             assert np.linalg.eigvalsh(var - previous).min() > -1e-10
             previous = var
 
+    def test_mean_matches_stationary_centred_form(self, rng):
+        for _ in range(10):
+            _, _, _, system = draw_hurwitz_system(rng)
+            K = system.n_edges
+            spec = LevySpec(rng.normal(size=K), np.eye(K))
+            x = rng.normal(size=system.dim)
+            for h in (0.0, 0.1, 1.3, 20.0):
+                mean, _ = conditional_moments(system, spec, x, h)
+                want = stationary_centred_mean(system, spec, x, h)
+                np.testing.assert_allclose(mean, want, rtol=1e-10, atol=1e-10)
+
     def test_negative_horizon_rejected(self):
         system = scalar_ou(2.0)
         with pytest.raises(ValueError):
@@ -294,8 +322,6 @@ class TestIntegralHelpers:
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
     def test_drift_integral_matches_quadrature(self, rng):
-        from scipy.linalg import expm
-
         _, _, _, system = draw_hurwitz_system(rng)
         vec = rng.normal(size=system.dim)
         h = 0.9
@@ -311,3 +337,24 @@ class TestIntegralHelpers:
             C = C @ C.T
             X = lyapunov_solve(A, C)
             np.testing.assert_allclose(A @ X + X @ A.T, -C, atol=1e-9 * np.linalg.norm(C))
+
+    def test_lyapunov_matches_kronecker_oracle(self, rng):
+        for n in range(1, 25):
+            A = random_stable(rng, n)
+            C = rng.normal(size=(n, n))
+            C = C @ C.T + np.eye(n)
+            want = kronecker_lyapunov(A, C)
+            got = lyapunov_solve(A, C)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_lyapunov_memory_at_dim_48(self, rng):
+        A = random_stable(rng, 48)
+        C = np.eye(48)
+        lyapunov_solve(A, C)
+        tracemalloc.start()
+        try:
+            lyapunov_solve(A, C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

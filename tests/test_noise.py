@@ -9,14 +9,13 @@ from grou.noise import (
     psd_factor,
     sample_increments,
     stream_rng,
-    triplet_moments,
 )
 
 
 class TestTripletMoments:
     def test_pure_diffusion(self):
         spec = LevySpec(np.array([4.0]), np.array([[1.0]]))
-        mu, cov = triplet_moments(spec)
+        mu, cov = spec.mean_rate, spec.covariance_rate
         np.testing.assert_array_equal(mu, [4.0])
         np.testing.assert_array_equal(cov, [[1.0]])
 
@@ -27,14 +26,14 @@ class TestTripletMoments:
                 np.eye(10),
                 CompoundPoissonJumps(rate=1.0, jump_cov=s2 * np.eye(10)),
             )
-            mu, cov = triplet_moments(spec)
+            mu, cov = spec.mean_rate, spec.covariance_rate
             np.testing.assert_allclose(mu, 0.0)
             np.testing.assert_allclose(cov, (1.0 + s2) * np.eye(10))
 
     def test_symmetric_gamma_moment_identity(self):
         # difference of two Gamma(k, s) subordinators: variance 2*k*s^2/time
         spec = LevySpec(np.zeros(3), np.eye(3), SymmetricGammaJumps(shape=1.0, scale=1.0))
-        mu, cov = triplet_moments(spec)
+        mu, cov = spec.mean_rate, spec.covariance_rate
         np.testing.assert_allclose(mu, 0.0)
         np.testing.assert_allclose(cov, 3.0 * np.eye(3))
         spec2 = LevySpec(np.zeros(2), 0.0 * np.eye(2), SymmetricGammaJumps(2.0, 0.5))

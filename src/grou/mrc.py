@@ -89,8 +89,11 @@ def mrc_window_length(n_obs: int, cfg: MrcConfig) -> int:
     Raises
     ------
     ValueError
-        If the window does not fit (``k_n`` outside ``[2, n_obs - 1]``).
+        If the window does not fit (``k_n`` outside ``[2, n_obs - 1]``),
+        including ``n_obs < 2``.
     """
+    if n_obs < 2:
+        raise ValueError(f"pre-averaging needs at least 2 observations, got {n_obs}")
     n_window = math.ceil((n_obs - 1) ** cfg.delta * cfg.theta)
     k = n_window if n_window % 2 == 0 else n_window + 1
     if k < 2 or k > n_obs - 1:

@@ -20,7 +20,6 @@ __all__ = [
     "LevySpec",
     "IncrementBatch",
     "sample_increments",
-    "aggregate_increments",
     "stream_rng",
     "psd_factor",
 ]
@@ -172,7 +171,11 @@ class LevySpec:
     @classmethod
     def from_json(cls, text: str) -> "LevySpec":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("noise document must be a JSON object")
         jd = doc.get("jumps", {"type": "none"})
+        if not isinstance(jd, dict):
+            raise ValueError(f'"jumps" must be a JSON object, got {jd!r}')
         kind = jd.get("type", "none")
         if kind == "none":
             jumps = None
@@ -234,29 +237,13 @@ def sample_increments(spec: LevySpec, grid, rng_seed) -> IncrementBatch:
     continuous *= np.sqrt(dt)[:, None]
     continuous += spec.drift * dt[:, None]
 
-    small = np.zeros((n, K))
-    large = np.zeros((n, K))
-    arrival_times = None
-    arrival_sizes = None
+    small, large = np.zeros((n, K)), np.zeros((n, K))
+    arrival_times = arrival_sizes = None
     if isinstance(spec.jumps, CompoundPoissonJumps):
-        counts = rng.poisson(spec.jumps.rate * dt)
-        total_jumps = int(counts.sum())
-        jfactor = psd_factor(spec.jumps.jump_cov)
-        arrival_times = np.empty(total_jumps)
-        arrival_sizes = rng.standard_normal((total_jumps, K)) @ jfactor.T
-        pos = 0
-        for i in range(n):
-            c = counts[i]
-            if c:
-                u = np.sort(rng.uniform(times[i], times[i + 1], size=c))
-                arrival_times[pos : pos + c] = u
-                large[i] = arrival_sizes[pos : pos + c].sum(axis=0)
-                pos += c
+        owner, arrival_times, arrival_sizes = _poisson_arrivals(spec.jumps, times, K, rng)
+        np.add.at(large, owner, arrival_sizes)
     elif isinstance(spec.jumps, SymmetricGammaJumps):
-        k, s = spec.jumps.shape, spec.jumps.scale
-        shape_per = np.repeat(k * dt, K).reshape(n, K)
-        small = rng.gamma(shape_per, s)
-        small -= rng.gamma(shape_per, s)
+        small = _gamma_differences(spec.jumps, dt, K, rng)
 
     return IncrementBatch(
         times=times,
@@ -268,26 +255,28 @@ def sample_increments(spec: LevySpec, grid, rng_seed) -> IncrementBatch:
     )
 
 
-def aggregate_increments(batch: IncrementBatch, keep_idx) -> IncrementBatch:
-    """Re-express a batch on the coarser grid ``batch.times[keep_idx]``.
+def _poisson_arrivals(jumps: CompoundPoissonJumps, times, K, rng):
+    """Compound-Poisson arrivals on the intervals of ``times``.
 
-    ``keep_idx`` must be increasing, start at 0, and end at the last index.
-    Increments inside each coarse cell are summed, which reproduces exactly
-    what sampling on the coarse grid with shared randomness would give.
+    Draws the count of every interval, then all Gaussian sizes, then the
+    uniform arrival times of each non-empty interval in turn, sorted within
+    their interval.  Returns ``(owner, arrival_times, arrival_sizes)``, with
+    ``owner`` the interval index of each arrival.
     """
-    keep_idx = np.asarray(keep_idx, dtype=int)
-    if keep_idx[0] != 0 or keep_idx[-1] != batch.times.size - 1:
-        raise ValueError("keep_idx must span the full grid")
-    starts = keep_idx[:-1]
+    counts = rng.poisson(jumps.rate * np.diff(times))
+    owner = np.repeat(np.arange(counts.size), counts)
+    sizes = rng.standard_normal((owner.size, K)) @ psd_factor(jumps.jump_cov).T
+    # the draws of ``rng.uniform(times[i], times[i + 1], size=counts[i])``
+    # taken interval by interval, bit for bit
+    lo = times[owner]
+    arrivals = lo + (times[owner + 1] - lo) * rng.random(owner.size)
+    arrivals = arrivals[np.lexsort((arrivals, owner))]
+    return owner, arrivals, sizes
 
-    def fold(x):
-        return np.add.reduceat(x, starts, axis=0)
 
-    return IncrementBatch(
-        times=batch.times[keep_idx],
-        continuous=fold(batch.continuous),
-        small_jump=fold(batch.small_jump),
-        large_jump=fold(batch.large_jump),
-        arrival_times=batch.arrival_times,
-        arrival_sizes=batch.arrival_sizes,
-    )
+def _gamma_differences(jumps: SymmetricGammaJumps, dt, K, rng):
+    """``(n, K)`` symmetric Gamma-difference increments over spacings ``dt``."""
+    shape = np.repeat(jumps.shape * dt, K).reshape(dt.size, K)
+    diff = rng.gamma(shape, jumps.scale)
+    diff -= rng.gamma(shape, jumps.scale)
+    return diff

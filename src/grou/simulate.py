@@ -2,23 +2,21 @@
 
 Paths are recorded on a fine grid (used later for finite differences) that
 carries a coarser sub-grid (used for stochastic-integral sums).  Between
-fine-grid points the diffusion and compound-Poisson regimes use the exact
-conditional-Gaussian recursion
+fine-grid points every noise regime uses the exact conditional-Gaussian
+recursion ``x_{i+1} = expm(h T) x_i + drift + N(0, V(h)) + jump responses``.
+Each compound-Poisson jump is propagated from its exact arrival time, so
+that regime is distribution-exact.  The Gamma regime propagates each step's
+Gamma-difference increment from one uniform time within the step, which
+makes its mean and covariance exact at any mesh, since
+``(1/h) int_0^h e^{sT} (h S) e^{sT'} ds = int_0^h e^{sT} S e^{sT'} ds``;
+only its higher moments are approximate.
 
-    X_{t+dt} = expm(dt*T) X_t + drift + N(0, V(dt)) + jump responses,
-
-with each jump propagated from its exact arrival time, so the scheme is
-distribution-exact between jumps.  The infinite-activity Gamma regime is
-composed by Euler-Maruyama steps ``X_{t+dt} = (I + dt*T) X_t + increment``
-over exactly-sampled increments, and raises ``StationarityError`` on a step
-for which ``I + dt*T`` does not contract a stable system.
-
-Both recursions are ``x_{i+1} = P x_i + shock_i``.  The fine-grid spacings
-are split into maximal runs of equal spacing (within a relative 1e-9 of the
-run's first spacing), each run gets one set of step operators, and each run
-is solved by an in-place doubling scan over a single state buffer, so a
-uniform grid costs one set of operators and ``log2(n)`` batched products.
-A fully irregular grid gives runs of length one, i.e. plain stepping.
+The fine-grid spacings are split into maximal runs of equal spacing (within
+a relative 1e-9 of the run's first spacing), each run gets one set of step
+operators, and each run is solved by an in-place doubling scan over a single
+state buffer, so a uniform grid costs one set of operators and ``log2(n)``
+batched products.  A fully irregular grid gives runs of length one, i.e.
+plain stepping.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import StationarityError
 from .model import (
     CompanionSystem,
     GrouParams,
@@ -38,11 +35,11 @@ from .model import (
     stationary_moments,
 )
 from .noise import (
-    IncrementBatch,
     LevySpec,
     SymmetricGammaJumps,
+    _gamma_differences,
+    _poisson_arrivals,
     psd_factor,
-    sample_increments,
     stream_rng,
 )
 
@@ -59,6 +56,7 @@ __all__ = [
 ]
 
 BURN_IN_RELAXATION = 5.0
+_BURN_IN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,6 @@ class PathTruth:
     init_state: np.ndarray
     arrival_times: np.ndarray | None = None
     arrival_sizes: np.ndarray | None = None
-    increments: IncrementBatch | None = None
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,7 @@ class SampledPath:
             if arr_t is not None:
                 keep = (arr_t >= times[0]) & (arr_t <= times[-1])
                 arr_t, arr_s = arr_t[keep] - times[0], arr_s[keep]
-            truth = replace(truth, arrival_times=arr_t, arrival_sizes=arr_s, increments=None)
+            truth = replace(truth, arrival_times=arr_t, arrival_sizes=arr_s)
         return SampledPath(
             grid=grid, values=self.values[start:stop], labels=self.labels, truth=truth
         )
@@ -256,12 +253,14 @@ def simulate_path(
     init : "stationary" or array of length dim
         Stationary initialization draws the state from a Gaussian with the
         exact stationary mean and covariance and (by default) applies a
-        burn-in of ``5 / |max real eigenvalue|`` time units to wash out the
-        non-Gaussian correction; an explicit state vector skips burn-in.
+        burn-in of ``5 / |max real eigenvalue|`` time units, taken in 64
+        exact steps in every regime, to wash out the non-Gaussian
+        correction; an explicit state vector skips burn-in.
     rng_seed : int or Generator
-        Sub-streams for the initial state, the Gaussian state noise, and
-        the jump process are derived separately, so superposition tests can
-        split the noise spec while sharing randomness.
+        Sub-streams for the initial state, the path's noise and the burn-in
+        are derived separately; each draws its Gaussian block before its
+        jumps, so superposition tests can split the noise spec while
+        sharing randomness.
     """
     if noise.n_components != system.n_edges:
         raise ValueError("noise dimension does not match the system")
@@ -277,14 +276,17 @@ def simulate_path(
         moments = stationary_moments(system, noise)
         x0 = moments.state_mean + psd_factor(moments.state_cov) @ rng_init.standard_normal(dim)
         if burn_in:
+            # the exact step takes any spacing: the same cost in every regime
+            # and at any Hurwitz margin
             relax = BURN_IN_RELAXATION / abs(spectral_abscissa(system))
-            x0 = _burn_in(system, noise, x0, relax, rng_burn)
+            burn_times = np.linspace(0.0, relax, _BURN_IN_STEPS + 1)
+            x0 = _state_path(system, noise, burn_times, x0, rng_burn)[0][-1].copy()
     else:
         x0 = np.asarray(init, dtype=float).reshape(-1)
         if x0.size != dim:
             raise ValueError(f"init state has length {x0.size}, expected {dim}")
 
-    states, increments, arr_t, arr_s = _state_path(system, noise, grid.fine, x0, rng_main)
+    states, arr_t, arr_s = _state_path(system, noise, grid.fine, x0, rng_main)
     truth = PathTruth(
         params=None,
         noise=noise,
@@ -292,7 +294,6 @@ def simulate_path(
         init_state=x0,
         arrival_times=arr_t,
         arrival_sizes=arr_s,
-        increments=increments,
     )
     values = np.ascontiguousarray(states[:, :K])
     return SampledPath(grid=grid, values=values, labels=_default_labels(K), truth=truth)
@@ -351,91 +352,96 @@ def _scan(rows, prop):
 def _state_path(system, noise, times, x0, rng):
     """Companion states on ``times`` from ``x0``: one scan per run of equal spacing.
 
-    The shocks are drawn straight into the state buffer, then each run is
-    scanned with its own propagator.  Brownian and compound-Poisson noise use
-    the exact conditional-Gaussian step ``expm(h T)``, with each jump
-    propagated from its arrival time; symmetric-Gamma noise uses the Euler
-    step ``I + h T`` over exactly-sampled increments.  Returns the states,
-    the Gamma increment batch, and the jump arrival times and sizes; the
-    batch is None outside the Gamma regime, the arrivals None inside it.
+    Draw order: the Gaussian ``(n, dim)`` block first, so that zeroing one
+    noise source leaves the draws of the others untouched (superposition
+    property); then for compound-Poisson noise the counts, the sizes and the
+    sorted arrival uniforms of each non-empty interval, and for
+    symmetric-Gamma noise the two Gamma arrays and one arrival uniform per
+    step.  Returns the states and the compound-Poisson arrival times and
+    sizes (None for Gamma noise, whose arrivals are a device of the scheme).
     """
     dim, K = system.dim, system.n_edges
     T, E = system.transition, system.noise_selector
     dt = np.diff(times)
     runs = _runs(dt)
-    increments = arr_t = arr_s = None
+    states = np.empty((dt.size + 1, dim))
+    shocks = states[1:]
+    rng.standard_normal(out=shocks)
+    rhs = E @ noise.brownian_cov @ E.T
+    tmp = np.empty((min(dt.size, _SCAN_ROWS), dim))
     props = []
-    if isinstance(noise.jumps, SymmetricGammaJumps):
-        eig = np.linalg.eigvals(T)
-        for start, _ in runs:
-            h = dt[start]
-            radius = np.abs(1.0 + h * eig).max()
-            if radius >= 1.0 and eig.real.max() < 0:
-                limit = np.min(-2.0 * eig.real / np.abs(eig) ** 2)
-                raise StationarityError(
-                    f"Euler step {h:.6g} at t={times[start]:.6g} is unstable for this system "
-                    f"(spectral radius of I + h*T is {radius:.6g}); use a mesh below {limit:.6g}"
-                )
-            props.append(np.eye(dim) + h * T)
-        increments = sample_increments(noise, times, rng)
-        states = np.zeros((dt.size + 1, dim))
-        shocks = states[1:]
-        # the sum ``increments.total``, formed in place
-        np.add(increments.continuous, increments.small_jump, out=shocks[:, -K:])
-        shocks[:, -K:] += increments.large_jump
+    for start, stop in runs:
+        prop, cov = cov_integral(T, rhs, dt[start])
+        drift = drift_integral(T, E @ noise.mean_rate, dt[start])
+        factor_t = psd_factor(cov).T
+        for lo in range(start, stop, _SCAN_ROWS):
+            block = shocks[lo : min(stop, lo + _SCAN_ROWS)]
+            out = tmp[: block.shape[0]]
+            np.matmul(block, factor_t, out=out)
+            np.add(out, drift, out=block)
+        props.append(prop)
+    jumps = noise.jumps
+    arr_t = arr_s = None
+    if isinstance(jumps, SymmetricGammaJumps):
+        sizes = _gamma_differences(jumps, dt, K, rng)
+        owner = np.arange(dt.size)
+        offsets = times[1:] - rng.uniform(times[:-1], times[1:])
+        _add_jump_responses(T, E, owner, offsets, sizes, shocks)
+    elif jumps is not None:
+        owner, arr_t, arr_s = _poisson_arrivals(jumps, times, K, rng)
+        _add_jump_responses(T, E, owner, times[owner + 1] - arr_t, arr_s, shocks)
     else:
-        states = np.empty((dt.size + 1, dim))
-        shocks = states[1:]
-        # Gaussian draws always come first so that zeroing one noise source
-        # leaves the draws of the others untouched (superposition property)
-        rng.standard_normal(out=shocks)
-        rhs = E @ noise.brownian_cov @ E.T
-        tmp = np.empty((min(dt.size, _SCAN_ROWS), dim))
-        for start, stop in runs:
-            prop, cov = cov_integral(T, rhs, dt[start])
-            drift = drift_integral(T, E @ noise.mean_rate, dt[start])
-            factor_t = psd_factor(cov).T
-            for lo in range(start, stop, _SCAN_ROWS):
-                block = shocks[lo : min(stop, lo + _SCAN_ROWS)]
-                out = tmp[: block.shape[0]]
-                np.matmul(block, factor_t, out=out)
-                np.add(out, drift, out=block)
-            props.append(prop)
-        jumps = noise.jumps
-        if jumps is not None and jumps.rate > 0:
-            counts = rng.poisson(jumps.rate * dt)
-            arr_t = np.empty(int(counts.sum()))
-            arr_s = rng.standard_normal((arr_t.size, K)) @ psd_factor(jumps.jump_cov).T
-            pos = 0
-            for i in np.nonzero(counts)[0]:
-                c = counts[i]
-                arr_t[pos : pos + c] = np.sort(rng.uniform(times[i], times[i + 1], size=c))
-                for j in range(pos, pos + c):
-                    shocks[i] += expm((times[i + 1] - arr_t[j]) * T) @ (E @ arr_s[j])
-                pos += c
-        else:
-            arr_t, arr_s = np.empty(0), np.empty((0, K))
+        arr_t, arr_s = np.empty(0), np.empty((0, K))
     states[0] = x0
     for (start, stop), prop in zip(runs, props):
         _scan(states[start : stop + 1], prop)
-    return states, increments, arr_t, arr_s
+    return states, arr_t, arr_s
 
 
-# Burn-in steps: exact regimes tolerate arbitrarily long steps, the Euler
-# scheme needs short ones for accuracy.
-_BURN_STEPS_EXACT = 64
-_BURN_MESH_EULER = 2.0**-10
+def _add_jump_responses(T, E, owner, offsets, sizes, shocks):
+    """``shocks[owner[j]] += expm(offsets[j] T) @ E @ sizes[j]`` for every jump j.
 
-
-def _burn_in(system, noise, x0, duration, rng):
-    if duration <= 0:
-        return x0
-    if isinstance(noise.jumps, SymmetricGammaJumps):
-        n = max(16, int(np.ceil(duration / _BURN_MESH_EULER)))
-    else:
-        n = _BURN_STEPS_EXACT
-    times = np.linspace(0.0, duration, n + 1)
-    return _state_path(system, noise, times, x0, rng)[0][-1].copy()
+    ``owner`` must be nondecreasing.  Each offset splits as ``a * delta + r``
+    with anchor spacing ``delta = 0.5 / ||T||_1`` and ``0 <= r < delta``.
+    ``expm`` is called once per anchor that some offset falls on (none for
+    anchor 0), and ``expm(r T)`` is the Taylor polynomial with as many terms
+    as the largest ``||r T||_1`` needs to reach rounding, so the responses
+    are exact to rounding for any ``T``, defective ones included.  Jumps are
+    taken anchor by anchor in blocks of ``_SCAN_ROWS``.
+    """
+    if owner.size == 0:
+        return
+    norm = np.abs(T).sum(axis=0).max()
+    delta = 0.5 / max(norm, np.finfo(float).tiny)
+    anchors = np.floor(offsets / delta)
+    if anchors.any():
+        order = np.argsort(anchors, kind="stable")
+        owner, offsets, sizes, anchors = owner[order], offsets[order], sizes[order], anchors[order]
+    rests = offsets - anchors * delta
+    n_terms, bound = 0, 1.0
+    while bound > np.finfo(float).eps / 2:
+        n_terms += 1
+        bound *= np.abs(rests).max() * norm / n_terms
+    firsts = np.flatnonzero(np.diff(anchors, prepend=-1.0))
+    for first, last in zip(firsts, [*firsts[1:], anchors.size]):
+        op = expm(anchors[first] * delta * T) if anchors[first] else None
+        for lo in range(first, last, _SCAN_ROWS):
+            hi = min(last, lo + _SCAN_ROWS)
+            # one column per jump, so scaling by the rests broadcasts along rows
+            term = E @ sizes[lo:hi].T
+            total = term.copy()
+            for k in range(1, n_terms):
+                term = (T @ term) * (rests[lo:hi] / k)
+                total += term
+            if op is not None:
+                total = op @ total
+            own = owner[lo:hi]
+            heads = np.flatnonzero(np.diff(own, prepend=-1))
+            if heads.size == own.size == own[-1] - own[0] + 1:
+                # one jump in each of consecutive intervals, as in the Gamma regime
+                shocks[own[0] : own[-1] + 1] += total.T
+            else:
+                shocks[own[heads]] += np.add.reduceat(total, heads, axis=1).T
 
 
 def write_path_csv(path: SampledPath, file, header_lines=()) -> None:

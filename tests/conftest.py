@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from grou.graphs import random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion, cov_integral, drift_integral, is_hurwitz
-from grou.noise import SymmetricGammaJumps, psd_factor, sample_increments
+from grou.noise import SymmetricGammaJumps, psd_factor
 
 
 def draw_hurwitz_system(rng, max_edges=5, max_lags=3):
@@ -78,13 +78,27 @@ def linear_scan(prop, first, shocks):
     return out
 
 
+def gamma_arrivals(jumps, times, K, rng):
+    """Symmetric-Gamma increments and their arrival times, in the library's draw order.
+
+    Two Gamma arrays of shape ``(n, K)`` (their difference is the increment
+    of each step), then one uniform arrival time per step.  Returns
+    ``(sizes, arrivals)``.
+    """
+    shape = np.repeat(jumps.shape * np.diff(times), K).reshape(-1, K)
+    sizes = rng.gamma(shape, jumps.scale) - rng.gamma(shape, jumps.scale)
+    return sizes, rng.uniform(times[:-1], times[1:])
+
+
 def simulate_full_state(system, spec, times, x0, rng):
     """Full companion-state path and per-interval jump sums on a uniform grid.
 
-    Takes the draws of ``grou.simulate`` in the same order from ``rng``: the
-    exact conditional-Gaussian recursion with jumps propagated from their
-    arrival times for Brownian and compound-Poisson noise, and the Euler
-    composition of exactly-sampled increments for symmetric-Gamma noise.
+    Takes the draws of ``grou.simulate`` in the same order from ``rng`` and
+    uses its scheme: the exact conditional-Gaussian recursion, with each
+    compound-Poisson jump propagated from its arrival time by its own
+    ``expm``, and each step's symmetric-Gamma increment propagated from one
+    uniform arrival time within the step through the eigendecomposition of
+    the transition (vectorized over steps; for diagonalizable transitions).
     Fed the main stream of ``simulate_path`` and its initial state, the first
     block reproduces that path.  Returns ``(states, jump_sums)`` with shapes
     ``(n + 1, dim)`` and ``(n, K)``.
@@ -96,15 +110,18 @@ def simulate_full_state(system, spec, times, x0, rng):
         raise ValueError("simulate_full_state needs a uniform grid")
     T, E = system.transition, system.noise_selector
     n, dim, K = dt.size, system.dim, system.n_edges
-    if isinstance(spec.jumps, SymmetricGammaJumps):
-        batch = sample_increments(spec, times, rng)
-        return linear_scan(np.eye(dim) + h * T, x0, batch.total @ E.T), batch.jump
     prop, cov = cov_integral(T, E @ spec.brownian_cov @ E.T, h)
     shocks = rng.standard_normal((n, dim)) @ psd_factor(cov).T
     shocks += drift_integral(T, E @ spec.drift, h)
     jump_sums = np.zeros((n, K))
     jumps = spec.jumps
-    if jumps is not None and jumps.rate > 0:
+    if isinstance(jumps, SymmetricGammaJumps):
+        jump_sums, arrivals = gamma_arrivals(jumps, times, K, rng)
+        lam, vecs = np.linalg.eig(T)
+        modes = np.linalg.solve(vecs, E @ jump_sums.T).T
+        modes *= np.exp(np.outer(times[1:] - arrivals, lam))
+        shocks += (modes @ vecs.T).real
+    elif jumps is not None and jumps.rate > 0:
         counts = rng.poisson(jumps.rate * dt)
         sizes = rng.standard_normal((int(counts.sum()), K)) @ psd_factor(jumps.jump_cov).T
         pos = 0
@@ -121,14 +138,15 @@ def stepwise_path(system, spec, times, x0, rng, steps=None):
     """Every companion state of the step-by-step simulation recursion.
 
     The plain loop that ``grou.simulate`` replaces with a doubling scan, kept
-    as its oracle.  Takes the draws in the library's order: for Brownian and
-    compound-Poisson noise the Gaussian block, the Poisson counts, the jump
-    sizes and then the arrival uniforms, with the exact step ``expm(h T)``
-    and each jump propagated from its arrival time; for symmetric-Gamma noise
-    ``sample_increments`` and the Euler step ``x + h T x``.  ``steps`` sets
-    the spacing each step's operators are built from (default: the grid's
-    own spacings); the arrival windows always follow ``times``.  Returns
-    shape ``(n + 1, dim)``.
+    as its oracle.  Takes the draws in the library's order: the Gaussian
+    block, then for compound-Poisson noise the Poisson counts, the jump sizes
+    and the arrival uniforms, and for symmetric-Gamma noise the two Gamma
+    arrays and one arrival uniform per step.  Every regime takes the exact
+    step ``expm(h T)``, and each jump or Gamma increment is propagated from
+    its arrival time by its own ``expm``.  ``steps`` sets the spacing each
+    step's operators are built from (default: the grid's own spacings); the
+    arrival windows and Gamma shapes always follow ``times``.  Returns shape
+    ``(n + 1, dim)``.
     """
     times = np.asarray(times, dtype=float)
     dt = np.diff(times)
@@ -137,13 +155,6 @@ def stepwise_path(system, spec, times, x0, rng, steps=None):
     n, dim, K = dt.size, system.dim, system.n_edges
     states = np.empty((n + 1, dim))
     states[0] = x0
-    if isinstance(spec.jumps, SymmetricGammaJumps):
-        increments = sample_increments(spec, times, rng).total
-        for i in range(n):
-            x = states[i] + steps[i] * (T @ states[i])
-            x[-K:] += increments[i]
-            states[i + 1] = x
-        return states
     rhs = E @ spec.brownian_cov @ E.T
     ops = {}
     for h in np.unique(steps):
@@ -152,7 +163,11 @@ def stepwise_path(system, spec, times, x0, rng, steps=None):
     z = rng.standard_normal((n, dim))
     shocks = np.array([z[i] @ ops[h][2].T + ops[h][1] for i, h in enumerate(steps)])
     jumps = spec.jumps
-    if jumps is not None and jumps.rate > 0:
+    if isinstance(jumps, SymmetricGammaJumps):
+        sizes, arrivals = gamma_arrivals(jumps, times, K, rng)
+        for i in range(n):
+            shocks[i] += expm((times[i + 1] - arrivals[i]) * T) @ (E @ sizes[i])
+    elif jumps is not None and jumps.rate > 0:
         counts = rng.poisson(jumps.rate * dt)
         sizes = rng.standard_normal((int(counts.sum()), K)) @ psd_factor(jumps.jump_cov).T
         pos = 0

@@ -11,7 +11,7 @@ two-lag block of the test system carries a slow mode (eigenvalue -0.173,
 relaxation time ~5.8), and the discretized likelihood itself has an O(1/t)
 finite-horizon bias there: computed from the true companion state with the
 jumps known, its t=8 medians of the lag-2 coefficients sit +61..73 percent
-(Brownian), +26..33 percent (compound Poisson) and +19..27 percent (Gamma)
+(Brownian), +26..33 percent (compound Poisson) and +15..20 percent (Gamma)
 above truth, and +13..17 percent (Brownian) still at t=32.  No estimator
 within the method removes that bias, so the clause measures what the library
 adds on top of the likelihood: finite differences, thresholding, triplet

@@ -74,8 +74,9 @@ class TestSimulate:
         assert run(simulate_args(workdir)) == 1
         assert "bad params file" in capsys.readouterr().err
 
-    def test_unstable_gamma_mesh_exit_2(self, workdir, capsys):
-        # alpha = 5 with Euler steps of 0.5: I + h*T has eigenvalue -1.5
+    def test_coarse_gamma_mesh_exit_0(self, workdir):
+        # alpha = 5 at mesh 0.5, where an explicit Euler step I + h*T would
+        # have eigenvalue -1.5: the exact step simulates a finite path
         params = GrouParams(np.array([[5.0, 5.0]]), (np.empty(0),))
         (workdir / "params.json").write_text(params.to_json())
         noise = LevySpec(np.zeros(2), np.eye(2), SymmetricGammaJumps(1.0, 1.0))
@@ -83,8 +84,18 @@ class TestSimulate:
         args = simulate_args(workdir)
         args[args.index("--mesh-fine") + 1] = "0.5"
         args[args.index("--ratio") + 1] = "1"
-        assert run(args) == 2
-        assert "Euler step 0.5" in capsys.readouterr().err
+        assert run(args) == 0
+        values = np.loadtxt(workdir / "path.csv", delimiter=",", comments="#", skiprows=3)
+        assert values.shape == (9, 3)
+        assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize(
+        "doc", ['{"b": [0, 0], "sigma": [[1, 0], [0, 1]], "jumps": "none"}', "[1, 2]"]
+    )
+    def test_noise_not_an_object_exit_1(self, workdir, capsys, doc):
+        (workdir / "noise.json").write_text(doc)
+        assert run(simulate_args(workdir)) == 1
+        assert "object" in capsys.readouterr().err
         assert not (workdir / "path.csv").exists()
 
 

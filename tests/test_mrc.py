@@ -58,6 +58,11 @@ class TestWindowArithmetic:
         with pytest.raises(ValueError):
             mrc_window_length(2, MrcConfig(0.5, 0.1))
 
+    @pytest.mark.parametrize("n_obs", [0, 1])
+    def test_fewer_than_two_rows(self, n_obs):
+        with pytest.raises(ValueError, match="at least 2"):
+            mrc_window_length(n_obs, MrcConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MrcConfig(delta=0.0)
@@ -169,6 +174,17 @@ class TestRollingMrc:
             out = rolling_mrc(pm, MrcConfig(), window=300.0)
         assert out.skipped_windows == 1
         assert out.values.shape[0] == 1
+
+    def test_gap_in_ticks_skips_empty_windows(self):
+        # ticks stop at t=99 and resume at t=300: the windows starting at
+        # 100 and 200 hold no row at all
+        times = np.concatenate([np.arange(0.0, 100.0), np.arange(300.0, 400.0)])
+        prices = np.random.default_rng(3).normal(size=(times.size, 2)).cumsum(axis=0)
+        pm = PriceMatrix(times, prices, ("X", "Y"))
+        with pytest.warns(UserWarning, match="skipped"):
+            out = rolling_mrc(pm, MrcConfig(), window=100.0)
+        assert out.skipped_windows == 2
+        np.testing.assert_array_equal(out.window_starts, [0.0, 300.0])
 
     def test_to_path_grid(self):
         pm = self.make_prices(n=4000)

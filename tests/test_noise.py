@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grou.noise import (
     CompoundPoissonJumps,
     LevySpec,
     SymmetricGammaJumps,
-    aggregate_increments,
+    _poisson_arrivals,
     psd_factor,
     sample_increments,
     stream_rng,
@@ -152,28 +154,68 @@ class TestSampling:
         np.testing.assert_array_equal(batch.total, 0.0)
 
 
-class TestAggregation:
-    def test_refinement_sums_to_coarse(self):
-        spec = LevySpec(
-            np.array([0.1, 0.0]), np.eye(2), CompoundPoissonJumps(1.5, np.eye(2))
-        )
-        fine = np.linspace(0, 4, 65)
-        batch = sample_increments(spec, fine, 21)
-        keep = np.arange(0, 65, 8)
-        coarse = aggregate_increments(batch, keep)
-        np.testing.assert_array_equal(coarse.times, fine[keep])
-        np.testing.assert_allclose(
-            coarse.total, np.add.reduceat(batch.total, keep[:-1], axis=0)
-        )
-        # interval additivity: [a,b] + [b,c] = [a,c]
-        two = aggregate_increments(batch, [0, 32, 64])
-        np.testing.assert_allclose(two.total.sum(axis=0), batch.total.sum(axis=0))
+class TestPoissonArrivals:
+    def test_matches_interval_by_interval_draws(self):
+        # the loop the vectorized sampler replaced: sorted uniforms drawn
+        # interval by interval, after the counts and the sizes
+        jumps = CompoundPoissonJumps(4.0, np.array([[1.0, 0.3], [0.3, 2.0]]))
+        spacings = np.random.default_rng(2).uniform(0.01, 1.0, 300)
+        times = np.concatenate([[0.0], np.cumsum(spacings)])
+        owner, arrivals, sizes = _poisson_arrivals(jumps, times, 2, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        counts = rng.poisson(jumps.rate * np.diff(times))
+        want_sizes = rng.standard_normal((counts.sum(), 2)) @ psd_factor(jumps.jump_cov).T
+        want = [
+            np.sort(rng.uniform(times[i], times[i + 1], size=c)) for i, c in enumerate(counts) if c
+        ]
+        assert counts.max() > 1
+        np.testing.assert_array_equal(arrivals, np.concatenate(want))
+        np.testing.assert_array_equal(sizes, want_sizes)
+        np.testing.assert_array_equal(owner, np.repeat(np.arange(counts.size), counts))
 
-    def test_partial_span_rejected(self):
-        spec = LevySpec(np.zeros(1), np.eye(1))
-        batch = sample_increments(spec, np.linspace(0, 1, 9), 0)
-        with pytest.raises(ValueError):
-            aggregate_increments(batch, [0, 4])
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def levy_specs(draw):
+    k = draw(st.integers(1, 4))
+    drift = np.array(draw(st.lists(finite, min_size=k, max_size=k)))
+    diag = np.diag(draw(st.lists(positive, min_size=k, max_size=k)))
+    kind = draw(st.sampled_from(["none", "compound_poisson", "sym_gamma"]))
+    if kind == "compound_poisson":
+        jumps = CompoundPoissonJumps(draw(st.floats(0.0, 50.0)), 2.0 * diag)
+    elif kind == "sym_gamma":
+        jumps = SymmetricGammaJumps(draw(positive), draw(positive))
+    else:
+        jumps = None
+    return LevySpec(drift, diag, jumps)
+
+
+class TestNoiseJson:
+    @settings(max_examples=60, deadline=None)
+    @given(levy_specs())
+    def test_round_trip_is_exact(self, spec):
+        back = LevySpec.from_json(spec.to_json())
+        assert back.to_json() == spec.to_json()
+        assert type(back.jumps) is type(spec.jumps)
+        np.testing.assert_array_equal(back.drift, spec.drift)
+        np.testing.assert_array_equal(back.brownian_cov, spec.brownian_cov)
+        np.testing.assert_array_equal(back.covariance_rate, spec.covariance_rate)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"b": [0], "sigma": [[1]], "jumps": "none"}',
+            '{"b": [0], "sigma": [[1]], "jumps": [1, 2]}',
+            "[1, 2]",
+            '"noise"',
+        ],
+    )
+    def test_non_object_is_value_error(self, doc):
+        with pytest.raises(ValueError, match="object"):
+            LevySpec.from_json(doc)
 
 
 class TestRngHelpers:

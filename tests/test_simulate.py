@@ -8,9 +8,16 @@ import grou.simulate
 from grou.errors import StationarityError
 from grou.graphs import complete_graph, path_graph, weight_matrices
 from grou.model import GrouParams, build_companion
-from grou.noise import CompoundPoissonJumps, LevySpec, SymmetricGammaJumps, stream_rng
+from grou.noise import (
+    CompoundPoissonJumps,
+    LevySpec,
+    SymmetricGammaJumps,
+    _gamma_differences,
+    stream_rng,
+)
 from grou.simulate import (
     SampledPath,
+    _add_jump_responses,
     _runs,
     _scan,
     grid_from_times,
@@ -298,7 +305,12 @@ class TestFullStateSimulator:
         if isinstance(jumps, CompoundPoissonJumps):
             assert np.allclose(jump_sums.sum(axis=0), path.truth.arrival_sizes.sum(axis=0))
         elif isinstance(jumps, SymmetricGammaJumps):
-            assert np.allclose(jump_sums, path.truth.increments.jump)
+            # the library's Gamma draws, regenerated from the same stream
+            # position: after the Gaussian block
+            rng = stream_rng(5, 1)
+            rng.standard_normal((grid.fine.size - 1, system.dim))
+            expected = _gamma_differences(jumps, np.diff(grid.fine), system.n_edges, rng)
+            np.testing.assert_array_equal(jump_sums, expected)
         else:
             assert not jump_sums.any()
 
@@ -371,6 +383,23 @@ class TestScanKernel:
         # one run each for the 64-step burn-in and for the path, and one
         # covariance and one drift exponential per run
         assert counts[0] == 4
+        # compound-Poisson jumps add one exponential per anchor of the
+        # response kernel that some jump reaches; the path's steps are far
+        # shorter than the anchor spacing, the burn-in's reach a few anchors
+        T = system.transition
+        delta = 0.5 / np.abs(T).sum(axis=0).max()
+        burn_step = grou.simulate.BURN_IN_RELAXATION / abs(np.linalg.eigvals(T).real.max()) / 64
+        most = 4 + int(burn_step / delta)
+        for rate in (3.0, 30.0):
+            spec = LevySpec(np.zeros(2), np.eye(2), CompoundPoissonJumps(rate, np.eye(2)))
+            counts, jumps = [], []
+            for n in (2186, 4374, 8748):
+                calls.clear()
+                path = simulate_path(system, spec, make_uniform_grids(2.0, 2 / n, 1), rng_seed=3)
+                counts.append(len(calls))
+                jumps.append(path.truth.arrival_times.size)
+            assert counts[0] == counts[1] == counts[2] <= most, (counts, most)
+            assert min(jumps) > 0
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * grou.simulate._SCAN_ROWS + 3])
     def test_chunk_boundaries(self, offset):
@@ -404,15 +433,101 @@ class TestScanKernel:
         assert _runs(drifting) == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
 
-class TestEulerStability:
-    """The Gamma regime's Euler step must contract a stable system."""
+class TestJumpResponses:
+    """The batched jump-response kernel against one ``expm`` per jump."""
 
-    def test_coarse_mesh_raises_naming_the_step(self):
+    @staticmethod
+    def per_jump(T, E, owner, offsets, sizes, n):
+        out = np.zeros((n, T.shape[0]))
+        for i, r, size in zip(owner, offsets, sizes):
+            out[i] += expm(r * T) @ (E @ size)
+        return out
+
+    @pytest.mark.parametrize("kind", ["two_edge", "jordan"])
+    @pytest.mark.parametrize("h", [2.0**-14, 0.45, 0.5, 3.0])
+    def test_matches_per_jump_expm(self, kind, h, monkeypatch):
+        if kind == "two_edge":
+            system = two_edge_system()
+            T, E = system.transition, system.noise_selector
+        else:
+            # one 4x4 Jordan block: defective, so no eigenvector basis
+            T = -2.0 * np.eye(4) + np.diag(np.ones(3), 1)
+            E = np.eye(4)[:, 2:]
+        # small blocks, so that blocks and anchor groups cut each other
+        monkeypatch.setattr(grou.simulate, "_SCAN_ROWS", 7)
+        rng = np.random.default_rng(31)
+        n, m = 40, 150
+        owner = np.sort(rng.integers(0, n, m))
+        offsets = rng.uniform(0.0, h, m)
+        sizes = rng.normal(size=(m, E.shape[1]))
+        delta = 0.5 / np.abs(T).sum(axis=0).max()
+        if h > 2 * delta:
+            assert np.unique(np.floor(offsets / delta)).size > 2
+        got = np.zeros((n, T.shape[0]))
+        _add_jump_responses(T, E, owner, offsets, sizes, got)
+        want = self.per_jump(T, E, owner, offsets, sizes, n)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_one_jump_per_interval(self):
+        system = two_edge_system()
+        T, E = system.transition, system.noise_selector
+        rng = np.random.default_rng(5)
+        n = 3 * grou.simulate._SCAN_ROWS + 11
+        offsets = rng.uniform(0.0, 0.3, n)
+        sizes = rng.normal(size=(n, 2))
+        got = np.ones((n, 4))
+        _add_jump_responses(T, E, np.arange(n), offsets, sizes, got)
+        pick = rng.choice(n, 50, replace=False)
+        want = 1.0 + np.array([expm(offsets[i] * T) @ E @ sizes[i] for i in pick])
+        assert np.abs(got[pick] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestBurnIn:
+    @pytest.mark.parametrize(
+        "rate, jumps",
+        [
+            (2.0, None),
+            (2.0, CompoundPoissonJumps(3.0, np.eye(1))),
+            (2.0, SymmetricGammaJumps(1.0, 1.0)),
+            (1e-4, SymmetricGammaJumps(1.0, 1.0)),
+        ],
+    )
+    def test_burn_in_takes_64_steps(self, rate, jumps, monkeypatch):
+        # the exact step takes any spacing, so the burn-in costs 64 steps
+        # however close the system is to the Hurwitz margin
+        grids = []
+        state_path = grou.simulate._state_path
+
+        def spy(system, noise, times, x0, rng):
+            grids.append(times)
+            return state_path(system, noise, times, x0, rng)
+
+        monkeypatch.setattr(grou.simulate, "_state_path", spy)
+        spec = LevySpec(np.zeros(1), np.eye(1), jumps)
+        grid = make_uniform_grids(1.0, 0.25, 1)
+        path = simulate_path(scalar_system(rate), spec, grid, rng_seed=4)
+        assert np.all(np.isfinite(path.values))
+        assert [g.size for g in grids] == [65, grid.fine.size]
+        assert grids[0][-1] == pytest.approx(5.0 / rate)
+
+
+class TestEulerStability:
+    """Meshes on which an explicit Euler step would not contract the system."""
+
+    def test_coarse_mesh_matches_stationary_variance(self):
+        # alpha = 5 at mesh 0.5: |1 + h*T| = 1.5, but the exact step keeps the
+        # stationary law.  Variance (1 + 2) / (2 * 5) = 0.3; the per-path mean
+        # squares are independent, so their spread gives the standard error
         system = scalar_system(5.0)
         spec = LevySpec(np.zeros(1), np.eye(1), SymmetricGammaJumps(1.0, 1.0))
         grid = make_uniform_grids(10.0, 0.5, 1)
-        with pytest.raises(StationarityError, match=r"Euler step 0\.5 .*mesh below 0\.4"):
-            simulate_path(system, spec, grid, init="stationary", rng_seed=1)
+        values = np.array(
+            [simulate_path(system, spec, grid, rng_seed=s).values[:, 0] for s in range(400)]
+        )
+        squares = (values**2).mean(axis=1)
+        se = squares.std(ddof=1) / np.sqrt(squares.size)
+        assert abs(squares.mean() - 0.3) < 3 * se
+        assert abs(values.mean()) < 3 * values.mean(axis=1).std(ddof=1) / np.sqrt(400)
 
     def test_contracting_mesh_is_simulated(self):
         system = scalar_system(5.0)
@@ -421,12 +536,12 @@ class TestEulerStability:
         assert np.all(np.abs(path.values) < 1e3)
 
     def test_random_walk_is_not_a_stability_error(self):
-        # alpha = 0: I + h*T is the identity, and the Euler composition is
-        # the exact Levy path, however coarse the mesh
+        # alpha = 0: the exact step is the identity and every increment is
+        # added whole, so the path is the Levy path itself, however coarse
+        # the mesh
         system = scalar_system(0.0)
         spec = LevySpec(np.zeros(1), np.eye(1), SymmetricGammaJumps(1.0, 1.0))
         grid = make_uniform_grids(4.0, 0.5, 1)
         path = simulate_path(system, spec, grid, init=[0.0], rng_seed=2)
-        np.testing.assert_allclose(
-            path.values[1:, 0], np.cumsum(path.truth.increments.total[:, 0]), atol=1e-12
-        )
+        states = stepwise_path(system, spec, grid.fine, np.zeros(1), stream_rng(2, 1))
+        np.testing.assert_allclose(path.values[:, 0], states[:, 0], atol=1e-12)

@@ -1,0 +1,85 @@
+"""One ordered parallel map whose workers each run on one BLAS thread.
+
+numpy and scipy each bundle an OpenBLAS that starts one thread per core.
+The library's matrices are small (tens of rows), so when several pool
+workers call into BLAS at once those threads cost more in hand-off than
+they compute.  While :func:`parallel_map` runs, every bundled OpenBLAS
+that exposes a thread-count control is set to one thread; the previous
+count is restored when the last overlapping map ends.  Where a library or
+symbol is missing, the pin does nothing.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import importlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
+# (package, getter, setter) of each bundled OpenBLAS; numpy's is the 64-bit-integer build
+_OPENBLAS_SYMBOLS = (
+    ("numpy", "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+# The OpenBLAS thread count is global to the process, so the pin's state is too:
+# the first of any overlapping maps saves the counts and the last restores them.
+_lock = threading.Lock()
+_depth = 0
+_saved: list = []
+
+
+@functools.cache
+def _openblas_control(package, getter, setter):
+    """``(get, set)`` of the OpenBLAS bundled in ``<package>.libs``, or None."""
+    module = importlib.import_module(package)
+    libdir = os.path.join(os.path.dirname(module.__file__), os.pardir, f"{package}.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        get, put = getattr(lib, getter, None), getattr(lib, setter, None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def openblas_controls() -> list:
+    """``(get, set)`` pairs of every bundled OpenBLAS found; looked up on first use."""
+    found = (_openblas_control(*entry) for entry in _OPENBLAS_SYMBOLS)
+    return [control for control in found if control is not None]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every bundled OpenBLAS at one thread; restore the previous counts on exit."""
+    global _depth, _saved
+    with _lock:
+        if _depth == 0:
+            _saved = [(put, get()) for get, put in openblas_controls()]
+            for put, _ in _saved:
+                put(1)
+        _depth += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                for put, count in _saved:
+                    put(count)
+
+
+def parallel_map(fn, items, threads: int) -> list:
+    """``list(map(fn, items))`` on a pool of ``threads`` workers, each on one BLAS thread.
+
+    Results keep the order of ``items``.  The first exception a worker
+    raises propagates once every worker has stopped, and the BLAS thread
+    counts are restored either way.
+    """
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        return list(pool.map(fn, items))

@@ -16,11 +16,11 @@ since its predicted increments are identically zero).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .estimate import ThresholdPolicy, estimate_drift, estimate_mcar, estimate_triplet
 from .forecast import one_step_map, system_from_fit
 from .graphs import EdgeGraph, WeightMatrices, complete_graph, weight_matrices
@@ -376,8 +376,7 @@ def monte_carlo_study(config: StudyConfig, threads: int = 1) -> list[dict]:
     def job(i):
         return _study_one_path(config, system, i)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        all_reports = list(pool.map(job, range(config.n_paths)))
+    all_reports = parallel_map(job, range(config.n_paths), threads)
 
     rows = []
     for j, kind in enumerate(config.models):

@@ -57,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _thread_count(text):
+    """``--threads`` value: a worker count of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _seed_from(args, config=None):
     """Seed precedence: flag, then config field, then GROU_SEED, then 0."""
     if getattr(args, "seed", None) is not None:
@@ -521,20 +528,20 @@ def _build_parser():
     p = sub.add_parser("benchmark", help="Monte Carlo comparison study")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("select", help="model / joint network+model selection")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("mrc", help="pre-averaged covariance series from prices")
     p.add_argument("--prices", required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.add_argument("--freq", type=float, default=1.0)
     p.add_argument("--window", type=float, default=3600.0)
     p.add_argument("--step", type=float)

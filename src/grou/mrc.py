@@ -20,12 +20,12 @@ import csv
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .errors import IngestionError
 from .simulate import SampledPath, grid_from_times
 
@@ -224,8 +224,7 @@ def rolling_mrc(
         except ValueError:
             return None
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(one, candidates))
+    results = parallel_map(one, candidates, threads)
 
     starts, rows, skipped = [], [], 0
     for start, values in zip(candidates, results):

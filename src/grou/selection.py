@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .benchmarks import directional_accuracy
 from .errors import GrouError
 from .estimate import EstimationResult, ThresholdPolicy, _bic, estimate_drift, estimate_triplet
@@ -217,9 +217,7 @@ def joint_network_model_search(
             return None
         return (acc, i)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        screened = list(pool.map(screen, range(n_candidates)))
-    screened = [s for s in screened if s is not None]
+    screened = [s for s in parallel_map(screen, range(n_candidates), threads) if s is not None]
     if not screened:
         raise GrouError("no candidate network survived screening")
     screened.sort(key=lambda s: (-s[0], s[1]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from grou._parallel import openblas_controls
 from grou.graphs import random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion, cov_integral, drift_integral, is_hurwitz
 from grou.noise import SymmetricGammaJumps, psd_factor
@@ -184,3 +185,13 @@ def stepwise_path(system, spec, times, x0, rng, steps=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def openblas_threads_unchanged():
+    """Fail the session if any code leaves a bundled OpenBLAS at another thread count."""
+    controls = openblas_controls()
+    before = [get() for get, _ in controls]
+    yield
+    after = [get() for get, _ in controls]
+    assert after == before, f"OpenBLAS thread counts changed during the session: {before} -> {after}"

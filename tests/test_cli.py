@@ -423,3 +423,20 @@ class TestUsage:
 
     def test_no_subcommand(self):
         assert run([]) == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["benchmark", "--config", "study.json"],
+            ["select", "--config", "select.json"],
+            ["mrc", "--prices", "prices.csv"],
+        ],
+    )
+    def test_threads_below_one_is_usage_error(self, argv, threads, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("grou._parallel.ThreadPoolExecutor", no_pool)
+        assert run([*argv, "--out", "out", "--threads", threads]) == 1
+        assert "--threads" in capsys.readouterr().err

@@ -36,6 +36,7 @@ __all__ = [
     "StudyConfig",
     "fit_benchmark",
     "evaluate",
+    "fit_and_evaluate",
     "monte_carlo_study",
     "predictive_study_config",
     "study_rows_to_csv",
@@ -268,6 +269,24 @@ def evaluate(models, path: SampledPath, test_range) -> list[MetricReport]:
     return reports
 
 
+def fit_and_evaluate(
+    path: SampledPath, n_train: int, context: BenchmarkContext, kinds=MODEL_KINDS
+):
+    """Fit models on the head of ``path`` and score them on its tail.
+
+    Every kind is fitted on the first ``n_train`` points; when
+    ``context.triplet`` is None the driving noise is estimated once from
+    that section and shared by the continuous-time fits.  Returns
+    ``(models, reports)``, the reports scoring one-step forecasts over
+    indices ``n_train .. path.n_points - 1``.
+    """
+    train = path.section(0, n_train)
+    if context.triplet is None:
+        context = replace(context, triplet=estimate_triplet(train, context.policy))
+    models = [fit_benchmark(kind, train, context) for kind in kinds]
+    return models, evaluate(models, path, range(n_train, path.n_points))
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Monte Carlo study description.
@@ -344,21 +363,18 @@ def _study_one_path(config: StudyConfig, system, path_index: int):
             triplet = triplet.select_components(keep)
 
     max_stage = max(max(config.shape[1], default=0), 1)
-    weights_fit = weight_matrices(graph_fit, max_stage)
-    n_train = config.n_obs - config.test_size
-    train = fit_path.section(0, n_train)
     ctx = BenchmarkContext(
         graph=graph_fit,
-        weights=weights_fit,
+        weights=weight_matrices(graph_fit, max_stage),
         shape=config.shape,
         triplet=triplet,
         policy=config.policy,
         ridge=config.ridge,
     )
-    if ctx.triplet is None:
-        ctx = replace(ctx, triplet=estimate_triplet(train, ctx.policy))
-    models = [fit_benchmark(kind, train, ctx) for kind in config.models]
-    return evaluate(models, fit_path, range(n_train, config.n_obs))
+    # the grid's horizon is snapped up to a whole coarse step, so the path
+    # may run past n_obs; the study scores the test_size points before n_obs
+    observed = fit_path.section(0, config.n_obs)
+    return fit_and_evaluate(observed, config.n_obs - config.test_size, ctx, config.models)[1]
 
 
 def monte_carlo_study(config: StudyConfig, threads: int = 1) -> list[dict]:

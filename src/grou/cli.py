@@ -25,8 +25,7 @@ from .benchmarks import (
     MODEL_KINDS,
     BenchmarkContext,
     StudyConfig,
-    evaluate,
-    fit_benchmark,
+    fit_and_evaluate,
     monte_carlo_study,
     predictive_study_config,
     study_rows_to_csv,
@@ -34,11 +33,11 @@ from .benchmarks import (
 from .errors import GrouError
 from .estimate import ThresholdPolicy, estimate_drift, estimate_triplet
 from .forecast import one_step_map, rolling_forecast, system_from_fit, write_forecast_csv
-from .graphs import EdgeGraph, pair_order, weight_matrices
+from .graphs import EdgeGraph, weight_matrices
 from .model import GrouParams, build_companion, cov_integral
 from .noise import LevySpec
-from .selection import joint_network_model_search, select_model
-from .simulate import make_uniform_grids, read_path_csv, simulate_path, write_path_csv
+from .selection import _columns_for, _split_points, joint_network_model_search, select_model
+from .simulate import SampledPath, make_uniform_grids, read_path_csv, simulate_path, write_path_csv
 from .mrc import (
     MrcConfig,
     ingest_prices,
@@ -90,7 +89,17 @@ def _policy_from(args):
 
 
 def _parse_shapes(doc):
-    return [(int(item[0]), tuple(int(r) for r in item[1])) for item in doc]
+    """``[[L, [R_1, ..., R_L]], ...]`` as shape tuples; a malformed entry exits 1."""
+    if not isinstance(doc, list):
+        raise _UsageError(f"shapes must be a list of [L, [R_1, ..., R_L]], got {doc!r}")
+    shapes = []
+    for item in doc:
+        try:
+            lags, stages = item
+            shapes.append((int(lags), tuple(int(r) for r in stages)))
+        except (TypeError, ValueError):
+            raise _UsageError(f"bad shape {item!r}; expected [L, [R_1, ..., R_L]]") from None
+    return shapes
 
 
 def _config_header(config):
@@ -293,12 +302,9 @@ def _study_from_config(doc, seed):
     design = doc.get("design")
     if design:
         scenario = design.get("scenario", "correct")
-        if isinstance(scenario, str):
-            if scenario not in _SCENARIOS:
-                raise _UsageError(
-                    f"unknown scenario {scenario!r}; choose from {sorted(_SCENARIOS)}"
-                )
-            scenario = _SCENARIOS[scenario]
+        if not isinstance(scenario, str) or scenario not in _SCENARIOS:
+            raise _UsageError(f"unknown scenario {scenario!r}; choose from {sorted(_SCENARIOS)}")
+        scenario = _SCENARIOS[scenario]
         return predictive_study_config(
             sigma2=float(design.get("sigma2", 10.0)), scenario=scenario, **common
         )
@@ -350,8 +356,10 @@ def _cmd_select(args):
         raise _UsageError(f"selection config missing field {exc}") from None
     path = rolling.to_path(mesh_fine=mesh_fine, ratio=ratio)
     test_fraction = float(doc.get("test_fraction", 0.2))
-    n_test = max(2, int(round(test_fraction * path.n_points)))
-    n_train = path.n_points - n_test
+    try:
+        n_train = _split_points(path.n_points, test_fraction)
+    except ValueError:
+        n_train = 0
     if n_train < 10:
         raise _UsageError("edge series too short for the requested test fraction")
     # covariance series live at a positive level while the zero-mean model
@@ -359,8 +367,6 @@ def _cmd_select(args):
     # (one-step increments, hence both metrics, are shift-invariant)
     if doc.get("demean", True):
         center = path.values[:n_train].mean(axis=0)
-        from .simulate import SampledPath
-
         path = SampledPath(grid=path.grid, values=path.values - center, labels=path.labels)
     train = path.section(0, n_train)
     policy = ThresholdPolicy(activity=doc.get("activity", "finite"))
@@ -369,16 +375,13 @@ def _cmd_select(args):
         tolerance=float(doc.get("tolerance", 1e-2)),
         eval_fraction=float(doc.get("eval_fraction", 0.2)),
         policy=policy,
-        horizon="fine",
     )
     if mode == "shapes":
         if "graph" not in doc:
             raise _UsageError("selection config needs 'graph' in shapes mode")
         graph = _load(doc["graph"], "graph", EdgeGraph.from_json)
-        order = {p: k for k, p in enumerate(pair_order(len(rolling.asset_ids)))}
-        cols = [order[e] for e in graph.edges]
-        outcome = select_model(train.select_columns(cols), graph, shapes, **common)
-        chosen_cols = cols
+        chosen_cols = _columns_for(graph, len(rolling.asset_ids))
+        outcome = select_model(train.select_columns(chosen_cols), graph, shapes, **common)
     elif mode == "joint":
         n_vertices = int(doc.get("n_vertices", len(rolling.asset_ids)))
         outcome = joint_network_model_search(
@@ -393,8 +396,7 @@ def _cmd_select(args):
             threads=args.threads,
             **common,
         )
-        order = {p: k for k, p in enumerate(pair_order(n_vertices))}
-        chosen_cols = [order[e] for e in outcome.chosen_graph.edges]
+        chosen_cols = _columns_for(outcome.chosen_graph, n_vertices)
     else:
         raise _UsageError(f"unknown selection mode {mode!r}")
 
@@ -418,17 +420,10 @@ def _cmd_select(args):
 
 
 def _final_table(path, outcome, cols, n_train, policy):
-    sub = path.select_columns(cols)
-    graph = outcome.chosen_graph
-    shape = outcome.chosen.shape
+    graph, shape = outcome.chosen_graph, outcome.chosen.shape
     weights = weight_matrices(graph, max(max(shape[1], default=0), 1))
-    train = sub.section(0, n_train)
-    triplet = estimate_triplet(train, policy)
-    ctx = BenchmarkContext(
-        graph=graph, weights=weights, shape=shape, policy=policy, triplet=triplet
-    )
-    models = [fit_benchmark(kind, train, ctx) for kind in MODEL_KINDS]
-    reports = evaluate(models, sub, range(n_train, sub.n_points))
+    ctx = BenchmarkContext(graph=graph, weights=weights, shape=shape, policy=policy)
+    _, reports = fit_and_evaluate(path.select_columns(cols), n_train, ctx, MODEL_KINDS)
     lags, stages = shape
     table = []
     for rep in reports:

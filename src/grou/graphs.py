@@ -146,21 +146,24 @@ class WeightMatrices:
         return self.matrices[r - 1]
 
 
-def _incidence_sets(graph: EdgeGraph):
-    """For each edge, the set of other edges sharing at least one endpoint.
+def _stage_masks(graph: EdgeGraph, max_stage: int) -> list[np.ndarray]:
+    """Boolean K-by-K masks of stages ``0 .. max_stage``, row ``a`` for edge ``a``.
 
-    Outgoing and incoming incidence are both used, so the rule is the same
-    for directed and undirected graphs.
+    Edges are stage-1 neighbors when they share an endpoint: the line-graph
+    adjacency ``B^T B - 2I`` of the vertex-edge incidence ``B``, which counts
+    outgoing and incoming incidence alike, so directed and undirected graphs
+    follow one rule.  Stage r holds the edges first reached in r steps.
     """
-    by_vertex = [set() for _ in range(graph.n_vertices)]
-    for k, (i, j) in enumerate(graph.edges):
-        by_vertex[i].add(k)
-        by_vertex[j].add(k)
-    out = []
-    for k, (i, j) in enumerate(graph.edges):
-        nbrs = (by_vertex[i] | by_vertex[j]) - {k}
-        out.append(frozenset(nbrs))
-    return out
+    ends = np.array(graph.edges, dtype=int).reshape(-1, 2)
+    incidence = (np.arange(graph.n_vertices)[:, None, None] == ends).any(axis=2).astype(int)
+    adjacency = incidence.T @ incidence - 2 * np.eye(ends.shape[0], dtype=int) > 0
+    frontier = reached = np.eye(ends.shape[0], dtype=bool)
+    masks = [frontier]
+    for _ in range(max_stage):
+        frontier = (frontier @ adjacency) & ~reached
+        reached = reached | frontier
+        masks.append(frontier)
+    return masks
 
 
 def edge_neighbors(graph: EdgeGraph, edge: int, max_stage: int) -> NeighborStages:
@@ -179,34 +182,20 @@ def edge_neighbors(graph: EdgeGraph, edge: int, max_stage: int) -> NeighborStage
         raise IndexError(f"edge index {edge} out of range (K={graph.n_edges})")
     if max_stage < 0:
         raise ValueError("max_stage must be >= 0")
-    first = _incidence_sets(graph)
-    stages = [frozenset([edge])]
-    assigned = {edge}
-    for _ in range(max_stage):
-        frontier = set()
-        for e in stages[-1]:
-            frontier |= first[e]
-        frontier -= assigned
-        stages.append(frozenset(frontier))
-        assigned |= frontier
-    return NeighborStages(reference_edge=edge, stages=tuple(stages))
+    masks = _stage_masks(graph, max_stage)
+    stages = tuple(frozenset(int(b) for b in np.flatnonzero(m[edge])) for m in masks)
+    return NeighborStages(reference_edge=edge, stages=stages)
 
 
 def weight_matrices(graph: EdgeGraph, max_stage: int) -> WeightMatrices:
     """Uniform neighborhood weight matrices for stages ``1 .. max_stage``."""
     if max_stage < 1:
         raise ValueError("max_stage must be >= 1")
-    K = graph.n_edges
-    mats = [np.zeros((K, K)) for _ in range(max_stage)]
-    for a in range(K):
-        stages = edge_neighbors(graph, a, max_stage)
-        for r in range(1, max_stage + 1):
-            members = stages.stage(r)
-            if members:
-                w = 1.0 / len(members)
-                for b in members:
-                    mats[r - 1][a, b] = w
-    return WeightMatrices(matrices=tuple(m for m in mats))
+    mats = []
+    for mask in _stage_masks(graph, max_stage)[1:]:
+        counts = mask.sum(axis=1, keepdims=True)
+        mats.append(np.where(mask, 1.0 / np.maximum(counts, 1), 0.0))
+    return WeightMatrices(matrices=tuple(mats))
 
 
 def random_er_graph(n_vertices: int, edge_prob: float, rng_seed) -> EdgeGraph:

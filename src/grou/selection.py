@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from .benchmarks import directional_accuracy
+from .benchmarks import BenchmarkContext, fit_and_evaluate
 from .errors import GrouError
+# estimate_drift is unused here but stays bound: perfbench's tracer test checks this import site
 from .estimate import EstimationResult, ThresholdPolicy, _bic, estimate_drift, estimate_triplet
-from .forecast import rolling_forecast
 from .graphs import EdgeGraph, pair_order, random_er_graph, weight_matrices
 from .noise import LevySpec, stream_rng
 from .simulate import SampledPath
@@ -92,19 +92,13 @@ def _split_points(n_points: int, eval_fraction: float):
     return n_train
 
 
-def _dir_acc(path, fitted, weights, eval_idx, horizon):
-    preds = rolling_forecast(path, fitted, weights, eval_idx, horizon=horizon)
-    realized = path.values[eval_idx]
-    previous = path.values[np.asarray(list(eval_idx)) - 1]
-    return directional_accuracy(realized, preds, previous)
-
-
-def _score_shape(path, weights, shape, n_train, triplet, policy, ridge, horizon):
-    train = path.section(0, n_train)
-    fitted = estimate_drift(train, weights, shape, triplet, policy, ridge=ridge)
-    eval_idx = range(n_train, path.n_points)
-    acc = _dir_acc(path, fitted, weights, eval_idx, horizon)
-    return acc, bic(fitted)
+def _score_shape(path, weights, shape, n_train, triplet, policy, ridge):
+    """Held-out directional accuracy and information criterion of one grOU shape."""
+    context = BenchmarkContext(
+        weights=weights, shape=shape, triplet=triplet, policy=policy, ridge=ridge
+    )
+    (model,), (report,) = fit_and_evaluate(path, n_train, context, kinds=("GROU",))
+    return report.dir_acc, bic(model.detail)
 
 
 def _choose(candidates, tolerance):
@@ -122,15 +116,18 @@ def select_model(
     triplet: LevySpec | None = None,
     policy: ThresholdPolicy | None = None,
     ridge: float | None = None,
-    horizon: str | float = "fine",
     graph_ref="given",
 ) -> SelectionOutcome:
     """Pick a model shape for a fixed network.
 
-    Fits every candidate shape on the head of the path and scores one-step
-    directional accuracy on the held-out tail; among candidates within
-    ``tolerance`` of the best accuracy the lowest information criterion is
-    chosen.  Candidates whose fit fails are skipped with a warning.
+    Every candidate shape goes through :func:`grou.benchmarks.fit_and_evaluate`:
+    a grOU fit on the head of the path (the last ``eval_fraction`` held
+    out), scored by directional accuracy of one-step forecasts over the
+    held-out tail at the training section's fine mesh.  Among candidates
+    within ``tolerance`` of the best accuracy the lowest information
+    criterion is chosen.  A missing ``triplet`` is estimated once from the
+    head and shared by every shape.  Candidates whose fit fails are skipped
+    with a warning.
     """
     shapes = [(int(l), tuple(int(r) for r in rs)) for l, rs in candidate_shapes]
     if not shapes:
@@ -143,9 +140,7 @@ def select_model(
     scores = []
     for shape in shapes:
         try:
-            acc, crit = _score_shape(
-                path, weights, shape, n_train, triplet, policy, ridge, horizon
-            )
+            acc, crit = _score_shape(path, weights, shape, n_train, triplet, policy, ridge)
         except (GrouError, np.linalg.LinAlgError) as exc:
             warnings.warn(f"shape {shape} skipped: {exc}", stacklevel=2)
             continue
@@ -158,7 +153,11 @@ def select_model(
 
 
 def _columns_for(graph: EdgeGraph, n_vertices: int):
+    """Pair-series columns of the graph's edges in a canonical pair panel."""
     order = {pair: k for k, pair in enumerate(pair_order(n_vertices))}
+    for edge in graph.edges:
+        if edge not in order:
+            raise ValueError(f"edge {edge} has no pair series among {n_vertices} vertices")
     return [order[edge] for edge in graph.edges]
 
 
@@ -174,7 +173,6 @@ def joint_network_model_search(
     eval_fraction: float = 0.2,
     policy: ThresholdPolicy | None = None,
     ridge: float | None = None,
-    horizon: str | float = "fine",
     rng_seed: int = 0,
     threads: int = 1,
 ) -> SelectionOutcome:
@@ -182,9 +180,10 @@ def joint_network_model_search(
 
     ``path`` must hold one column per unordered vertex pair in canonical
     (lexicographic) order; a candidate graph selects the columns of its
-    edges.  All candidates are screened with ``screen_shape`` by validation
-    directional accuracy, the best ``retain`` graphs get the full shape
-    selection, and the pair with the best accuracy wins (ties by the
+    edges.  Every candidate is screened with ``screen_shape`` on the same
+    held-out scoring as :func:`select_model`, its noise triplet estimated
+    from its own training head; the best ``retain`` graphs get the full
+    shape selection, and the pair with the best accuracy wins (ties by the
     information criterion, then by candidate index).
     """
     n_pairs = n_vertices * (n_vertices - 1) // 2
@@ -208,10 +207,7 @@ def joint_network_model_search(
         sub = path.select_columns(_columns_for(g, n_vertices))
         try:
             weights = weight_matrices(g, max(max(screen_shape[1], default=0), 1))
-            train = sub.section(0, n_train)
-            triplet = estimate_triplet(train, policy)
-            fitted = estimate_drift(train, weights, screen_shape, triplet, policy, ridge=ridge)
-            acc = _dir_acc(sub, fitted, weights, range(n_train, sub.n_points), horizon)
+            acc, _ = _score_shape(sub, weights, screen_shape, n_train, None, policy, ridge)
         except (GrouError, np.linalg.LinAlgError) as exc:
             warnings.warn(f"candidate {i} skipped in screening: {exc}", stacklevel=2)
             return None
@@ -237,7 +233,6 @@ def joint_network_model_search(
                 eval_fraction=eval_fraction,
                 policy=policy,
                 ridge=ridge,
-                horizon=horizon,
                 graph_ref=i,
             )
         except GrouError as exc:

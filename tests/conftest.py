@@ -3,6 +3,9 @@ import pytest
 from scipy.linalg import expm
 
 from grou._parallel import openblas_controls
+from grou.benchmarks import directional_accuracy
+from grou.estimate import estimate_drift
+from grou.forecast import rolling_forecast
 from grou.graphs import random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion, cov_integral, drift_integral, is_hurwitz
 from grou.noise import SymmetricGammaJumps, psd_factor
@@ -180,6 +183,20 @@ def stepwise_path(system, spec, times, x0, rng, steps=None):
     for i, h in enumerate(steps):
         states[i + 1] = ops[h][0] @ states[i] + shocks[i]
     return states
+
+
+def heldout_scores(path, weights, shape, n_train, triplet, policy=None, ridge=None):
+    """Held-out directional accuracy and fitted drift of one grOU shape, step by step.
+
+    A drift fit on the first ``n_train`` points, rolling fine-mesh forecasts
+    over the rest of the path, then the sign-match fraction: the scoring
+    that ``grou.benchmarks.fit_and_evaluate`` folds into the model zoo's
+    fit-and-evaluate route, kept as its oracle.  Returns ``(dir_acc, fit)``.
+    """
+    fitted = estimate_drift(path.section(0, n_train), weights, shape, triplet, policy, ridge=ridge)
+    idx = np.arange(n_train, path.n_points)
+    preds = rolling_forecast(path, fitted, weights, idx, horizon="fine")
+    return directional_accuracy(path.values[idx], preds, path.values[idx - 1]), fitted
 
 
 @pytest.fixture

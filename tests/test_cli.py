@@ -417,7 +417,35 @@ class TestHyphenatedTickers:
         assert json.loads(out.read_text())["chosen"]["shape"]["L"] == 1
 
 
+def _config_fault(workdir, name):
+    """Write one malformed config; return its argv and the text the error must name."""
+    if name == "scenario":
+        (workdir / "study.json").write_text(json.dumps({"design": {"scenario": 5}}))
+        return ["benchmark", "--config", str(workdir / "study.json")], "5"
+    TestSelect().make_edge_series(workdir, n=40)
+    config = {"edge_series": str(workdir / "edges.csv"), "mode": "shapes", "ratio": 1,
+              "graph": str(workdir / "net.json"), "shapes": [[1, [1]]]}
+    graph = {"n_vertices": 3, "edges": [[0, 1], [1, 2]]}
+    if name == "graph_vertex":
+        graph = {"n_vertices": 4, "edges": [[0, 1], [0, 3]]}
+        needle = "(0, 3)"
+    else:
+        config["shapes"] = {"shape_one_item": [[1]], "shape_int_stages": [[1, 1]]}[name]
+        needle = str(config["shapes"][0])
+    (workdir / "net.json").write_text(json.dumps(graph))
+    (workdir / "select.json").write_text(json.dumps(config))
+    return ["select", "--config", str(workdir / "select.json")], needle
+
+
 class TestUsage:
+    @pytest.mark.parametrize(
+        "name", ["shape_one_item", "shape_int_stages", "graph_vertex", "scenario"]
+    )
+    def test_config_fault_is_usage_error(self, workdir, name, capsys):
+        argv, needle = _config_fault(workdir, name)
+        assert run([*argv, "--out", str(workdir / "out"), "--threads", "1"]) == 1
+        assert needle in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
 

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from grou.estimate import estimate_drift
+from grou.estimate import estimate_drift, estimate_triplet
 from grou.graphs import path_graph, random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion
 from grou.noise import LevySpec
 from grou.selection import (
     CandidateScore,
     _choose,
+    _split_points,
     bic,
     joint_network_model_search,
     select_model,
 )
 from grou.simulate import make_uniform_grids, simulate_path
+
+from conftest import heldout_scores
 
 
 def fitted_result(seed=0):
@@ -118,6 +121,19 @@ class TestSelectModel:
         with pytest.warns(UserWarning, match="skipped"):
             outcome = select_model(path, graph, shapes)
         assert outcome.chosen.shape == (1, (1,))
+
+    def test_scores_match_step_by_step_oracle(self):
+        graph, path = self.make_path(seed=5, t_end=12.0)
+        shapes = [(1, (1,)), (1, (2,)), (2, (1, 1))]
+        outcome = select_model(path, graph, shapes)
+        n_train = _split_points(path.n_points, 0.2)
+        triplet = estimate_triplet(path.section(0, n_train))
+        weights = weight_matrices(graph, 2)
+        assert [c.shape for c in outcome.candidates] == shapes
+        for cand in outcome.candidates:
+            acc, fitted = heldout_scores(path, weights, cand.shape, n_train, triplet)
+            assert cand.dir_acc == acc
+            assert cand.bic == bic(fitted)
 
     def test_empty_candidates_rejected(self):
         graph, path = self.make_path(seed=4, t_end=10.0)

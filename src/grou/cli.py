@@ -83,6 +83,13 @@ def _load(path, what, from_json):
         raise _UsageError(f"bad {what} file {path}: {exc}") from None
 
 
+def _object(value, what):
+    """``value`` if it is a JSON object; anything else exits 1."""
+    if not isinstance(value, dict):
+        raise _UsageError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _policy_from(args):
     beta = getattr(args, "beta_exp", None)
     return ThresholdPolicy(beta_exp=beta, activity=args.activity)
@@ -96,9 +103,14 @@ def _parse_shapes(doc):
     for item in doc:
         try:
             lags, stages = item
-            shapes.append((int(lags), tuple(int(r) for r in stages)))
+            shape = (int(lags), tuple(int(r) for r in stages))
         except (TypeError, ValueError):
             raise _UsageError(f"bad shape {item!r}; expected [L, [R_1, ..., R_L]]") from None
+        if len(shape[1]) != shape[0]:
+            raise _UsageError(
+                f"bad shape {item!r}; it lists {len(shape[1])} stage counts for {shape[0]} lags"
+            )
+        shapes.append(shape)
     return shapes
 
 
@@ -301,6 +313,7 @@ def _study_from_config(doc, seed):
     }
     design = doc.get("design")
     if design:
+        design = _object(design, "study config 'design'")
         scenario = design.get("scenario", "correct")
         if not isinstance(scenario, str) or scenario not in _SCENARIOS:
             raise _UsageError(f"unknown scenario {scenario!r}; choose from {sorted(_SCENARIOS)}")
@@ -315,18 +328,27 @@ def _study_from_config(doc, seed):
     except KeyError as exc:
         raise _UsageError(f"study config missing field {exc}") from None
     shape = doc.get("shape", {"L": 1, "R": [1]})
-    scenario = doc.get("scenario", {"type": "correct"})
+    try:
+        shape = (int(shape["L"]), tuple(int(r) for r in shape["R"]))
+    except (KeyError, TypeError, ValueError):
+        raise _UsageError(
+            f"bad study config shape {shape!r}; expected {{'L': L, 'R': [R_1, ...]}}"
+        ) from None
+    scenario = _object(doc.get("scenario", {"type": "correct"}), "study config 'scenario'")
     if scenario.get("type") == "correct":
         scen = "correct"
     elif scenario.get("type") == "missing_edge":
-        scen = ("missing_edge", tuple(scenario["edge"]))
+        try:
+            scen = ("missing_edge", tuple(scenario["edge"]))
+        except (KeyError, TypeError):
+            raise _UsageError(f"scenario {scenario!r} needs an 'edge' [i, j]") from None
     else:
         raise _UsageError(f"unknown scenario {scenario!r}")
     return StudyConfig(
         graph=graph,
         params=params,
         noise=noise,
-        shape=(int(shape["L"]), tuple(int(r) for r in shape["R"])),
+        shape=shape,
         scenario=scen,
         **common,
     )
@@ -334,6 +356,7 @@ def _study_from_config(doc, seed):
 
 def _cmd_benchmark(args):
     doc = _load(args.config, "study config", json.loads)
+    doc = _object(doc, f"study config {args.config}")
     seed = _seed_from(args, doc)
     config = _study_from_config(doc, seed)
     rows = monte_carlo_study(config, threads=args.threads)
@@ -346,6 +369,7 @@ def _cmd_benchmark(args):
 
 def _cmd_select(args):
     doc = _load(args.config, "selection config", json.loads)
+    doc = _object(doc, f"selection config {args.config}")
     seed = _seed_from(args, doc)
     try:
         rolling = read_edge_series_csv(doc["edge_series"])

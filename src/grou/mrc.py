@@ -17,6 +17,7 @@ reproducible against a naive double-loop evaluation.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -128,6 +129,36 @@ class MrcResult:
         return self.matrix[iu]
 
 
+def _preaveraged_cov(blocks: np.ndarray, cfg: MrcConfig) -> np.ndarray:
+    """Pre-averaged covariance (or correlation) of each block of a ``(W, n, d)`` stack.
+
+    Every block has the same row count ``n``, so one window length, one set
+    of prefix-sum slices and one scale serve the whole stack.
+    """
+    n_blocks, n, d = blocks.shape
+    k = mrc_window_length(n, cfg)
+    half = k // 2
+    m = n - k + 1
+    # centering by the first row cancels exactly inside each pre-averaged
+    # difference and keeps the prefix sums well conditioned
+    values = blocks - blocks[:, :1]
+    # unnormalized pre-averaged sums via prefix sums; exact on integer input
+    prefix = np.concatenate([np.zeros((n_blocks, 1, d)), np.cumsum(values, axis=1)], axis=1)
+    pre = prefix[:, k : k + m] - 2.0 * prefix[:, half : half + m] + prefix[:, 0:m]
+    # each Gram on its own contiguous (m, d) block: a batched product would
+    # sum in another order and change the last bits
+    cov = np.empty((n_blocks, d, d))
+    for w, block in enumerate(pre):
+        cov[w] = block.T @ block
+    cov *= (n - 1) / (n - k + 1) * 12.0 / k / (k * k)
+    if cfg.is_corr:
+        sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cov = cov / (sd[:, :, None] * sd[:, None, :])
+        cov[~np.isfinite(cov)] = 0.0
+    return cov
+
+
 def mrc(prices, cfg: MrcConfig = MrcConfig()) -> MrcResult:
     """Pre-averaged covariance (or correlation) of one block of prices."""
     if isinstance(prices, PriceMatrix):
@@ -135,24 +166,7 @@ def mrc(prices, cfg: MrcConfig = MrcConfig()) -> MrcResult:
     else:
         values = np.asarray(prices, dtype=float)
         ids = tuple(f"a{j}" for j in range(values.shape[1]))
-    n = values.shape[0]
-    k = mrc_window_length(n, cfg)
-    half = k // 2
-    m = n - k + 1
-    # centering by the first row cancels exactly inside each pre-averaged
-    # difference and keeps the prefix sums well conditioned
-    values = values - values[0]
-    # unnormalized pre-averaged sums via prefix sums; exact on integer input
-    prefix = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(values, axis=0)])
-    pre = prefix[k : k + m] - 2.0 * prefix[half : half + m] + prefix[0:m]
-    gram = pre.T @ pre
-    scale = (n - 1) / (n - k + 1) * 12.0 / k / (k * k)
-    cov = gram * scale
-    if cfg.is_corr:
-        sd = np.sqrt(np.diag(cov))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cov = cov / np.outer(sd, sd)
-        cov[~np.isfinite(cov)] = 0.0
+    cov = _preaveraged_cov(values[None], cfg)[0]
     return MrcResult(matrix=cov, asset_ids=ids, is_corr=cfg.is_corr)
 
 
@@ -183,7 +197,7 @@ class RollingMrc:
         return SampledPath(grid=grid, values=values, labels=self.pair_labels)
 
 
-def _window_starts(t0: float, t_end: float, window: float, step: float) -> list[float]:
+def _window_starts(t0: float, t_end: float, window: float, step: float) -> np.ndarray:
     """Starts ``t0 + i*step`` of every window ``[start, start + window]`` within ``t_end``.
 
     Each start is computed from ``t0`` directly, so rounding does not build
@@ -191,7 +205,13 @@ def _window_starts(t0: float, t_end: float, window: float, step: float) -> list[
     """
     count = max(0, int(np.floor((t_end - window - t0) / step)) + 2)
     starts = t0 + step * np.arange(count)
-    return starts[starts + window <= t_end].tolist()
+    return starts[starts + window <= t_end]
+
+
+# price cells stacked per batch (512 KiB a copy): the kernel makes a few copies
+# of its stack and each pool worker holds one batch, so overlapping windows
+# never copy the price matrix many times over at once
+_BATCH_CELLS = 1 << 16
 
 
 def rolling_mrc(
@@ -205,6 +225,7 @@ def rolling_mrc(
 
     Windows shorter than the minimum usable row count are skipped with a
     warning.  ``step`` defaults to ``window`` (non-overlapping).  Windows
+    of equal row count are stacked and estimated as one batch; the batches
     are independent, so ``threads > 1`` maps them onto a worker pool with
     order-stable results.
     """
@@ -214,64 +235,103 @@ def rolling_mrc(
         raise ValueError("step must be positive and no longer than the window")
     # a window counts as covered up to one typical spacing past the last tick
     slack = float(np.median(np.diff(prices.times)))
-    candidates = _window_starts(prices.times[0], prices.times[-1] + slack + 1e-9, window, step)
-
-    def one(start):
-        lo = np.searchsorted(prices.times, start, side="left")
-        hi = np.searchsorted(prices.times, start + window, side="left")
+    starts = _window_starts(prices.times[0], prices.times[-1] + slack + 1e-9, window, step)
+    lo = np.searchsorted(prices.times, starts, side="left")
+    counts = np.searchsorted(prices.times, starts + window, side="left") - lo
+    d = len(prices.asset_ids)
+    batches = []
+    for n in np.unique(counts).tolist():
         try:
-            return mrc(prices.log_prices[lo:hi], cfg).pair_values
+            mrc_window_length(n, cfg)
         except ValueError:
-            return None
-
-    results = parallel_map(one, candidates, threads)
-
-    starts, rows, skipped = [], [], 0
-    for start, values in zip(candidates, results):
-        if values is None:
-            skipped += 1
-            warnings.warn(
-                f"window starting at {start} has too few observations; skipped",
-                stacklevel=2,
-            )
             continue
-        starts.append(start)
-        rows.append(values)
-    if not rows:
+        members = np.flatnonzero(counts == n)
+        size = max(1, _BATCH_CELLS // (n * d))
+        batches += [members[i : i + size] for i in range(0, members.size, size)]
+
+    upper = np.triu_indices(d, k=1)
+
+    def one(members):
+        rows = lo[members, None] + np.arange(counts[members[0]])
+        return _preaveraged_cov(prices.log_prices[rows], cfg)[:, upper[0], upper[1]]
+
+    values = np.empty((starts.size, upper[0].size))
+    usable = np.zeros(starts.size, dtype=bool)
+    for members, pair_values in zip(batches, parallel_map(one, batches, threads)):
+        values[members] = pair_values
+        usable[members] = True
+    for start in starts[~usable].tolist():
+        warnings.warn(
+            f"window starting at {start} has too few observations; skipped",
+            stacklevel=2,
+        )
+    if not usable.any():
         raise IngestionError("no window produced a covariance estimate")
     return RollingMrc(
-        window_starts=np.asarray(starts),
-        values=np.asarray(rows),
+        window_starts=starts[usable],
+        values=values[usable],
         pair_labels=_pair_labels(prices.asset_ids),
         asset_ids=prices.asset_ids,
         is_corr=cfg.is_corr,
-        skipped_windows=skipped,
+        skipped_windows=int((~usable).sum()),
     )
 
 
 def _parse_timestamp(token: str) -> float:
-    """Epoch seconds from ISO-8601, epoch seconds, or epoch nanoseconds."""
+    """A timestamp cell as a number: epoch seconds from ISO-8601, else the number as written.
+
+    Epoch nanoseconds are told apart by magnitude later, on the whole column.
+    """
     token = token.strip()
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         stamp = datetime.fromisoformat(token)
         if stamp.tzinfo is None:
             stamp = stamp.replace(tzinfo=timezone.utc)
         return stamp.timestamp()
-    if abs(value) > 1e14:  # epoch nanoseconds
-        return value / 1e9
-    return value
 
 
-def _wallclock_minutes(epoch_seconds: float) -> float:
-    stamp = datetime.fromtimestamp(epoch_seconds, tz=timezone.utc)
-    return stamp.hour * 60 + stamp.minute + stamp.second / 60.0
+def _cell(parse, token: str) -> float:
+    """``parse(token)``, or NaN where it fails."""
+    try:
+        return parse(token)
+    except (ValueError, TypeError):
+        return math.nan
 
 
-# regular session 09:30-16:00; trimming drops the first and last hour
+def _parse_cells(rows: list[list[str]]) -> np.ndarray:
+    """``(len(rows), width)`` numbers of equal-width rows; NaN where a cell does not parse.
+
+    The bulk conversion calls ``float`` on every cell; a chunk holding any
+    cell it rejects (an ISO timestamp, a stray word) is parsed cell by cell.
+    """
+    try:
+        return np.array([cell for row in rows for cell in row], dtype=float).reshape(len(rows), -1)
+    except ValueError:
+        return np.array(
+            [[_cell(_parse_timestamp, row[0]), *(_cell(float, x) for x in row[1:])] for row in rows]
+        )
+
+
+def _second_of_day(epoch_seconds: np.ndarray) -> np.ndarray:
+    """Whole UTC second of the day, as ``datetime.fromtimestamp`` reads it.
+
+    ``fromtimestamp`` rounds the fraction to the microsecond (half to even)
+    before it takes the whole second, so a time a few hundred nanoseconds
+    short of a second counts as that second.
+    """
+    whole = np.trunc(epoch_seconds)
+    micros = np.rint((epoch_seconds - whole) * 1e6)
+    whole = whole + (micros >= 1e6) - (micros < 0)
+    return np.mod(whole, 86400.0)
+
+
+# regular session 09:30-16:00; trimming drops the first and last hour (minutes of the day)
 _SESSION = (9 * 60 + 30, 16 * 60)
 _TRIMMED = (10 * 60 + 30, 15 * 60)
+# rows parsed per chunk: bounds the token lists held at once
+_CHUNK_ROWS = 32_768
 
 
 def ingest_prices(
@@ -286,12 +346,17 @@ def ingest_prices(
     epoch nanoseconds) followed by one mid-quote column per asset.  Within
     each frequency bin the last observed price wins; bins without any
     observation carry the previous value forward.  Prices are
-    log-transformed.  Unparseable or non-positive rows are counted and
-    skipped; an empty result raises.
+    log-transformed.  A row is skipped and counted when it has the wrong
+    number of fields, a cell that does not parse, a non-finite timestamp, a
+    non-finite or non-positive price, or (with ``market_hours`` or
+    ``trim_open_close``) a time outside the session.  An empty result, or
+    a time span too long to lay out on the grid, raises.
     """
+    if not frequency > 0:
+        raise ValueError(f"frequency must be positive, got {frequency}")
     wall_lo, wall_hi = _TRIMMED if trim_open_close else _SESSION
     filter_hours = market_hours or trim_open_close
-    times, rows, skipped = [], [], 0
+    kept, skipped = [], 0
     with open(file, newline="") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
         try:
@@ -303,70 +368,83 @@ def ingest_prices(
                 f"{file}: expected header 'timestamp,<asset>,...', got {header!r}"
             )
         asset_ids = tuple(h.strip() for h in header[1:])
-        for row in reader:
-            if len(row) != len(header):
-                skipped += 1
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            rows = [row for row in chunk if len(row) == len(header)]
+            skipped += len(chunk) - len(rows)
+            if not rows:
                 continue
-            try:
-                t = _parse_timestamp(row[0])
-                quotes = [float(x) for x in row[1:]]
-            except (ValueError, TypeError):
-                skipped += 1
-                continue
-            if any(not np.isfinite(q) or q <= 0 for q in quotes):
-                skipped += 1
-                continue
+            cells = _parse_cells(rows)
+            t = cells[:, 0]
+            cells[:, 0] = np.where(np.abs(t) > 1e14, t / 1e9, t)  # epoch nanoseconds
+            quotes = cells[:, 1:]
+            good = np.isfinite(cells[:, 0]) & np.all(np.isfinite(quotes) & (quotes > 0), axis=1)
             if filter_hours:
-                minute = _wallclock_minutes(t)
-                if not wall_lo <= minute < wall_hi:
-                    skipped += 1
-                    continue
-            times.append(t)
-            rows.append(quotes)
-    if not rows:
+                second = _second_of_day(np.where(good, cells[:, 0], 0.0))
+                good &= (60 * wall_lo <= second) & (second < 60 * wall_hi)
+            skipped += len(rows) - int(good.sum())
+            kept.append(cells[good])
+    if not any(part.shape[0] for part in kept):
         raise IngestionError(f"{file}: no usable price rows")
-    times = np.asarray(times)
-    rows = np.asarray(rows)
-    order = np.argsort(times, kind="stable")
-    times, rows = times[order], rows[order]
+    cells = np.concatenate(kept)
+    cells = cells[np.argsort(cells[:, 0], kind="stable")]
+    times, quotes = cells[:, 0], cells[:, 1:]
 
-    bins = np.floor((times - times[0]) / frequency).astype(int)
-    n_bins = bins[-1] + 1
-    grid_prices = np.full((n_bins, rows.shape[1]), np.nan)
-    grid_prices[bins] = rows  # later rows overwrite: last observation wins
-    # forward fill empty bins
-    filled = grid_prices
-    missing = np.isnan(filled[:, 0])
-    if missing.any():
-        idx = np.arange(n_bins)
-        last = np.maximum.accumulate(np.where(~missing, idx, 0))
-        filled = filled[last]
+    span = times[-1] - times[0]
+    n_bins = np.floor(span / frequency) + 1
+    if not n_bins < 2.0**63:  # also catches an infinite span
+        raise IngestionError(
+            f"{file}: {n_bins:.6g} frequency bins over a time span of {span:.6g} s; "
+            "check the timestamps"
+        )
+    n_bins = int(n_bins)
     if n_bins < 2:
         raise IngestionError(f"{file}: fewer than two usable frequency bins")
-    grid_times = times[0] + frequency * np.arange(n_bins)
+    bins = np.floor((times - times[0]) / frequency).astype(int)
+    try:
+        grid_prices = np.full((n_bins, quotes.shape[1]), np.nan)
+        grid_prices[bins] = quotes  # later rows overwrite: last observation wins
+        # forward fill empty bins
+        missing = np.isnan(grid_prices[:, 0])
+        if missing.any():
+            last = np.maximum.accumulate(np.where(~missing, np.arange(n_bins), 0))
+            grid_prices = grid_prices[last]
+        log_prices = np.log(grid_prices)
+        grid_times = times[0] + frequency * np.arange(n_bins)
+    except MemoryError:
+        raise IngestionError(
+            f"{file}: {n_bins} frequency bins over a time span of {span:.6g} s do not fit in "
+            "memory; check the timestamps"
+        ) from None
     return PriceMatrix(
         times=grid_times,
-        log_prices=np.log(filled),
+        log_prices=log_prices,
         asset_ids=asset_ids,
         skipped_rows=skipped,
     )
 
 
 def write_edge_series_csv(rolling: RollingMrc, file, header_lines=()) -> None:
-    """Long-format rows ``window_start,pair,value``.
+    """Long-format rows ``window_start,pair,value``, numbers as ``%.17g``.
 
     ``# assets: [...]`` (a JSON list) and ``# is_corr: true|false`` header
     lines carry what the pair labels cannot: asset ids may contain ``-``.
     """
+    starts = np.asarray(rolling.window_starts, dtype=float)
+    values = np.asarray(rolling.values, dtype=float)
+    # one format string per window, filled from (start, value) pairs in row order
+    window_rows = "".join(
+        f"%.17g,{label.replace('%', '%%')},%.17g\n" for label in rolling.pair_labels
+    )
+    cells = np.empty(values.shape + (2,))
+    cells[..., 0] = starts[:, None]
+    cells[..., 1] = values
     with open(file, "w", encoding="utf-8") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"# assets: {json.dumps(list(rolling.asset_ids))}\n")
         fh.write(f"# is_corr: {json.dumps(bool(rolling.is_corr))}\n")
         fh.write("window_start,pair,value\n")
-        for t, row in zip(rolling.window_starts, rolling.values):
-            for label, v in zip(rolling.pair_labels, row):
-                fh.write(f"{t:.17g},{label},{v:.17g}\n")
+        fh.write((window_rows * starts.size) % tuple(cells.ravel().tolist()))
 
 
 def read_edge_series_csv(file) -> RollingMrc:
@@ -376,42 +454,40 @@ def read_edge_series_csv(file) -> RollingMrc:
     the asset ids are recovered by splitting the pair labels on ``-``, and
     ``is_corr`` defaults to False.
     """
-    meta: dict[str, object] = {}
-    lines = []
     with open(file, encoding="utf-8") as fh:
-        for ln in fh:
-            if ln.startswith("#"):
-                key, sep, text = ln[1:].strip().partition(": ")
-                if sep and key in ("assets", "is_corr"):
-                    try:
-                        meta[key] = json.loads(text)
-                    except json.JSONDecodeError as exc:
-                        raise IngestionError(f"{file}: malformed '# {key}:' header") from exc
-            elif ln.strip():
-                lines.append(ln.rstrip("\r\n"))
-    if not lines or lines[0].strip() != "window_start,pair,value":
+        lines = fh.read().split("\n")
+    meta: dict[str, object] = {}
+    for ln in lines:
+        if ln.startswith("#"):
+            key, sep, text = ln[1:].strip().partition(": ")
+            if sep and key in ("assets", "is_corr"):
+                try:
+                    meta[key] = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise IngestionError(f"{file}: malformed '# {key}:' header") from exc
+    body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
+    if not body or body[0].strip() != "window_start,pair,value":
         raise IngestionError(f"{file}: expected 'window_start,pair,value' header")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if any(len(row) != 3 for row in rows):
+    rows = body[1:]
+    if any(ln.count(",") != 2 for ln in rows):
         raise IngestionError(f"{file}: expected three fields per row")
+    fields = ",".join(rows).split(",") if rows else []
     if "assets" in meta:
         assets = tuple(str(a) for a in meta["assets"])
         labels = _pair_labels(assets)
     else:
-        labels = tuple(dict.fromkeys(row[1] for row in rows))
+        labels = tuple(dict.fromkeys(fields[1::3]))
         assets = tuple(dict.fromkeys(a for lab in labels for a in lab.split("-")))
     P = len(labels)
-    starts = [float(row[0]) for row in rows[::P]] if P else []
-    if (
-        not starts
-        or len(rows) != P * len(starts)
-        or any(row[1] != labels[k % P] for k, row in enumerate(rows))
-        or any(float(row[0]) != starts[k // P] for k, row in enumerate(rows))
-    ):
+    n_windows = len(rows) // P if P else 0
+    if not n_windows or len(rows) != P * n_windows or fields[1::3] != list(labels) * n_windows:
+        raise IngestionError(f"{file}: expected one row per pair, in pair order, for every window")
+    stamps = np.array(fields[0::3], dtype=float).reshape(n_windows, P)
+    if not np.all(stamps == stamps[:, :1]):
         raise IngestionError(f"{file}: expected one row per pair, in pair order, for every window")
     return RollingMrc(
-        window_starts=np.asarray(starts),
-        values=np.array([float(row[2]) for row in rows]).reshape(len(starts), P),
+        window_starts=stamps[:, 0].copy(),
+        values=np.array(fields[2::3], dtype=float).reshape(n_windows, P),
         pair_labels=labels,
         asset_ids=assets,
         is_corr=bool(meta.get("is_corr", False)),

@@ -1,3 +1,7 @@
+import csv
+import math
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +11,9 @@ from grou.benchmarks import directional_accuracy
 from grou.estimate import estimate_drift
 from grou.forecast import rolling_forecast
 from grou.graphs import random_er_graph, weight_matrices
+from grou.errors import IngestionError
 from grou.model import GrouParams, build_companion, cov_integral, drift_integral, is_hurwitz
+from grou.mrc import PriceMatrix
 from grou.noise import SymmetricGammaJumps, psd_factor
 
 
@@ -197,6 +203,93 @@ def heldout_scores(path, weights, shape, n_train, triplet, policy=None, ridge=No
     idx = np.arange(n_train, path.n_points)
     preds = rolling_forecast(path, fitted, weights, idx, horizon="fine")
     return directional_accuracy(path.values[idx], preds, path.values[idx - 1]), fitted
+
+
+def _loop_timestamp(token):
+    token = token.strip()
+    try:
+        value = float(token)
+    except ValueError:
+        stamp = datetime.fromisoformat(token)
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        return stamp.timestamp()
+    if abs(value) > 1e14:  # epoch nanoseconds
+        return value / 1e9
+    return value
+
+
+def _loop_wallclock_minutes(epoch_seconds):
+    stamp = datetime.fromtimestamp(epoch_seconds, tz=timezone.utc)
+    return stamp.hour * 60 + stamp.minute + stamp.second / 60.0
+
+
+def ingest_prices_loop(file, frequency=1.0, market_hours=False, trim_open_close=False):
+    """Price CSV to a :class:`PriceMatrix`, one row at a time.
+
+    The per-row loop that ``grou.mrc.ingest_prices`` replaces with chunked
+    array parsing, kept as its oracle.  Each row is checked in turn: field
+    count, timestamp and price parse, finite timestamp, finite positive
+    prices, then the wall-clock session through ``datetime.fromtimestamp``.
+    The frequency grid is laid out as the library does.
+    """
+    wall_lo, wall_hi = (10 * 60 + 30, 15 * 60) if trim_open_close else (9 * 60 + 30, 16 * 60)
+    filter_hours = market_hours or trim_open_close
+    times, rows, skipped = [], [], 0
+    with open(file, newline="") as fh:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestionError(f"{file}: empty file") from None
+        if len(header) < 2 or header[0].lower() not in ("timestamp", "time"):
+            raise IngestionError(f"{file}: expected header 'timestamp,<asset>,...', got {header!r}")
+        asset_ids = tuple(h.strip() for h in header[1:])
+        for row in reader:
+            if len(row) != len(header):
+                skipped += 1
+                continue
+            try:
+                t = _loop_timestamp(row[0])
+                quotes = [float(x) for x in row[1:]]
+            except (ValueError, TypeError):
+                skipped += 1
+                continue
+            if not math.isfinite(t):
+                skipped += 1
+                continue
+            if any(not np.isfinite(q) or q <= 0 for q in quotes):
+                skipped += 1
+                continue
+            if filter_hours:
+                minute = _loop_wallclock_minutes(t)
+                if not wall_lo <= minute < wall_hi:
+                    skipped += 1
+                    continue
+            times.append(t)
+            rows.append(quotes)
+    if not rows:
+        raise IngestionError(f"{file}: no usable price rows")
+    times = np.asarray(times)
+    rows = np.asarray(rows)
+    order = np.argsort(times, kind="stable")
+    times, rows = times[order], rows[order]
+    bins = np.floor((times - times[0]) / frequency).astype(int)
+    n_bins = bins[-1] + 1
+    grid_prices = np.full((n_bins, rows.shape[1]), np.nan)
+    grid_prices[bins] = rows  # later rows overwrite: last observation wins
+    missing = np.isnan(grid_prices[:, 0])
+    if missing.any():
+        last = np.maximum.accumulate(np.where(~missing, np.arange(n_bins), 0))
+        grid_prices = grid_prices[last]
+    if n_bins < 2:
+        raise IngestionError(f"{file}: fewer than two usable frequency bins")
+    return PriceMatrix(
+        times=times[0] + frequency * np.arange(n_bins),
+        log_prices=np.log(grid_prices),
+        asset_ids=asset_ids,
+        skipped_rows=skipped,
+    )
 
 
 @pytest.fixture

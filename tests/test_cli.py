@@ -321,6 +321,21 @@ class TestMrcCommand:
         )
         assert code == 2  # ingestion failure is a data error
 
+    def write_prices(self, workdir, extra_rows):
+        rows = [f"{k},{100 + k % 7},{50 + k % 5}" for k in range(600)] + extra_rows
+        (workdir / "prices.csv").write_text("timestamp,AAA,BBB\n" + "\n".join(rows) + "\n")
+        return ["mrc", "--prices", str(workdir / "prices.csv"), "--window", "100",
+                "--out", str(workdir / "edges.csv")]
+
+    def test_non_finite_timestamps_are_skipped_rows(self, workdir):
+        assert run(self.write_prices(workdir, ["nan,101,51", "inf,102,52"])) == 0
+        header = (workdir / "edges.csv").read_text().splitlines()[1]
+        assert json.loads(header.removeprefix("# config: "))["skipped_rows"] == 2
+
+    def test_absurd_time_span_exit_2(self, workdir, capsys):
+        assert run(self.write_prices(workdir, ["1e300,101,51"])) == 2
+        assert "time span of 1e+291 s" in capsys.readouterr().err  # read as nanoseconds
+
 
 class TestSelect:
     def make_edge_series(self, workdir, n=600, seed=4):
@@ -422,6 +437,21 @@ def _config_fault(workdir, name):
     if name == "scenario":
         (workdir / "study.json").write_text(json.dumps({"design": {"scenario": 5}}))
         return ["benchmark", "--config", str(workdir / "study.json")], "5"
+    if name == "design_not_object":
+        (workdir / "study.json").write_text(json.dumps({"design": 5}))
+        return ["benchmark", "--config", str(workdir / "study.json")], "'design' must be a JSON object"
+    if name.startswith("study_"):
+        study = {key: str(workdir / f"{key}.json") for key in ("graph", "params", "noise")}
+        fault, needle = {
+            "study_shape": ({"shape": [1, [1]]}, "bad study config shape"),
+            "study_scenario": ({"scenario": "correct"}, "'scenario' must be a JSON object"),
+            "study_missing_edge": ({"scenario": {"type": "missing_edge"}}, "needs an 'edge'"),
+        }[name]
+        (workdir / "study.json").write_text(json.dumps({**study, **fault}))
+        return ["benchmark", "--config", str(workdir / "study.json")], needle
+    if name == "select_not_object":
+        (workdir / "select.json").write_text(json.dumps([1, 2]))
+        return ["select", "--config", str(workdir / "select.json")], "[1, 2]"
     TestSelect().make_edge_series(workdir, n=40)
     config = {"edge_series": str(workdir / "edges.csv"), "mode": "shapes", "ratio": 1,
               "graph": str(workdir / "net.json"), "shapes": [[1, [1]]]}
@@ -430,7 +460,11 @@ def _config_fault(workdir, name):
         graph = {"n_vertices": 4, "edges": [[0, 1], [0, 3]]}
         needle = "(0, 3)"
     else:
-        config["shapes"] = {"shape_one_item": [[1]], "shape_int_stages": [[1, 1]]}[name]
+        config["shapes"] = {
+            "shape_one_item": [[1]],
+            "shape_int_stages": [[1, 1]],
+            "shape_lag_mismatch": [[2, [1]]],
+        }[name]
         needle = str(config["shapes"][0])
     (workdir / "net.json").write_text(json.dumps(graph))
     (workdir / "select.json").write_text(json.dumps(config))
@@ -439,7 +473,19 @@ def _config_fault(workdir, name):
 
 class TestUsage:
     @pytest.mark.parametrize(
-        "name", ["shape_one_item", "shape_int_stages", "graph_vertex", "scenario"]
+        "name",
+        [
+            "shape_one_item",
+            "shape_int_stages",
+            "shape_lag_mismatch",
+            "graph_vertex",
+            "scenario",
+            "design_not_object",
+            "study_shape",
+            "study_scenario",
+            "study_missing_edge",
+            "select_not_object",
+        ],
     )
     def test_config_fault_is_usage_error(self, workdir, name, capsys):
         argv, needle = _config_fault(workdir, name)

@@ -1,5 +1,11 @@
+import importlib
+import warnings
+from datetime import datetime, timezone
+from unittest import mock
+
 import numpy as np
 import pytest
+from conftest import ingest_prices_loop
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +22,9 @@ from grou.mrc import (
     rolling_mrc,
     write_edge_series_csv,
 )
+
+# the module itself: the package exports a function of the same name
+mrc_module = importlib.import_module("grou.mrc")
 
 
 def mrc_naive(values, cfg):
@@ -205,6 +214,48 @@ class TestRollingMrc:
         np.testing.assert_array_equal(seq.values, par.values)
         np.testing.assert_array_equal(seq.window_starts, par.window_starts)
 
+    @pytest.mark.parametrize("is_corr", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_batched_equals_per_window_loop(self, is_corr, threads, monkeypatch):
+        # irregular ticks give windows of many row counts, regular ticks one
+        # large group of equal count; a long gap and a sparse stretch give
+        # windows with too few rows; the small batch cap splits the groups
+        rng = np.random.default_rng(11)
+        times = np.concatenate([
+            np.cumsum(rng.exponential(1.0, 900)),
+            1000.0 + np.arange(600.0),
+            2000.0 + np.cumsum(rng.exponential(8.0, 40)),
+            2400.0 + np.cumsum(rng.exponential(0.5, 600)),
+        ])
+        prices = rng.normal(size=(times.size, 3)).cumsum(axis=0) * 1e-3 + 4.0
+        pm = PriceMatrix(times, prices, ("A", "B", "C"))
+        cfg = MrcConfig(delta=0.5, theta=1.0, is_corr=is_corr)
+        monkeypatch.setattr(mrc_module, "_BATCH_CELLS", 1000)
+        window, step = 40.0, 15.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = rolling_mrc(pm, cfg, window=window, step=step, threads=threads)
+
+        slack = float(np.median(np.diff(times)))
+        candidates = _window_starts(times[0], times[-1] + slack + 1e-9, window, step)
+        starts, rows, row_counts = [], [], []
+        for start in candidates:
+            lo = np.searchsorted(times, start, side="left")
+            hi = np.searchsorted(times, start + window, side="left")
+            try:
+                rows.append(mrc(prices[lo:hi], cfg).pair_values)
+            except ValueError:
+                continue
+            starts.append(start)
+            row_counts.append(hi - lo)
+        skipped = len(candidates) - len(starts)
+        assert skipped > 0 and out.skipped_windows == skipped
+        assert len(caught) == skipped
+        # many row counts, and a group larger than one batch
+        assert len(set(row_counts)) > 5 and row_counts.count(40) > 1000 // (40 * 3)
+        np.testing.assert_array_equal(out.window_starts, starts)
+        assert out.values.tobytes() == np.asarray(rows).tobytes()
+
     def test_csv_round_trip(self, tmp_path):
         pm = self.make_prices()
         out = rolling_mrc(pm, MrcConfig(), window=300.0)
@@ -365,3 +416,137 @@ class TestIngest:
         file = self.write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(IngestionError):
             ingest_prices(file)
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "1e400", "NaN"])
+    def test_non_finite_timestamp_is_a_skipped_row(self, tmp_path, stamp):
+        file = self.write(tmp_path, f"timestamp,SPY\n0,100\n{stamp},101\n1,102\n2,103\n")
+        pm = ingest_prices(file, frequency=1.0)
+        assert pm.skipped_rows == 1
+        np.testing.assert_array_equal(pm.times, [0.0, 1.0, 2.0])
+
+    def test_absurd_time_span_raises(self, tmp_path):
+        file = self.write(tmp_path, "timestamp,SPY\n0,100\n1e300,101\n1,102\n")
+        with pytest.raises(IngestionError, match="bins over a time span of 1e"):
+            ingest_prices(file, frequency=1.0)
+
+    def test_grid_out_of_memory_raises(self, tmp_path, monkeypatch):
+        # 1e11 one-second bins: the grid would take 745 GiB; the allocation
+        # is made to fail here rather than asked for
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "full", out_of_memory)
+        file = self.write(tmp_path, "timestamp,SPY\n0,100\n100000000000,101\n")
+        with pytest.raises(IngestionError, match="100000000001 frequency bins"):
+            ingest_prices(file, frequency=1.0)
+
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, float("nan")])
+    def test_frequency_must_be_positive(self, tmp_path, frequency):
+        file = self.write(tmp_path, "timestamp,SPY\n0,100\n1,101\n")
+        with pytest.raises(ValueError, match="frequency"):
+            ingest_prices(file, frequency=frequency)
+
+
+# a trading day and the four wall-clock edges the session filters test against
+_DAY = 1_672_617_600  # 2023-01-02T00:00:00Z
+_EDGES = (9 * 3600 + 1800, 10 * 3600 + 1800, 15 * 3600, 16 * 3600)
+# fractions of a second within a microsecond of a whole second, and plain ones
+_FRACTIONS = (
+    "", ".5", ".25", ".9999994", ".9999995", ".9999996", ".999999", ".0000004", ".0000005", ".000001"
+)
+
+
+@st.composite
+def price_files(draw):
+    """A price CSV mixing every row the ingester must take or skip, and its chunk size."""
+    n_assets = draw(st.integers(1, 3))
+    edge = _DAY + draw(st.sampled_from(_EDGES))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def stamp():
+        offset = draw(st.one_of(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0]), st.integers(-90, 90)))
+        second = edge + offset + draw(st.sampled_from([0, 0, 0, 5400, -7200]))
+        fraction = draw(st.sampled_from(_FRACTIONS))
+        style = draw(st.sampled_from(["seconds", "seconds", "nanoseconds", "iso", "iso_naive"]))
+        if style == "seconds":
+            return f"{second}{fraction}"
+        if style == "nanoseconds":
+            return str(second * 10**9 + int((fraction or ".0")[1:].ljust(9, "0")[:9]))
+        text = datetime.fromtimestamp(second, tz=timezone.utc).isoformat()
+        text = text[:19] + fraction + text[19:]
+        return text[:-6] if style == "iso_naive" else text
+
+    def price():
+        value = draw(st.sampled_from(["100", "101.5", "99.25", " 100.125 ", "1_00", "1e2", "0.5"]))
+        if draw(st.integers(0, 9)) == 0:
+            value = draw(st.sampled_from(["0", "-3", "inf", "nan", "abc", ""]))
+        return f'"{value}"' if draw(st.booleans()) else value
+
+    lines = draw(st.sampled_from([[], ["# leading comment"]]))
+    header = [draw(st.sampled_from(["timestamp", "Time"]))] + [f"A{j}" for j in range(n_assets)]
+    lines.append(",".join(header))
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["short", "long", "blank", "comment", "bad_stamp"]))
+        cells = [stamp()] + [price() for _ in range(n_assets)]
+        if kind == "short":
+            cells = cells[:-1]
+        elif kind == "long":
+            cells.append("1")
+        elif kind == "bad_stamp":
+            cells[0] = draw(st.sampled_from(["x", "nan", "inf", "", "2023-13-01"]))
+        lines.append({"blank": "", "comment": "# a comment, with a comma"}.get(kind, ",".join(cells)))
+    return newline.join(lines) + newline, draw(st.sampled_from([1, 2, 3, 7, 32_768]))
+
+
+def _edge_case_file():
+    """Rows within a microsecond of every session edge, duplicate stamps, all three formats."""
+    day = _DAY
+    rows = [
+        f"{day + 34199}.9999996,100,\"101.5\"",  # 09:29:59.9999996 rounds into the session
+        f"{day + 34199}.9999994,100,100",  # 09:29:59.999999: still before the open
+        f"{day + 40000},97,97",
+        f"{day + 40000},96, 96 ",  # same stamp, same chunk: the later row wins
+        f"{day + 37799}.9999996,101,101",  # rounds to 10:30:00, the trimmed open
+        "",
+        f"{(day + 40000) * 10**9 + 500_000_000},95,95",  # epoch nanoseconds
+        "2023-01-02T11:06:41+00:00,94,94",  # ISO-8601 sends its chunk cell by cell
+        f"{day + 40001},93",  # short row
+        "nan,1,1",
+        f"{day + 40002},0,5",  # non-positive price
+        f"{day + 53999}.9999994,92,92",  # 14:59:59.999999: inside the trimmed session
+        f"{day + 54000},91,91",  # 15:00:00: the trimmed close
+        f"{day + 57599}.9999994,90,90",  # 15:59:59.999999: inside the session
+        f"{day + 57600},89,89",  # 16:00:00: the close
+    ]
+    return "\r\n".join(["# leading comment", "timestamp,A0,A1", *rows]) + "\r\n", 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    file_and_chunk=price_files(),
+    frequency=st.sampled_from([1.0, 0.5, 7.0]),
+    market_hours=st.booleans(),
+    trim_open_close=st.booleans(),
+)
+@example(file_and_chunk=_edge_case_file(), frequency=1.0, market_hours=True, trim_open_close=False)
+@example(file_and_chunk=_edge_case_file(), frequency=1.0, market_hours=False, trim_open_close=True)
+@example(file_and_chunk=_edge_case_file(), frequency=0.5, market_hours=False, trim_open_close=False)
+def test_ingest_matches_row_loop(tmp_path_factory, file_and_chunk, frequency, market_hours, trim_open_close):
+    text, chunk_rows = file_and_chunk
+    file = tmp_path_factory.mktemp("prices") / "prices.csv"
+    file.write_bytes(text.encode())
+    options = dict(frequency=frequency, market_hours=market_hours, trim_open_close=trim_open_close)
+    try:
+        expected = ingest_prices_loop(file, **options)
+    except IngestionError:
+        expected = None
+    with mock.patch.object(mrc_module, "_CHUNK_ROWS", chunk_rows):
+        if expected is None:
+            with pytest.raises(IngestionError):
+                ingest_prices(file, **options)
+            return
+        got = ingest_prices(file, **options)
+    assert got.skipped_rows == expected.skipped_rows
+    assert got.asset_ids == expected.asset_ids
+    assert got.times.tobytes() == expected.times.tobytes()
+    assert got.log_prices.tobytes() == expected.log_prices.tobytes()

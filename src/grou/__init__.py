@@ -33,12 +33,10 @@ from .errors import (
 from .estimate import (
     EstimationResult,
     ThresholdPolicy,
-    build_h_matrix,
     estimate_drift,
     estimate_mcar,
     estimate_triplet,
     finite_differences,
-    mcar_h_matrix,
     threshold_increments,
 )
 from .forecast import ForecastState, init_state, rolling_forecast

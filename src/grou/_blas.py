@@ -1,12 +1,12 @@
-"""One ordered parallel map whose workers each run on one BLAS thread.
+"""A scope that holds every bundled OpenBLAS at one thread.
 
 numpy and scipy each bundle an OpenBLAS that starts one thread per core.
-The library's matrices are small (tens of rows), so when several pool
-workers call into BLAS at once those threads cost more in hand-off than
-they compute.  While :func:`parallel_map` runs, every bundled OpenBLAS
+The Monte Carlo study and the joint network search make many small fits
+on matrices of tens of rows, where those threads cost more in hand-off
+than they compute.  Inside :func:`one_blas_thread` every bundled OpenBLAS
 that exposes a thread-count control is set to one thread; the previous
-count is restored when the last overlapping map ends.  Where a library or
-symbol is missing, the pin does nothing.
+count is restored when the last overlapping scope ends.  Where a library
+or symbol is missing, the pin does nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import glob
 import importlib
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 # (package, getter, setter) of each bundled OpenBLAS; numpy's is the 64-bit-integer build
@@ -27,7 +26,8 @@ _OPENBLAS_SYMBOLS = (
 )
 
 # The OpenBLAS thread count is global to the process, so the pin's state is too:
-# the first of any overlapping maps saves the counts and the last restores them.
+# the first of any overlapping scopes (from user threads) saves the counts and
+# the last restores them.
 _lock = threading.Lock()
 _depth = 0
 _saved: list = []
@@ -55,7 +55,7 @@ def openblas_controls() -> list:
 
 
 @contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Hold every bundled OpenBLAS at one thread; restore the previous counts on exit."""
     global _depth, _saved
     with _lock:
@@ -73,13 +73,3 @@ def _one_blas_thread():
                 for put, count in _saved:
                     put(count)
 
-
-def parallel_map(fn, items, threads: int) -> list:
-    """``list(map(fn, items))`` on a pool of ``threads`` workers, each on one BLAS thread.
-
-    Results keep the order of ``items``.  The first exception a worker
-    raises propagates once every worker has stopped, and the BLAS thread
-    counts are restored either way.
-    """
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        return list(pool.map(fn, items))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._blas import one_blas_thread
 from .estimate import ThresholdPolicy, estimate_drift, estimate_mcar, estimate_triplet
 from .forecast import one_step_map, system_from_fit
 from .graphs import EdgeGraph, WeightMatrices, complete_graph, weight_matrices
@@ -377,22 +377,20 @@ def _study_one_path(config: StudyConfig, system, path_index: int):
     return fit_and_evaluate(observed, config.n_obs - config.test_size, ctx, config.models)[1]
 
 
-def monte_carlo_study(config: StudyConfig, threads: int = 1) -> list[dict]:
+def monte_carlo_study(config: StudyConfig) -> list[dict]:
     """Aggregate per-model metrics over simulated paths.
 
     Returns one row per model with mean and standard deviation of RMSE,
-    directional accuracy, and total (fit + predict) seconds.  Paths are
-    seeded independently of the path count, so results do not depend on
-    ``threads``.
+    directional accuracy, and total (fit + predict) seconds.  Path ``i`` is
+    seeded from ``(config.seed, i)`` alone, and the paths run on one BLAS
+    thread.
     """
     max_stage = max(max(config.shape[1], default=0), 1)
     weights_full = weight_matrices(config.graph, max_stage)
     system = build_companion(config.params, weights_full)
 
-    def job(i):
-        return _study_one_path(config, system, i)
-
-    all_reports = parallel_map(job, range(config.n_paths), threads)
+    with one_blas_thread():
+        all_reports = [_study_one_path(config, system, i) for i in range(config.n_paths)]
 
     rows = []
     for j, kind in enumerate(config.models):

@@ -56,13 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _thread_count(text):
-    """``--threads`` value: a worker count of at least 1."""
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
-    return int(text)
-
-
 def _seed_from(args, config=None):
     """Seed precedence: flag, then config field, then GROU_SEED, then 0."""
     if getattr(args, "seed", None) is not None:
@@ -359,7 +352,7 @@ def _cmd_benchmark(args):
     doc = _object(doc, f"study config {args.config}")
     seed = _seed_from(args, doc)
     config = _study_from_config(doc, seed)
-    rows = monte_carlo_study(config, threads=args.threads)
+    rows = monte_carlo_study(config)
     header = _config_header({"subcommand": "benchmark", "config_file": args.config,
                              "resolved": doc, "seed": seed})
     study_rows_to_csv(rows, args.out, header_lines=header)
@@ -417,7 +410,6 @@ def _cmd_select(args):
             screen_shape=_parse_shapes([doc.get("screen_shape", [1, [1]])])[0],
             retain=int(doc.get("retain", 50)),
             rng_seed=seed,
-            threads=args.threads,
             **common,
         )
         chosen_cols = _columns_for(outcome.chosen_graph, n_vertices)
@@ -473,9 +465,7 @@ def _cmd_mrc(args):
         trim_open_close=args.trim_open_close,
     )
     cfg = MrcConfig(delta=args.delta, theta=args.theta, is_corr=args.corr)
-    rolling = rolling_mrc(
-        prices, cfg, window=args.window, step=args.step or args.window, threads=args.threads
-    )
+    rolling = rolling_mrc(prices, cfg, window=args.window, step=args.step or args.window)
     config = {
         "subcommand": "mrc",
         "prices": args.prices,
@@ -547,20 +537,17 @@ def _build_parser():
     p = sub.add_parser("benchmark", help="Monte Carlo comparison study")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("select", help="model / joint network+model selection")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("mrc", help="pre-averaged covariance series from prices")
     p.add_argument("--prices", required=True)
-    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.add_argument("--freq", type=float, default=1.0)
     p.add_argument("--window", type=float, default=3600.0)
     p.add_argument("--step", type=float)

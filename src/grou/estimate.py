@@ -23,8 +23,7 @@ between diagonal blocks and dt-weighted sums of ``(A S)[m]`` against
 drift ``H_m = I_K kron x_m``, which gives ``info = S kron (X^T diag(dt) X)``
 and ``score = -vec(S C^T X)``.  For M coarse intervals and a fixed shape
 either costs O(M K^2), where contracting the (M, p, K) stacks costs
-O(M K p^2).  ``build_h_matrix`` and ``mcar_h_matrix`` still assemble the
-stacks, from the same regressor blocks the fits use.
+O(M K p^2).
 
 Jump truncation keeps a component only when the corrected increment stays
 within ``spacing**beta_exp``; admissible exponents depend on whether the
@@ -51,8 +50,6 @@ __all__ = [
     "ThresholdedIncrements",
     "EstimationResult",
     "finite_differences",
-    "build_h_matrix",
-    "mcar_h_matrix",
     "threshold_increments",
     "estimate_drift",
     "estimate_mcar",
@@ -198,7 +195,7 @@ def _regressors(path: SampledPath, weights: WeightMatrices | None, shape):
     the raw values), shape ``(L, M, K)``; ``aggregates`` stacks the
     neighborhood aggregates ``derivs[l - 1] @ W_r^T``, lag by lag and stage
     by stage, shape ``(sum(R), M, K)``.  This is the one definition of the
-    regressors behind both the fits and :func:`build_h_matrix`.
+    regressors behind every fit.
     """
     lags, stages = shape
     stages = tuple(int(r) for r in stages)
@@ -219,51 +216,6 @@ def _regressors(path: SampledPath, weights: WeightMatrices | None, shape):
         derivs[l] @ weights.stage(r).T for l in range(lags) for r in range(1, stages[l] + 1)
     ]
     return derivs, np.array(aggregates).reshape(len(aggregates), points.size, K)
-
-
-def build_h_matrix(path: SampledPath, weights: WeightMatrices | None, shape) -> np.ndarray:
-    """Regressor stacks H_m over the usable coarse points.
-
-    For each coarse point this stacks, lag block by lag block, the K-by-K
-    diagonal of the matching derivative (lag 1 pairs with the highest
-    derivative, lag L with the raw values) followed by one row per
-    neighborhood stage holding the weighted neighborhood aggregate.  Row
-    order matches the flattened parameter vector.
-
-    Returns an array of shape ``(M, p, K)`` with M the number of usable
-    coarse increments.  The fits never form this tensor; they accumulate
-    their statistics from the same regressor blocks.
-    """
-    lags, stages = shape
-    derivs, aggregates = _regressors(path, weights, shape)
-    _, M, K = derivs.shape
-    H = np.zeros((M, lags * K + aggregates.shape[0], K))
-    cols = np.arange(K)
-    row, q = 0, 0
-    for l in range(lags):
-        H[:, row + cols, cols] = derivs[l]
-        row += K
-        for _ in range(int(stages[l])):
-            H[:, row, :] = aggregates[q]
-            row, q = row + 1, q + 1
-    return H
-
-
-def mcar_h_matrix(path: SampledPath, lags: int = 1) -> np.ndarray:
-    """Regressor stacks for an unrestricted (full-matrix) drift, one lag.
-
-    The parameter vector is the row-major flattening of the K-by-K drift
-    coefficient matrix, so ``H_m = I_K kron x_m`` with ``x_m`` the values
-    at the m-th usable coarse point.
-    """
-    if lags != 1:
-        raise ConfigurationError("full-matrix estimation is implemented for one lag")
-    K = path.n_edges
-    vals = _regressors(path, None, (1, (0,)))[0][0]
-    H = np.zeros((vals.shape[0], K * K, K))
-    for a in range(K):
-        H[:, a * K : (a + 1) * K, a] = vals
-    return H
 
 
 @dataclass(frozen=True)

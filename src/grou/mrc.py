@@ -26,9 +26,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import IngestionError
-from .simulate import SampledPath, grid_from_times
+from .simulate import SampledPath, _coarse_ratio, grid_from_times
 
 __all__ = [
     "PriceMatrix",
@@ -190,7 +189,7 @@ class RollingMrc:
         windows are trimmed as needed so the coarse sub-grid stays uniform
         up to the final observation.
         """
-        excess = (self.window_starts.size - 1) % ratio
+        excess = (self.window_starts.size - 1) % _coarse_ratio(ratio)
         values = self.values[excess:]
         times = np.arange(values.shape[0]) * mesh_fine
         grid = grid_from_times(times, ratio=ratio)
@@ -209,8 +208,8 @@ def _window_starts(t0: float, t_end: float, window: float, step: float) -> np.nd
 
 
 # price cells stacked per batch (512 KiB a copy): the kernel makes a few copies
-# of its stack and each pool worker holds one batch, so overlapping windows
-# never copy the price matrix many times over at once
+# of its stack, so bounding the stack keeps overlapping windows from copying
+# the price matrix many times over at once
 _BATCH_CELLS = 1 << 16
 
 
@@ -219,15 +218,12 @@ def rolling_mrc(
     cfg: MrcConfig,
     window: float,
     step: float | None = None,
-    threads: int = 1,
 ) -> RollingMrc:
     """Apply the pre-averaged estimator over rolling time windows.
 
     Windows shorter than the minimum usable row count are skipped with a
     warning.  ``step`` defaults to ``window`` (non-overlapping).  Windows
-    of equal row count are stacked and estimated as one batch; the batches
-    are independent, so ``threads > 1`` maps them onto a worker pool with
-    order-stable results.
+    of equal row count are stacked and estimated in batches.
     """
     if step is None:
         step = window
@@ -239,27 +235,21 @@ def rolling_mrc(
     lo = np.searchsorted(prices.times, starts, side="left")
     counts = np.searchsorted(prices.times, starts + window, side="left") - lo
     d = len(prices.asset_ids)
-    batches = []
+    upper = np.triu_indices(d, k=1)
+    values = np.empty((starts.size, upper[0].size))
+    usable = np.zeros(starts.size, dtype=bool)
     for n in np.unique(counts).tolist():
         try:
             mrc_window_length(n, cfg)
         except ValueError:
             continue
-        members = np.flatnonzero(counts == n)
+        group = np.flatnonzero(counts == n)
         size = max(1, _BATCH_CELLS // (n * d))
-        batches += [members[i : i + size] for i in range(0, members.size, size)]
-
-    upper = np.triu_indices(d, k=1)
-
-    def one(members):
-        rows = lo[members, None] + np.arange(counts[members[0]])
-        return _preaveraged_cov(prices.log_prices[rows], cfg)[:, upper[0], upper[1]]
-
-    values = np.empty((starts.size, upper[0].size))
-    usable = np.zeros(starts.size, dtype=bool)
-    for members, pair_values in zip(batches, parallel_map(one, batches, threads)):
-        values[members] = pair_values
-        usable[members] = True
+        for i in range(0, group.size, size):
+            members = group[i : i + size]
+            rows = lo[members, None] + np.arange(n)
+            values[members] = _preaveraged_cov(prices.log_prices[rows], cfg)[:, upper[0], upper[1]]
+            usable[members] = True
     for start in starts[~usable].tolist():
         warnings.warn(
             f"window starting at {start} has too few observations; skipped",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._blas import one_blas_thread
 from .benchmarks import BenchmarkContext, fit_and_evaluate
 from .errors import GrouError
 # estimate_drift is unused here but stays bound: perfbench's tracer test checks this import site
@@ -174,7 +174,6 @@ def joint_network_model_search(
     policy: ThresholdPolicy | None = None,
     ridge: float | None = None,
     rng_seed: int = 0,
-    threads: int = 1,
 ) -> SelectionOutcome:
     """Joint network and model choice over random candidate graphs.
 
@@ -184,7 +183,8 @@ def joint_network_model_search(
     held-out scoring as :func:`select_model`, its noise triplet estimated
     from its own training head; the best ``retain`` graphs get the full
     shape selection, and the pair with the best accuracy wins (ties by the
-    information criterion, then by candidate index).
+    information criterion, then by candidate index).  The screening runs
+    on one BLAS thread.
     """
     n_pairs = n_vertices * (n_vertices - 1) // 2
     if path.n_edges != n_pairs:
@@ -195,25 +195,23 @@ def joint_network_model_search(
     screen_shape = (int(screen_shape[0]), tuple(int(r) for r in screen_shape[1]))
     n_train = _split_points(path.n_points, eval_fraction)
 
-    graphs = []
-    for i in range(n_candidates):
-        g = random_er_graph(n_vertices, edge_prob, stream_rng(rng_seed, i))
-        graphs.append(g)
+    graphs = [
+        random_er_graph(n_vertices, edge_prob, stream_rng(rng_seed, i)) for i in range(n_candidates)
+    ]
 
-    def screen(i):
-        g = graphs[i]
-        if g.n_edges == 0:
-            return None
-        sub = path.select_columns(_columns_for(g, n_vertices))
-        try:
-            weights = weight_matrices(g, max(max(screen_shape[1], default=0), 1))
-            acc, _ = _score_shape(sub, weights, screen_shape, n_train, None, policy, ridge)
-        except (GrouError, np.linalg.LinAlgError) as exc:
-            warnings.warn(f"candidate {i} skipped in screening: {exc}", stacklevel=2)
-            return None
-        return (acc, i)
-
-    screened = [s for s in parallel_map(screen, range(n_candidates), threads) if s is not None]
+    screened = []
+    with one_blas_thread():
+        for i, g in enumerate(graphs):
+            if g.n_edges == 0:
+                continue
+            sub = path.select_columns(_columns_for(g, n_vertices))
+            try:
+                weights = weight_matrices(g, max(max(screen_shape[1], default=0), 1))
+                acc, _ = _score_shape(sub, weights, screen_shape, n_train, None, policy, ridge)
+            except (GrouError, np.linalg.LinAlgError) as exc:
+                warnings.warn(f"candidate {i} skipped in screening: {exc}", stacklevel=2)
+                continue
+            screened.append((acc, i))
     if not screened:
         raise GrouError("no candidate network survived screening")
     screened.sort(key=lambda s: (-s[0], s[1]))

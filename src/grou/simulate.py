@@ -116,17 +116,24 @@ class TwoScaleGrid:
         return max(1, int(round(self.mesh_coarse / self.mesh_fine)))
 
 
+def _coarse_ratio(ratio) -> int:
+    """``ratio`` as a whole coarse/fine step ratio; below 1 is a ``ValueError``."""
+    if int(ratio) < 1:
+        raise ValueError(f"ratio must be >= 1, got {ratio}")
+    return int(ratio)
+
+
 def make_uniform_grids(t_end: float, mesh_fine: float, ratio: int) -> TwoScaleGrid:
     """Uniform fine grid of step ``mesh_fine``; coarse keeps every ratio-th point.
 
     The horizon is snapped *up* to the nearest whole coarse step so both
     grids share their final point.
     """
-    if mesh_fine <= 0:
-        raise ValueError("mesh_fine must be positive")
-    ratio = int(ratio)
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0 < mesh_fine < np.inf:
+        raise ValueError(f"mesh_fine must be positive and finite, got {mesh_fine}")
+    ratio = _coarse_ratio(ratio)
     coarse_step = mesh_fine * ratio
     n_coarse = max(1, int(np.ceil(t_end / coarse_step - 1e-9)))
     n_fine = n_coarse * ratio
@@ -157,7 +164,7 @@ def grid_from_times(times, ratio: int = 1) -> TwoScaleGrid:
     """
     times = np.asarray(times, dtype=float)
     shifted = times - times[0]
-    idx = list(range(0, times.size, int(ratio)))
+    idx = list(range(0, times.size, _coarse_ratio(ratio)))
     if idx[-1] != times.size - 1:
         idx.append(times.size - 1)
     return TwoScaleGrid(fine=shifted, coarse_idx=np.asarray(idx))

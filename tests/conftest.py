@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from grou._parallel import openblas_controls
+from grou._blas import openblas_controls
 from grou.benchmarks import directional_accuracy
-from grou.estimate import estimate_drift
+from grou.estimate import _regressors, estimate_drift
 from grou.forecast import rolling_forecast
 from grou.graphs import random_er_graph, weight_matrices
 from grou.errors import IngestionError
@@ -44,6 +44,45 @@ def draw_hurwitz_system(rng, max_edges=5, max_lags=3):
         if is_hurwitz(system):
             return graph, weights, params, system
     raise RuntimeError("failed to draw a Hurwitz system")
+
+
+def build_h_matrix(path, weights, shape):
+    """Dense regressor stacks ``H_m`` over the usable coarse points, shape ``(M, p, K)``.
+
+    For each coarse point this stacks, lag block by lag block, the K-by-K
+    diagonal of the matching derivative (lag 1 pairs with the highest
+    derivative, lag L with the raw values) followed by one row per
+    neighborhood stage holding the weighted neighborhood aggregate.  Row
+    order matches the flattened parameter vector.  The fits never form
+    this tensor; it is the oracle for the structured statistics.
+    """
+    lags, stages = shape
+    derivs, aggregates = _regressors(path, weights, shape)
+    _, M, K = derivs.shape
+    H = np.zeros((M, lags * K + aggregates.shape[0], K))
+    cols = np.arange(K)
+    row, q = 0, 0
+    for l in range(lags):
+        H[:, row + cols, cols] = derivs[l]
+        row += K
+        for _ in range(int(stages[l])):
+            H[:, row, :] = aggregates[q]
+            row, q = row + 1, q + 1
+    return H
+
+
+def mcar_h_matrix(path):
+    """Dense regressor stacks for an unrestricted one-lag drift: ``H_m = I_K kron x_m``.
+
+    The parameter vector is the row-major flattening of the K-by-K drift
+    coefficient matrix, ``x_m`` the values at the m-th usable coarse point.
+    """
+    K = path.n_edges
+    vals = _regressors(path, None, (1, (0,)))[0][0]
+    H = np.zeros((vals.shape[0], K * K, K))
+    for a in range(K):
+        H[:, a * K : (a + 1) * K, a] = vals
+    return H
 
 
 def dense_statistics(H, increments, spacings, sigma_w):
@@ -295,6 +334,28 @@ def ingest_prices_loop(file, frequency=1.0, market_hours=False, trim_open_close=
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def blas_counts(controls):
+    return [get() for get, _ in controls]
+
+
+def set_blas_threads(controls, count):
+    for _, put in controls:
+        put(count)
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every bundled OpenBLAS set to 2 threads for the test, then put back."""
+    controls = openblas_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS exposes a thread-count control")
+    saved = blas_counts(controls)
+    set_blas_threads(controls, 2)
+    yield controls
+    for (_, put), count in zip(controls, saved):
+        put(count)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import set_blas_threads
 
 from grou.benchmarks import (
     BenchmarkContext,
@@ -172,12 +173,19 @@ class TestStudy:
         rows = monte_carlo_study(config)
         assert np.isfinite(rows[1]["diracc_mean"])
 
-    def test_thread_invariance(self):
-        config = predictive_study_config(
-            sigma2=1.0, n_paths=4, seed=5, n_obs=400, test_size=100, models=("NA", "AR", "GROU")
-        )
-        seq = monte_carlo_study(config, threads=1)
-        par = monte_carlo_study(config, threads=3)
-        for a, b in zip(seq, par):
-            assert a["rmse_mean"] == b["rmse_mean"]
-            assert a["diracc_mean"] == b["diracc_mean"]
+    def test_thread_invariance(self, blas_at_two):
+        """The rows do not depend on the BLAS thread count the caller left.
+
+        At the full 2,187-point size the GROU RMSE of seed 0's path 1 differs
+        in its last bit between one and two BLAS threads, so this holds only
+        because the study runs its paths on one BLAS thread.
+        """
+        config = predictive_study_config(n_paths=2, seed=0)
+        assert config.n_obs == 2187
+
+        def figures(rows):
+            return [{k: v for k, v in row.items() if not k.startswith("time_")} for row in rows]
+
+        at_two = figures(monte_carlo_study(config))
+        set_blas_threads(blas_at_two, 1)
+        assert figures(monte_carlo_study(config)) == at_two

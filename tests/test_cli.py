@@ -432,6 +432,28 @@ class TestHyphenatedTickers:
         assert json.loads(out.read_text())["chosen"]["shape"]["L"] == 1
 
 
+class TestGridArguments:
+    @pytest.mark.parametrize("t_end", ["0", "-5"])
+    def test_simulate_horizon_not_positive_exit_1(self, workdir, t_end, capsys):
+        args = simulate_args(workdir)
+        args[args.index("--t-end") + 1] = t_end
+        assert run(args) == 1
+        assert "t_end must be positive" in capsys.readouterr().err
+        assert not (workdir / "path.csv").exists()
+
+    @pytest.mark.parametrize("ratio", ["0", "-1"])
+    @pytest.mark.parametrize("subcommand", ["estimate", "forecast"])
+    def test_path_ratio_below_one_exit_1(self, workdir, subcommand, ratio, capsys):
+        assert run(simulate_args(workdir)) == 0
+        capsys.readouterr()
+        args = [subcommand, "--path", str(workdir / "path.csv"), "--ratio", ratio,
+                "--out", str(workdir / "out")]
+        if subcommand == "forecast":
+            args += ["--fit", str(workdir / "report.json")]
+        assert run(args) == 1
+        assert f"ratio must be >= 1, got {ratio}" in capsys.readouterr().err
+
+
 def _config_fault(workdir, name):
     """Write one malformed config; return its argv and the text the error must name."""
     if name == "scenario":
@@ -459,6 +481,9 @@ def _config_fault(workdir, name):
     if name == "graph_vertex":
         graph = {"n_vertices": 4, "edges": [[0, 1], [0, 3]]}
         needle = "(0, 3)"
+    elif name.startswith("select_ratio"):
+        config["ratio"] = {"select_ratio_zero": 0, "select_ratio_negative": -1}[name]
+        needle = f"ratio must be >= 1, got {config['ratio']}"
     else:
         config["shapes"] = {
             "shape_one_item": [[1]],
@@ -485,11 +510,13 @@ class TestUsage:
             "study_scenario",
             "study_missing_edge",
             "select_not_object",
+            "select_ratio_zero",
+            "select_ratio_negative",
         ],
     )
     def test_config_fault_is_usage_error(self, workdir, name, capsys):
         argv, needle = _config_fault(workdir, name)
-        assert run([*argv, "--out", str(workdir / "out"), "--threads", "1"]) == 1
+        assert run([*argv, "--out", str(workdir / "out")]) == 1
         assert needle in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
@@ -507,10 +534,8 @@ class TestUsage:
             ["mrc", "--prices", "prices.csv"],
         ],
     )
-    def test_threads_below_one_is_usage_error(self, argv, threads, monkeypatch, capsys):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr("grou._parallel.ThreadPoolExecutor", no_pool)
+    def test_threads_below_one_is_usage_error(self, argv, threads, capsys):
+        """The subcommands run serially and take no ``--threads``: any value,
+        these included, is an unknown flag."""
         assert run([*argv, "--out", "out", "--threads", threads]) == 1
-        assert "--threads" in capsys.readouterr().err
+        assert f"unrecognized arguments: --threads {threads}" in capsys.readouterr().err

@@ -11,13 +11,11 @@ from grou.benchmarks import predictive_study_config
 from grou.errors import ConfigurationError, EstimationError, SingularityError
 from grou.estimate import (
     ThresholdPolicy,
-    build_h_matrix,
     estimate_drift,
     estimate_mcar,
     estimate_triplet,
     finite_differences,
     grid_diagnostics,
-    mcar_h_matrix,
     threshold_increments,
     _coarse_increments,
     _working_covariance,
@@ -27,7 +25,7 @@ from grou.model import GrouParams, build_companion
 from grou.noise import CompoundPoissonJumps, LevySpec
 from grou.simulate import SampledPath, grid_from_times, make_uniform_grids, simulate_path
 
-from conftest import dense_statistics
+from conftest import build_h_matrix, dense_statistics, mcar_h_matrix
 
 
 def scalar_system(rate=2.0):

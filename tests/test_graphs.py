@@ -81,6 +81,21 @@ class TestEdgeGraph:
         doc = json.loads(g.to_json())
         assert set(doc) == {"n_vertices", "directed", "edges"}
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=7), st.booleans(), st.data())
+    def test_json_round_trip_property(self, n_vertices, directed, data):
+        make_pairs = itertools.permutations if directed else itertools.combinations
+        pairs = list(make_pairs(range(n_vertices), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        # undirected edges may be written in either orientation
+        written = [
+            (j, i) if not directed and data.draw(st.booleans()) else (i, j) for i, j in edges
+        ]
+        g = EdgeGraph(n_vertices, written, directed=directed)
+        back = EdgeGraph.from_json(g.to_json())
+        assert back == g
+        assert back.edges == tuple(edges) and back.directed is directed
+
 
 class TestEdgeNeighbors:
     def test_path_graph_stage_one(self):

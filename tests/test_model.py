@@ -113,6 +113,23 @@ class TestParams:
         np.testing.assert_array_equal(params2.alpha, params.alpha)
         np.testing.assert_array_equal(params2.beta[0], params.beta[0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_json_round_trip_property(self, data):
+        # stage counts of zero give lags without a network term
+        lags = data.draw(st.integers(min_value=1, max_value=4))
+        n_edges = data.draw(st.integers(min_value=1, max_value=6))
+        stages = data.draw(st.lists(st.integers(0, 3), min_size=lags, max_size=lags))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        params = GrouParams(
+            data.draw(arrays(float, (lags, n_edges), elements=finite)),
+            tuple(data.draw(arrays(float, r, elements=finite)) for r in stages),
+        )
+        back = GrouParams.from_json(params.to_json())
+        assert back.stages == tuple(stages)
+        assert back.alpha.tobytes() == params.alpha.tobytes()
+        assert [b.tobytes() for b in back.beta] == [b.tobytes() for b in params.beta]
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             GrouParams(np.array([[1.0]]), (np.empty(0), np.empty(0)))

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import ingest_prices_loop
+from conftest import ingest_prices_loop, set_blas_threads
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -195,6 +195,12 @@ class TestRollingMrc:
         assert out.skipped_windows == 2
         np.testing.assert_array_equal(out.window_starts, [0.0, 300.0])
 
+    @pytest.mark.parametrize("ratio", [0, -1])
+    def test_to_path_ratio_below_one_rejected(self, ratio):
+        out = rolling_mrc(self.make_prices(), MrcConfig(), window=100.0)
+        with pytest.raises(ValueError, match=f"ratio must be >= 1, got {ratio}"):
+            out.to_path(ratio=ratio)
+
     def test_to_path_grid(self):
         pm = self.make_prices(n=4000)
         out = rolling_mrc(pm, MrcConfig(), window=100.0)
@@ -207,16 +213,17 @@ class TestRollingMrc:
         assert path.grid.uniformity_coarse == pytest.approx(1.0)
         assert path.labels == out.pair_labels
 
-    def test_thread_invariance(self):
-        pm = self.make_prices(n=4000)
-        seq = rolling_mrc(pm, MrcConfig(), window=200.0)
-        par = rolling_mrc(pm, MrcConfig(), window=200.0, threads=4)
-        np.testing.assert_array_equal(seq.values, par.values)
-        np.testing.assert_array_equal(seq.window_starts, par.window_starts)
+    def test_thread_invariance(self, blas_at_two):
+        """rolling_mrc runs at the caller's BLAS thread count; its values do not depend on it."""
+        pm = self.make_prices(n=4000, d=8)
+        at_two = rolling_mrc(pm, MrcConfig(), window=200.0, step=50.0)
+        set_blas_threads(blas_at_two, 1)
+        at_one = rolling_mrc(pm, MrcConfig(), window=200.0, step=50.0)
+        assert at_one.values.tobytes() == at_two.values.tobytes()
+        np.testing.assert_array_equal(at_one.window_starts, at_two.window_starts)
 
     @pytest.mark.parametrize("is_corr", [False, True])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_batched_equals_per_window_loop(self, is_corr, threads, monkeypatch):
+    def test_batched_equals_per_window_loop(self, is_corr, monkeypatch):
         # irregular ticks give windows of many row counts, regular ticks one
         # large group of equal count; a long gap and a sparse stretch give
         # windows with too few rows; the small batch cap splits the groups
@@ -234,7 +241,7 @@ class TestRollingMrc:
         window, step = 40.0, 15.0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = rolling_mrc(pm, cfg, window=window, step=step, threads=threads)
+            out = rolling_mrc(pm, cfg, window=window, step=step)
 
         slack = float(np.median(np.diff(times)))
         candidates = _window_starts(times[0], times[-1] + slack + 1e-9, window, step)

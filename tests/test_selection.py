@@ -177,7 +177,7 @@ class TestJointSearch:
         path, n_vertices = self.make_pair_panel(seed=1)
         kwargs = dict(shapes=[(1, (1,))], n_candidates=6, retain=3, rng_seed=21)
         a = joint_network_model_search(path, n_vertices, **kwargs)
-        b = joint_network_model_search(path, n_vertices, threads=3, **kwargs)
+        b = joint_network_model_search(path, n_vertices, **kwargs)
         assert a.chosen.graph_ref == b.chosen.graph_ref
         assert a.chosen.dir_acc == b.chosen.dir_acc
         assert a.chosen_graph == b.chosen_graph

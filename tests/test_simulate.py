@@ -92,6 +92,20 @@ class TestGrids:
         with pytest.raises(ValueError):
             grid_from_times([0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("ratio", [0, -1])
+    def test_ratio_below_one_rejected(self, ratio):
+        with pytest.raises(ValueError, match=f"ratio must be >= 1, got {ratio}"):
+            grid_from_times([0.0, 1.0, 2.0], ratio=ratio)
+        with pytest.raises(ValueError, match=f"ratio must be >= 1, got {ratio}"):
+            make_uniform_grids(1.0, 0.1, ratio)
+
+    @pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
+    def test_horizon_and_mesh_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            make_uniform_grids(value, 0.1, 1)
+        with pytest.raises(ValueError, match="mesh_fine must be positive and finite"):
+            make_uniform_grids(1.0, value, 1)
+
 
 class TestSimulatePath:
     def test_zero_noise_is_matrix_exponential_flow(self):

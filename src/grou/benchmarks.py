@@ -49,17 +49,17 @@ MODEL_KINDS = ("NA", "AR", "VAR", "GNAR", "OU", "MCAR", "GROU")
 class BenchmarkContext:
     """Shared inputs for fitting the model zoo on one training set.
 
-    ``triplet`` None means each continuous-time fit first estimates the
-    driving noise from the training data (shared across those fits).
+    ``weights`` are the network's neighborhood matrices: GNAR uses stage 1,
+    grOU the stages ``shape`` asks for.  ``triplet`` None means each
+    continuous-time fit first estimates the driving noise from the training
+    data (shared across those fits).  The OU and grOU fits take the
+    automatic ridge, the MCAR fit a fixed trace-scaled one.
     """
 
-    graph: EdgeGraph | None = None
     weights: WeightMatrices | None = None
     shape: tuple = (1, (1,))
     triplet: LevySpec | None = None
     policy: ThresholdPolicy | None = None
-    ridge: float | None = None
-    gnar_stages: int = 1
 
 
 @dataclass(frozen=True)
@@ -133,25 +133,21 @@ def _fit_var(train, ctx):
 
 
 def _fit_gnar(train, ctx):
-    """Least squares with per-edge own-lag and shared neighborhood effects."""
+    """Least squares with per-edge own-lag and one shared stage-1 neighborhood effect."""
     if ctx.weights is None:
         raise ValueError("GNAR needs neighborhood weight matrices")
     y = train.values
     T1, K = y.shape[0] - 1, train.n_edges
-    R = ctx.gnar_stages
+    w1 = ctx.weights.stage(1)
     lagged = y[:-1]
-    design = np.zeros((T1 * K, K + R))
+    design = np.zeros((T1 * K, K + 1))
     target = y[1:].reshape(-1)
     for k in range(K):
         design[k::K, k] = lagged[:, k]
-    aggregates = [lagged @ ctx.weights.stage(r).T for r in range(1, R + 1)]
-    for r, agg in enumerate(aggregates):
-        design[:, K + r] = agg.reshape(-1)
+    design[:, K] = (lagged @ w1.T).reshape(-1)
     coef = _ols(design, target)
     alphas, betas = coef[:K], coef[K:]
-    gain = np.diag(alphas)
-    for r in range(R):
-        gain = gain + betas[r] * ctx.weights.stage(r + 1)
+    gain = np.diag(alphas) + betas[0] * w1
     return np.zeros(K), gain, {"alpha": alphas, "beta": betas}
 
 
@@ -171,9 +167,7 @@ def _continuous_map(train, fitted, weights):
 def _fit_ou(train, ctx):
     triplet = _shared_triplet(train, ctx)
     lags = ctx.shape[0]
-    fitted = estimate_drift(
-        train, None, (lags, [0] * lags), triplet, ctx.policy, ridge=ctx.ridge
-    )
+    fitted = estimate_drift(train, None, (lags, [0] * lags), triplet, ctx.policy)
     const, gain = _continuous_map(train, fitted, None)
     return const, gain, fitted
 
@@ -185,16 +179,14 @@ _MCAR_RIDGE_SCALE = 0.02
 
 def _fit_mcar(train, ctx):
     triplet = _shared_triplet(train, ctx)
-    fitted = estimate_mcar(
-        train, triplet, ctx.policy, ridge=ctx.ridge, ridge_scale=_MCAR_RIDGE_SCALE
-    )
+    fitted = estimate_mcar(train, triplet, ctx.policy, ridge_scale=_MCAR_RIDGE_SCALE)
     const, gain = _continuous_map(train, fitted, None)
     return const, gain, fitted
 
 
 def _fit_grou(train, ctx):
     triplet = _shared_triplet(train, ctx)
-    fitted = estimate_drift(train, ctx.weights, ctx.shape, triplet, ctx.policy, ridge=ctx.ridge)
+    fitted = estimate_drift(train, ctx.weights, ctx.shape, triplet, ctx.policy)
     const, gain = _continuous_map(train, fitted, ctx.weights)
     return const, gain, fitted
 
@@ -294,6 +286,8 @@ class StudyConfig:
     ``scenario`` is "correct" or ("missing_edge", vertex-pair): the path is
     always simulated from the full graph, and a missing-edge scenario drops
     that edge (column and network node) from everything the models see.
+    The driving noise is estimated from each path's training section, with
+    the default threshold policy.
     """
 
     graph: EdgeGraph
@@ -308,9 +302,6 @@ class StudyConfig:
     models: tuple = MODEL_KINDS
     scenario: object = "correct"
     seed: int = 0
-    policy: ThresholdPolicy | None = None
-    triplet: LevySpec | None = None
-    ridge: float | None = None
 
 
 def predictive_study_config(
@@ -349,28 +340,15 @@ def _study_one_path(config: StudyConfig, system, path_index: int):
 
     if config.scenario == "correct":
         graph_fit, fit_path = config.graph, path
-        triplet = config.triplet
     else:
         kind, edge = config.scenario
         if kind != "missing_edge":
             raise ValueError(f"unknown scenario {config.scenario!r}")
-        col = config.graph.edge_index(edge)
         graph_fit = config.graph.drop_edge(edge)
-        fit_path = path.drop_columns([col])
-        triplet = config.triplet
-        if triplet is not None:
-            keep = [k for k in range(config.graph.n_edges) if k != col]
-            triplet = triplet.select_components(keep)
+        fit_path = path.drop_columns([config.graph.edge_index(edge)])
 
     max_stage = max(max(config.shape[1], default=0), 1)
-    ctx = BenchmarkContext(
-        graph=graph_fit,
-        weights=weight_matrices(graph_fit, max_stage),
-        shape=config.shape,
-        triplet=triplet,
-        policy=config.policy,
-        ridge=config.ridge,
-    )
+    ctx = BenchmarkContext(weights=weight_matrices(graph_fit, max_stage), shape=config.shape)
     # the grid's horizon is snapped up to a whole coarse step, so the path
     # may run past n_obs; the study scores the test_size points before n_obs
     observed = fit_path.section(0, config.n_obs)

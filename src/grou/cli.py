@@ -30,7 +30,7 @@ from .benchmarks import (
     predictive_study_config,
     study_rows_to_csv,
 )
-from .errors import GrouError
+from .errors import ConfigurationError, GrouError
 from .estimate import ThresholdPolicy, estimate_drift, estimate_triplet
 from .forecast import one_step_map, rolling_forecast, system_from_fit, write_forecast_csv
 from .graphs import EdgeGraph, weight_matrices
@@ -273,6 +273,7 @@ def _cmd_forecast(args):
     config = {
         "subcommand": "forecast",
         "path": args.path,
+        "ratio": args.ratio,
         "fit": args.fit,
         "graph": args.graph,
         "horizon": args.horizon,
@@ -438,7 +439,7 @@ def _cmd_select(args):
 def _final_table(path, outcome, cols, n_train, policy):
     graph, shape = outcome.chosen_graph, outcome.chosen.shape
     weights = weight_matrices(graph, max(max(shape[1], default=0), 1))
-    ctx = BenchmarkContext(graph=graph, weights=weights, shape=shape, policy=policy)
+    ctx = BenchmarkContext(weights=weights, shape=shape, policy=policy)
     _, reports = fit_and_evaluate(path.select_columns(cols), n_train, ctx, MODEL_KINDS)
     lags, stages = shape
     table = []
@@ -569,6 +570,11 @@ def run(argv) -> int:
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except ConfigurationError as exc:
+        # before GrouError: a shape, graph or edge count that disagrees with
+        # the fit is a fault in the inputs, not a numerical failure
+        print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (GrouError, np.linalg.LinAlgError) as exc:
         # before ValueError: LinAlgError subclasses it, but is a numerical error

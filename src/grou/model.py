@@ -239,10 +239,10 @@ def build_companion(params: GrouParams, weights: WeightMatrices | None) -> Compa
     )
 
 
-def is_hurwitz(system: CompanionSystem, margin: float = HURWITZ_MARGIN) -> bool:
-    """True iff every transition eigenvalue has real part below ``-margin``."""
+def is_hurwitz(system: CompanionSystem) -> bool:
+    """True iff every transition eigenvalue has real part below ``-HURWITZ_MARGIN``."""
     eig = np.linalg.eigvals(system.transition)
-    return bool(np.max(eig.real) < -margin)
+    return bool(np.max(eig.real) < -HURWITZ_MARGIN)
 
 
 def spectral_abscissa(system: CompanionSystem) -> float:

@@ -145,14 +145,6 @@ class LevySpec:
         """Jump activity class: 'finite' or 'infinite'."""
         return "infinite" if isinstance(self.jumps, SymmetricGammaJumps) else "finite"
 
-    def select_components(self, keep) -> "LevySpec":
-        """Restriction of the noise to a subset of components."""
-        keep = np.asarray(keep, dtype=int)
-        jumps = self.jumps
-        if isinstance(jumps, CompoundPoissonJumps):
-            jumps = CompoundPoissonJumps(jumps.rate, jumps.jump_cov[np.ix_(keep, keep)])
-        return LevySpec(self.drift[keep], self.brownian_cov[np.ix_(keep, keep)], jumps)
-
     def to_json(self) -> str:
         if self.jumps is None:
             jd = {"type": "none"}

@@ -25,7 +25,7 @@ from .errors import GrouError
 # estimate_drift is unused here but stays bound: perfbench's tracer test checks this import site
 from .estimate import EstimationResult, ThresholdPolicy, _bic, estimate_drift, estimate_triplet
 from .graphs import EdgeGraph, pair_order, random_er_graph, weight_matrices
-from .noise import LevySpec, stream_rng
+from .noise import stream_rng
 from .simulate import SampledPath
 
 __all__ = [
@@ -92,11 +92,9 @@ def _split_points(n_points: int, eval_fraction: float):
     return n_train
 
 
-def _score_shape(path, weights, shape, n_train, triplet, policy, ridge):
+def _score_shape(path, weights, shape, n_train, triplet, policy):
     """Held-out directional accuracy and information criterion of one grOU shape."""
-    context = BenchmarkContext(
-        weights=weights, shape=shape, triplet=triplet, policy=policy, ridge=ridge
-    )
+    context = BenchmarkContext(weights=weights, shape=shape, triplet=triplet, policy=policy)
     (model,), (report,) = fit_and_evaluate(path, n_train, context, kinds=("GROU",))
     return report.dir_acc, bic(model.detail)
 
@@ -113,9 +111,7 @@ def select_model(
     candidate_shapes,
     tolerance: float = 1e-2,
     eval_fraction: float = 0.2,
-    triplet: LevySpec | None = None,
     policy: ThresholdPolicy | None = None,
-    ridge: float | None = None,
     graph_ref="given",
 ) -> SelectionOutcome:
     """Pick a model shape for a fixed network.
@@ -125,9 +121,10 @@ def select_model(
     out), scored by directional accuracy of one-step forecasts over the
     held-out tail at the training section's fine mesh.  Among candidates
     within ``tolerance`` of the best accuracy the lowest information
-    criterion is chosen.  A missing ``triplet`` is estimated once from the
-    head and shared by every shape.  Candidates whose fit fails are skipped
-    with a warning.
+    criterion is chosen.  The noise triplet is estimated once from the
+    head (under ``policy``) and shared by every shape; every drift fit takes
+    the automatic ridge.  Candidates whose fit fails are skipped with a
+    warning.
     """
     shapes = [(int(l), tuple(int(r) for r in rs)) for l, rs in candidate_shapes]
     if not shapes:
@@ -135,12 +132,11 @@ def select_model(
     max_stage = max((max(rs, default=0) for _, rs in shapes), default=0)
     weights = weight_matrices(graph, max(max_stage, 1))
     n_train = _split_points(path.n_points, eval_fraction)
-    if triplet is None:
-        triplet = estimate_triplet(path.section(0, n_train), policy)
+    triplet = estimate_triplet(path.section(0, n_train), policy)
     scores = []
     for shape in shapes:
         try:
-            acc, crit = _score_shape(path, weights, shape, n_train, triplet, policy, ridge)
+            acc, crit = _score_shape(path, weights, shape, n_train, triplet, policy)
         except (GrouError, np.linalg.LinAlgError) as exc:
             warnings.warn(f"shape {shape} skipped: {exc}", stacklevel=2)
             continue
@@ -172,7 +168,6 @@ def joint_network_model_search(
     tolerance: float = 1e-2,
     eval_fraction: float = 0.2,
     policy: ThresholdPolicy | None = None,
-    ridge: float | None = None,
     rng_seed: int = 0,
 ) -> SelectionOutcome:
     """Joint network and model choice over random candidate graphs.
@@ -207,7 +202,7 @@ def joint_network_model_search(
             sub = path.select_columns(_columns_for(g, n_vertices))
             try:
                 weights = weight_matrices(g, max(max(screen_shape[1], default=0), 1))
-                acc, _ = _score_shape(sub, weights, screen_shape, n_train, None, policy, ridge)
+                acc, _ = _score_shape(sub, weights, screen_shape, n_train, None, policy)
             except (GrouError, np.linalg.LinAlgError) as exc:
                 warnings.warn(f"candidate {i} skipped in screening: {exc}", stacklevel=2)
                 continue
@@ -230,7 +225,6 @@ def joint_network_model_search(
                 tolerance=tolerance,
                 eval_fraction=eval_fraction,
                 policy=policy,
-                ridge=ridge,
                 graph_ref=i,
             )
         except GrouError as exc:

@@ -21,14 +21,13 @@ plain stepping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .model import (
     CompanionSystem,
-    GrouParams,
     cov_integral,
     drift_integral,
     spectral_abscissa,
@@ -57,6 +56,9 @@ __all__ = [
 
 BURN_IN_RELAXATION = 5.0
 _BURN_IN_STEPS = 64
+# exponents of power_law_grids' fine and coarse meshes
+FINE_POWER = 6.0
+COARSE_POWER = 2.0
 
 
 @dataclass(frozen=True)
@@ -141,16 +143,14 @@ def make_uniform_grids(t_end: float, mesh_fine: float, ratio: int) -> TwoScaleGr
     return TwoScaleGrid(fine=fine, coarse_idx=np.arange(0, n_fine + 1, ratio))
 
 
-def power_law_grids(
-    t_end: float, fine_power: float = 6.0, coarse_power: float = 2.0, mesh_cap: float = 2.0**-14
-) -> TwoScaleGrid:
-    """Grids with meshes ``t^-fine_power`` and ``t^-coarse_power``.
+def power_law_grids(t_end: float, mesh_cap: float = 2.0**-14) -> TwoScaleGrid:
+    """Grids with meshes ``t^-FINE_POWER`` and ``t^-COARSE_POWER``.
 
     ``mesh_cap`` bounds how fine the observation grid may get for large
     horizons.  The grid ratio is rounded to an integer.
     """
-    mesh_fine = max(t_end**-fine_power, mesh_cap)
-    mesh_coarse = t_end**-coarse_power
+    mesh_fine = max(t_end**-FINE_POWER, mesh_cap)
+    mesh_coarse = t_end**-COARSE_POWER
     ratio = max(1, int(round(mesh_coarse / mesh_fine)))
     return make_uniform_grids(t_end, mesh_fine, ratio)
 
@@ -174,9 +174,7 @@ def grid_from_times(times, ratio: int = 1) -> TwoScaleGrid:
 class PathTruth:
     """Ground truth attached to simulated paths (never present for data)."""
 
-    params: GrouParams | None
     noise: LevySpec
-    seed: object
     init_state: np.ndarray
     arrival_times: np.ndarray | None = None
     arrival_sizes: np.ndarray | None = None
@@ -213,21 +211,14 @@ class SampledPath:
         return self.values.shape[1]
 
     def section(self, start: int, stop: int) -> "SampledPath":
-        """Sub-path over fine indices ``[start, stop)``, re-anchored at time 0."""
+        """Sub-path over fine indices ``[start, stop)``, re-anchored at time 0.
+
+        Like :meth:`select_columns`, the sub-path carries no truth.
+        """
         if not (0 <= start < stop <= self.n_points) or stop - start < 2:
             raise ValueError(f"invalid section [{start}, {stop})")
-        times = self.grid.fine[start:stop]
-        grid = grid_from_times(times, ratio=self.grid.ratio)
-        truth = self.truth
-        if truth is not None:
-            arr_t, arr_s = truth.arrival_times, truth.arrival_sizes
-            if arr_t is not None:
-                keep = (arr_t >= times[0]) & (arr_t <= times[-1])
-                arr_t, arr_s = arr_t[keep] - times[0], arr_s[keep]
-            truth = replace(truth, arrival_times=arr_t, arrival_sizes=arr_s)
-        return SampledPath(
-            grid=grid, values=self.values[start:stop], labels=self.labels, truth=truth
-        )
+        grid = grid_from_times(self.grid.fine[start:stop], ratio=self.grid.ratio)
+        return SampledPath(grid=grid, values=self.values[start:stop], labels=self.labels)
 
     def drop_columns(self, cols) -> "SampledPath":
         """Remove edge columns (used for misspecified-network experiments)."""
@@ -251,7 +242,6 @@ def simulate_path(
     grid: TwoScaleGrid,
     init="stationary",
     rng_seed=0,
-    burn_in: bool = True,
 ) -> SampledPath:
     """Simulate the edge process on ``grid.fine``.
 
@@ -259,10 +249,10 @@ def simulate_path(
     ----------
     init : "stationary" or array of length dim
         Stationary initialization draws the state from a Gaussian with the
-        exact stationary mean and covariance and (by default) applies a
-        burn-in of ``5 / |max real eigenvalue|`` time units, taken in 64
-        exact steps in every regime, to wash out the non-Gaussian
-        correction; an explicit state vector skips burn-in.
+        exact stationary mean and covariance and applies a burn-in of
+        ``5 / |max real eigenvalue|`` time units, taken in 64 exact steps
+        in every regime, to wash out the non-Gaussian correction; an
+        explicit state vector skips burn-in.
     rng_seed : int or Generator
         Sub-streams for the initial state, the path's noise and the burn-in
         are derived separately; each draws its Gaussian block before its
@@ -282,26 +272,18 @@ def simulate_path(
             raise ValueError(f"unknown init mode {init!r}")
         moments = stationary_moments(system, noise)
         x0 = moments.state_mean + psd_factor(moments.state_cov) @ rng_init.standard_normal(dim)
-        if burn_in:
-            # the exact step takes any spacing: the same cost in every regime
-            # and at any Hurwitz margin
-            relax = BURN_IN_RELAXATION / abs(spectral_abscissa(system))
-            burn_times = np.linspace(0.0, relax, _BURN_IN_STEPS + 1)
-            x0 = _state_path(system, noise, burn_times, x0, rng_burn)[0][-1].copy()
+        # the exact step takes any spacing: the same cost in every regime
+        # and at any Hurwitz margin
+        relax = BURN_IN_RELAXATION / abs(spectral_abscissa(system))
+        burn_times = np.linspace(0.0, relax, _BURN_IN_STEPS + 1)
+        x0 = _state_path(system, noise, burn_times, x0, rng_burn)[0][-1].copy()
     else:
         x0 = np.asarray(init, dtype=float).reshape(-1)
         if x0.size != dim:
             raise ValueError(f"init state has length {x0.size}, expected {dim}")
 
     states, arr_t, arr_s = _state_path(system, noise, grid.fine, x0, rng_main)
-    truth = PathTruth(
-        params=None,
-        noise=noise,
-        seed=rng_seed,
-        init_state=x0,
-        arrival_times=arr_t,
-        arrival_sizes=arr_s,
-    )
+    truth = PathTruth(noise=noise, init_state=x0, arrival_times=arr_t, arrival_sizes=arr_s)
     values = np.ascontiguousarray(states[:, :K])
     return SampledPath(grid=grid, values=values, labels=_default_labels(K), truth=truth)
 

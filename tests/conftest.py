@@ -230,7 +230,7 @@ def stepwise_path(system, spec, times, x0, rng, steps=None):
     return states
 
 
-def heldout_scores(path, weights, shape, n_train, triplet, policy=None, ridge=None):
+def heldout_scores(path, weights, shape, n_train, triplet):
     """Held-out directional accuracy and fitted drift of one grOU shape, step by step.
 
     A drift fit on the first ``n_train`` points, rolling fine-mesh forecasts
@@ -238,7 +238,7 @@ def heldout_scores(path, weights, shape, n_train, triplet, policy=None, ridge=No
     that ``grou.benchmarks.fit_and_evaluate`` folds into the model zoo's
     fit-and-evaluate route, kept as its oracle.  Returns ``(dir_acc, fit)``.
     """
-    fitted = estimate_drift(path.section(0, n_train), weights, shape, triplet, policy, ridge=ridge)
+    fitted = estimate_drift(path.section(0, n_train), weights, shape, triplet)
     idx = np.arange(n_train, path.n_points)
     preds = rolling_forecast(path, fitted, weights, idx, horizon="fine")
     return directional_accuracy(path.values[idx], preds, path.values[idx - 1]), fitted

@@ -72,7 +72,7 @@ class TestFitters:
         for t in range(1, n):
             y[t] = gain_true @ y[t - 1] + 0.1 * rng.normal(size=3)
         path = discrete_path(y)
-        ctx = BenchmarkContext(weights=weights, gnar_stages=1)
+        ctx = BenchmarkContext(weights=weights)
         model = fit_benchmark("GNAR", path, ctx)
         np.testing.assert_allclose(model.detail["alpha"], alpha_true, atol=0.05)
         assert abs(model.detail["beta"][0] - beta_true) < 0.05
@@ -84,9 +84,9 @@ class TestFitters:
         assert np.abs(model.gain - np.eye(10)).max() < 0.2
 
     def test_continuous_kinds_share_triplet(self):
-        graph, weights, path = simulated_k5_path(seed=3)
+        _, weights, path = simulated_k5_path(seed=3)
         triplet = LevySpec(np.zeros(10), np.eye(10))
-        ctx = BenchmarkContext(graph=graph, weights=weights, shape=(1, (1,)), triplet=triplet)
+        ctx = BenchmarkContext(weights=weights, shape=(1, (1,)), triplet=triplet)
         for kind in ("OU", "MCAR", "GROU"):
             model = fit_benchmark(kind, path, ctx)
             assert model.detail.triplet_used is triplet
@@ -122,10 +122,8 @@ class TestEvaluate:
         assert directional_accuracy(realized, predicted, previous) == 0.0
 
     def test_purity_and_determinism(self):
-        graph, weights, path = simulated_k5_path(seed=9, n_obs=400)
-        ctx = BenchmarkContext(
-            graph=graph, weights=weights, triplet=LevySpec(np.zeros(10), np.eye(10))
-        )
+        _, weights, path = simulated_k5_path(seed=9, n_obs=400)
+        ctx = BenchmarkContext(weights=weights, triplet=LevySpec(np.zeros(10), np.eye(10)))
         models = [fit_benchmark(k, path.section(0, 300), ctx) for k in ("NA", "AR", "GROU")]
         before = path.values.copy()
         r1 = evaluate(models, path, range(300, 400))

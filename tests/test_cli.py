@@ -186,6 +186,46 @@ class TestEstimateForecast:
         assert np.all(np.abs(theta[:3] - truth[:3]) < 1.2)
         assert np.all(np.abs(theta - truth) < 3.0)
 
+    def fit_two_edges(self, workdir):
+        assert run(simulate_args(workdir)) == 0
+        args = ["estimate", "--path", str(workdir / "path.csv"), "--ratio", "4",
+                "--graph", str(workdir / "graph.json"), "--triplet", str(workdir / "noise.json"),
+                "--out", str(workdir / "report.json")]
+        assert run(args) == 0
+
+    def test_forecast_header_carries_ratio(self, workdir):
+        # with --horizon coarse the forecasts depend on the ratio
+        self.fit_two_edges(workdir)
+        code = run(
+            [
+                "forecast",
+                "--path", str(workdir / "path.csv"),
+                "--ratio", "4",
+                "--fit", str(workdir / "report.json"),
+                "--graph", str(workdir / "graph.json"),
+                "--horizon", "coarse",
+                "--out", str(workdir / "forecast.csv"),
+            ]
+        )
+        assert code == 0
+        header = (workdir / "forecast.csv").read_text().splitlines()[1]
+        assert json.loads(header.removeprefix("# config: "))["ratio"] == 4
+
+    def test_forecast_graph_edge_mismatch_exit_1(self, workdir, capsys):
+        self.fit_two_edges(workdir)
+        (workdir / "graph3.json").write_text(path_graph(4).to_json())
+        code = run(
+            [
+                "forecast",
+                "--path", str(workdir / "path.csv"),
+                "--fit", str(workdir / "report.json"),
+                "--graph", str(workdir / "graph3.json"),
+                "--out", str(workdir / "forecast.csv"),
+            ]
+        )
+        assert code == 1
+        assert "weights are for 3 edges" in capsys.readouterr().err
+
     def test_estimate_missing_columns_exit_1(self, workdir):
         bad = workdir / "bad.csv"
         bad.write_text("a,b\n0,1\n1,2\n")
@@ -466,6 +506,7 @@ def _config_fault(workdir, name):
         study = {key: str(workdir / f"{key}.json") for key in ("graph", "params", "noise")}
         fault, needle = {
             "study_shape": ({"shape": [1, [1]]}, "bad study config shape"),
+            "study_lag_mismatch": ({"shape": {"L": 2, "R": [1]}}, "shape mismatch"),
             "study_scenario": ({"scenario": "correct"}, "'scenario' must be a JSON object"),
             "study_missing_edge": ({"scenario": {"type": "missing_edge"}}, "needs an 'edge'"),
         }[name]
@@ -507,6 +548,7 @@ class TestUsage:
             "scenario",
             "design_not_object",
             "study_shape",
+            "study_lag_mismatch",
             "study_scenario",
             "study_missing_edge",
             "select_not_object",

@@ -252,6 +252,12 @@ class TestPathContainer:
         np.testing.assert_allclose(sub.grid.fine, path.grid.fine[2:7] - path.grid.fine[2])
         np.testing.assert_array_equal(sub.values, path.values[2:7])
 
+    def test_section_carries_no_truth(self):
+        spec = LevySpec(np.zeros(1), np.eye(1), CompoundPoissonJumps(5.0, np.eye(1)))
+        path = simulate_path(scalar_system(), spec, make_uniform_grids(2.0, 0.01, 1), rng_seed=4)
+        assert path.truth is not None
+        assert path.section(50, 150).truth is None
+
     def test_section_bounds(self):
         path = self.make_path()
         with pytest.raises(ValueError):

@@ -304,9 +304,7 @@ class StudyConfig:
     seed: int = 0
 
 
-def predictive_study_config(
-    sigma2: float = 10.0, scenario="correct", n_paths: int = 200, seed: int = 0, **overrides
-) -> StudyConfig:
+def predictive_study_config(sigma2: float = 10.0, scenario="correct", **overrides) -> StudyConfig:
     """Complete-graph five-vertex design with one dominant edge.
 
     The dominant edge (vertices 0-1) has autoregressive coefficient 5, all
@@ -321,15 +319,7 @@ def predictive_study_config(
     noise = LevySpec(
         np.zeros(K), np.eye(K), CompoundPoissonJumps(rate=1.0, jump_cov=sigma2 * np.eye(K))
     )
-    return StudyConfig(
-        graph=graph,
-        params=params,
-        noise=noise,
-        n_paths=n_paths,
-        scenario=scenario,
-        seed=seed,
-        **overrides,
-    )
+    return StudyConfig(graph=graph, params=params, noise=noise, scenario=scenario, **overrides)
 
 
 def _study_one_path(config: StudyConfig, system, path_index: int):

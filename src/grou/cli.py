@@ -58,10 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _seed_from(args, config=None):
     """Seed precedence: flag, then config field, then GROU_SEED, then 0."""
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
-    if config and config.get("seed") is not None:
-        return int(config["seed"])
+    if config and config.get("seed") is not None:  # a null seed is not set
+        return _options(config, seed=int)["seed"]
     return int(os.environ.get("GROU_SEED", "0"))
 
 
@@ -83,9 +83,39 @@ def _object(value, what):
     return value
 
 
-def _policy_from(args):
-    beta = getattr(args, "beta_exp", None)
-    return ThresholdPolicy(beta_exp=beta, activity=args.activity)
+def _options(doc, **convert):
+    """The entries of config ``doc`` named in ``convert``, each through its converter.
+
+    An absent entry is left out, so the library's own default applies; an
+    entry its converter rejects exits 1, naming the entry.
+    """
+    options = {}
+    for key, to_value in convert.items():
+        if key in doc:
+            try:
+                options[key] = to_value(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise _UsageError(f"config entry {key!r}: {exc}") from None
+    return options
+
+
+def _required(doc, what, **convert):
+    """:func:`_options` for entries ``doc`` must set."""
+    for key in convert:
+        if key not in doc:
+            raise _UsageError(f"{what} missing field {key!r}")
+    return _options(doc, **convert)
+
+
+def _of_type(kind, expected):
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {expected}, got {value!r}")
+        return value
+    return check
+
+
+_text, _flag = _of_type(str, "a string"), _of_type(bool, "true or false")
 
 
 def _parse_shapes(doc):
@@ -105,6 +135,12 @@ def _parse_shapes(doc):
             )
         shapes.append(shape)
     return shapes
+
+
+def _run_config(args, **resolved):
+    """Header config: every parsed flag but the outputs, ``resolved`` values on top."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "out", "truth_out")}
+    return {**flags, **resolved}
 
 
 def _config_header(config):
@@ -130,17 +166,7 @@ def _cmd_simulate(args):
     grid = make_uniform_grids(args.t_end, args.mesh_fine, args.ratio)
     init = "stationary" if args.init == "stationary" else np.zeros(system.dim)
     path = simulate_path(system, noise, grid, init=init, rng_seed=seed)
-    config = {
-        "subcommand": "simulate",
-        "graph": args.graph,
-        "params": args.params,
-        "noise": args.noise,
-        "t_end": args.t_end,
-        "mesh_fine": args.mesh_fine,
-        "ratio": args.ratio,
-        "init": args.init,
-        "seed": seed,
-    }
+    config = _run_config(args, seed=seed)
     write_path_csv(path, args.out, header_lines=_config_header(config))
     if args.truth_out:
         truth = path.truth
@@ -182,25 +208,13 @@ def _cmd_estimate(args):
                 f"graph has {graph.n_edges} edges but path has {path.n_edges} columns"
             )
         weights = weight_matrices(graph, max(shape[1]))
-    policy = _policy_from(args)
+    policy = ThresholdPolicy(beta_exp=args.beta_exp, activity=args.activity)
     if args.triplet:
         triplet = _load(args.triplet, "noise", LevySpec.from_json)
     else:
         triplet = estimate_triplet(path, policy)
     result = estimate_drift(path, weights, shape, triplet, policy, ridge=args.ridge)
-    config = {
-        "subcommand": "estimate",
-        "path": args.path,
-        "ratio": args.ratio,
-        "graph": args.graph,
-        "lags": shape[0],
-        "stages": list(shape[1]),
-        "activity": args.activity,
-        "beta_exp": args.beta_exp,
-        "ridge": args.ridge,
-        "triplet": args.triplet,
-    }
-    report = {"config": config, **result.to_json_dict()}
+    report = {"config": _run_config(args, stages=list(shape[1])), **result.to_json_dict()}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
     print(f"estimated {result.theta_hat.size} drift parameters; bic={result.bic:.6g}")
@@ -270,18 +284,8 @@ def _cmd_forecast(args):
     all_means = np.vstack([means, beyond])
     var_rows = np.tile(np.diag(variance), (all_means.shape[0], 1))
     labels = path.labels or tuple(f"e_{k+1}" for k in range(path.n_edges))
-    config = {
-        "subcommand": "forecast",
-        "path": args.path,
-        "ratio": args.ratio,
-        "fit": args.fit,
-        "graph": args.graph,
-        "horizon": args.horizon,
-        "horizon_steps": args.horizon_steps,
-        "eval_tail": args.eval_tail,
-    }
     write_forecast_csv(
-        args.out, times, labels, all_means, var_rows, header_lines=_config_header(config)
+        args.out, times, labels, all_means, var_rows, _config_header(_run_config(args))
     )
     print(f"wrote {all_means.shape[0]} forecast rows to {args.out}")
     return 0
@@ -294,63 +298,55 @@ _SCENARIOS = {
 }
 
 
+def _design_scenario(name):
+    if not isinstance(name, str) or name not in _SCENARIOS:
+        raise _UsageError(f"unknown scenario {name!r}; choose from {sorted(_SCENARIOS)}")
+    return _SCENARIOS[name]
+
+
+def _study_shape(doc):
+    try:
+        return (int(doc["L"]), tuple(int(r) for r in doc["R"]))
+    except (KeyError, TypeError, ValueError):
+        raise _UsageError(
+            f"bad study config shape {doc!r}; expected {{'L': L, 'R': [R_1, ...]}}"
+        ) from None
+
+
+def _study_scenario(doc):
+    doc = _object(doc, "study config 'scenario'")
+    if doc.get("type") == "correct":
+        return "correct"
+    if doc.get("type") == "missing_edge":
+        try:
+            return ("missing_edge", tuple(doc["edge"]))
+        except (KeyError, TypeError):
+            raise _UsageError(f"scenario {doc!r} needs an 'edge' [i, j]") from None
+    raise _UsageError(f"unknown scenario {doc!r}")
+
+
 def _study_from_config(doc, seed):
-    models = tuple(doc.get("models", MODEL_KINDS))
-    common = {
-        "n_paths": int(doc.get("n_paths", 200)),
-        "n_obs": int(doc.get("n_obs", 2187)),
-        "t_end": float(doc.get("t_end", 2.0)),
-        "ratio": int(doc.get("ratio", 1)),
-        "test_size": int(doc.get("test_size", 400)),
-        "models": models,
-        "seed": seed,
-    }
+    common = _options(
+        doc, n_paths=int, n_obs=int, t_end=float, ratio=int, test_size=int, models=tuple
+    )
     design = doc.get("design")
     if design:
         design = _object(design, "study config 'design'")
-        scenario = design.get("scenario", "correct")
-        if not isinstance(scenario, str) or scenario not in _SCENARIOS:
-            raise _UsageError(f"unknown scenario {scenario!r}; choose from {sorted(_SCENARIOS)}")
-        scenario = _SCENARIOS[scenario]
-        return predictive_study_config(
-            sigma2=float(design.get("sigma2", 10.0)), scenario=scenario, **common
-        )
-    try:
-        graph = _load(doc["graph"], "graph", EdgeGraph.from_json)
-        params = _load(doc["params"], "params", GrouParams.from_json)
-        noise = _load(doc["noise"], "noise", LevySpec.from_json)
-    except KeyError as exc:
-        raise _UsageError(f"study config missing field {exc}") from None
-    shape = doc.get("shape", {"L": 1, "R": [1]})
-    try:
-        shape = (int(shape["L"]), tuple(int(r) for r in shape["R"]))
-    except (KeyError, TypeError, ValueError):
-        raise _UsageError(
-            f"bad study config shape {shape!r}; expected {{'L': L, 'R': [R_1, ...]}}"
-        ) from None
-    scenario = _object(doc.get("scenario", {"type": "correct"}), "study config 'scenario'")
-    if scenario.get("type") == "correct":
-        scen = "correct"
-    elif scenario.get("type") == "missing_edge":
-        try:
-            scen = ("missing_edge", tuple(scenario["edge"]))
-        except (KeyError, TypeError):
-            raise _UsageError(f"scenario {scenario!r} needs an 'edge' [i, j]") from None
-    else:
-        raise _UsageError(f"unknown scenario {scenario!r}")
+        design = _options(design, sigma2=float, scenario=_design_scenario)
+        return predictive_study_config(seed=seed, **design, **common)
+    files = _required(doc, "study config", graph=_text, params=_text, noise=_text)
     return StudyConfig(
-        graph=graph,
-        params=params,
-        noise=noise,
-        shape=shape,
-        scenario=scen,
+        graph=_load(files["graph"], "graph", EdgeGraph.from_json),
+        params=_load(files["params"], "params", GrouParams.from_json),
+        noise=_load(files["noise"], "noise", LevySpec.from_json),
+        seed=seed,
+        **_options(doc, shape=_study_shape, scenario=_study_scenario),
         **common,
     )
 
 
 def _cmd_benchmark(args):
-    doc = _load(args.config, "study config", json.loads)
-    doc = _object(doc, f"study config {args.config}")
+    doc = _object(_load(args.config, "study config", json.loads), f"study config {args.config}")
     seed = _seed_from(args, doc)
     config = _study_from_config(doc, seed)
     rows = monte_carlo_study(config)
@@ -365,17 +361,26 @@ def _cmd_select(args):
     doc = _load(args.config, "selection config", json.loads)
     doc = _object(doc, f"selection config {args.config}")
     seed = _seed_from(args, doc)
+    need = _required(doc, "selection config", edge_series=_text, shapes=_parse_shapes)
+    scoring = _options(doc, tolerance=float, eval_fraction=float)
+    search = _options(
+        doc, n_candidates=int, edge_prob=float, retain=int,
+        screen_shape=lambda shape: _parse_shapes([shape])[0],
+    )
+    # entries only the CLI reads; n_vertices defaults to the series' asset count
+    local = {"test_fraction": 0.2, "demean": True, **_options(
+        doc, test_fraction=float, demean=_flag, n_vertices=int, graph=_text, table_out=_text
+    )}
+    policy = ThresholdPolicy(**_options(doc, activity=_text))
+    mode = doc.get("mode", "shapes")
+    if mode not in ("shapes", "joint"):
+        raise _UsageError(f"unknown selection mode {mode!r}")
+    if mode == "shapes" and "graph" not in local:
+        raise _UsageError("selection config needs 'graph' in shapes mode")
+    rolling = read_edge_series_csv(need["edge_series"])
+    path = rolling.to_path(**_options(doc, mesh_fine=float, ratio=int))
     try:
-        rolling = read_edge_series_csv(doc["edge_series"])
-        mesh_fine = float(doc.get("mesh_fine", 0.01))
-        ratio = int(doc.get("ratio", 18))
-        shapes = _parse_shapes(doc["shapes"])
-    except KeyError as exc:
-        raise _UsageError(f"selection config missing field {exc}") from None
-    path = rolling.to_path(mesh_fine=mesh_fine, ratio=ratio)
-    test_fraction = float(doc.get("test_fraction", 0.2))
-    try:
-        n_train = _split_points(path.n_points, test_fraction)
+        n_train = _split_points(path.n_points, local["test_fraction"])
     except ValueError:
         n_train = 0
     if n_train < 10:
@@ -383,51 +388,30 @@ def _cmd_select(args):
     # covariance series live at a positive level while the zero-mean model
     # reads levels as drift signal; center per edge on the training mean
     # (one-step increments, hence both metrics, are shift-invariant)
-    if doc.get("demean", True):
+    if local["demean"]:
         center = path.values[:n_train].mean(axis=0)
         path = SampledPath(grid=path.grid, values=path.values - center, labels=path.labels)
     train = path.section(0, n_train)
-    policy = ThresholdPolicy(activity=doc.get("activity", "finite"))
-    mode = doc.get("mode", "shapes")
-    common = dict(
-        tolerance=float(doc.get("tolerance", 1e-2)),
-        eval_fraction=float(doc.get("eval_fraction", 0.2)),
-        policy=policy,
-    )
     if mode == "shapes":
-        if "graph" not in doc:
-            raise _UsageError("selection config needs 'graph' in shapes mode")
-        graph = _load(doc["graph"], "graph", EdgeGraph.from_json)
+        graph = _load(local["graph"], "graph", EdgeGraph.from_json)
         chosen_cols = _columns_for(graph, len(rolling.asset_ids))
-        outcome = select_model(train.select_columns(chosen_cols), graph, shapes, **common)
-    elif mode == "joint":
-        n_vertices = int(doc.get("n_vertices", len(rolling.asset_ids)))
+        outcome = select_model(
+            train.select_columns(chosen_cols), graph, need["shapes"], policy=policy, **scoring
+        )
+    else:
+        n_vertices = local.get("n_vertices", len(rolling.asset_ids))
         outcome = joint_network_model_search(
-            train,
-            n_vertices,
-            shapes,
-            n_candidates=int(doc.get("n_candidates", 1000)),
-            edge_prob=float(doc.get("edge_prob", 0.4)),
-            screen_shape=_parse_shapes([doc.get("screen_shape", [1, [1]])])[0],
-            retain=int(doc.get("retain", 50)),
-            rng_seed=seed,
-            **common,
+            train, n_vertices, need["shapes"], policy=policy, rng_seed=seed, **search, **scoring
         )
         chosen_cols = _columns_for(outcome.chosen_graph, n_vertices)
-    else:
-        raise _UsageError(f"unknown selection mode {mode!r}")
 
-    report = {
-        "config": {**doc, "seed": seed},
-        **outcome.to_json_dict(),
-    }
     # final held-out comparison table in the one-step forecast layout
     table = _final_table(path, outcome, chosen_cols, n_train, policy)
-    report["test_table"] = table
+    report = {"config": {**doc, "seed": seed}, **outcome.to_json_dict(), "test_table": table}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
-    if doc.get("table_out"):
-        _write_table_csv(doc["table_out"], table, doc, seed)
+    if local.get("table_out"):
+        _write_table_csv(local["table_out"], table, doc, seed)
     lags, stages = outcome.chosen.shape
     print(
         f"selected grOU({lags},{list(stages)}) with validation DirAcc "
@@ -466,21 +450,11 @@ def _cmd_mrc(args):
         trim_open_close=args.trim_open_close,
     )
     cfg = MrcConfig(delta=args.delta, theta=args.theta, is_corr=args.corr)
-    rolling = rolling_mrc(prices, cfg, window=args.window, step=args.step or args.window)
-    config = {
-        "subcommand": "mrc",
-        "prices": args.prices,
-        "freq": args.freq,
-        "delta": args.delta,
-        "theta": args.theta,
-        "corr": args.corr,
-        "window": args.window,
-        "step": args.step or args.window,
-        "market_hours": args.market_hours,
-        "trim_open_close": args.trim_open_close,
-        "skipped_rows": prices.skipped_rows,
-        "skipped_windows": rolling.skipped_windows,
-    }
+    step = args.window if args.step is None else args.step
+    rolling = rolling_mrc(prices, cfg, window=args.window, step=step)
+    config = _run_config(
+        args, step=step, skipped_rows=prices.skipped_rows, skipped_windows=rolling.skipped_windows
+    )
     write_edge_series_csv(rolling, args.out, header_lines=_config_header(config))
     print(
         f"wrote {rolling.values.shape[0]} windows x {rolling.values.shape[1]} pairs "
@@ -519,8 +493,8 @@ def _build_parser():
     p.add_argument("--stages", default="1")
     p.add_argument("--activity", choices=("finite", "infinite"), default="finite")
     p.add_argument("--beta-exp", type=float)
-    p.add_argument("--triplet", help="known noise spec JSON; omitted = estimate from data")
     p.add_argument("--ridge", type=float)
+    p.add_argument("--triplet", help="known noise spec JSON; omitted = estimate from data")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)
 

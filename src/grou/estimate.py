@@ -92,8 +92,8 @@ class ThresholdPolicy:
         object.__setattr__(self, "activity", activity)
 
     @classmethod
-    def for_noise(cls, spec: LevySpec, beta_exp=None) -> "ThresholdPolicy":
-        return cls(beta_exp=beta_exp, activity=spec.activity)
+    def for_noise(cls, spec: LevySpec) -> "ThresholdPolicy":
+        return cls(activity=spec.activity)
 
     def thresholds(self, spacings, n_components: int) -> np.ndarray:
         """Cutoff matrix, one row per interval and one column per component."""
@@ -385,10 +385,8 @@ def _bic(theta, info, n_coarse) -> float:
     return float(-theta @ info @ theta + theta.size * np.log(n_coarse))
 
 
-def _finish(info, score, thresholded, path, triplet, ridge, structure, shape, ridge_scale=None):
+def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
     info = 0.5 * (info + info.T)
-    if ridge is None and ridge_scale is not None:
-        ridge = ridge_scale * np.trace(info) / info.shape[0]
     theta, ridge_used = _solve_with_ridge(info, score, ridge)
     loglik = float(theta @ score - 0.5 * theta @ info @ theta)
     n_coarse = thresholded.spacings.size
@@ -463,14 +461,13 @@ def estimate_mcar(
     path: SampledPath,
     triplet: LevySpec,
     policy: ThresholdPolicy | None = None,
-    ridge: float | None = None,
     ridge_scale: float | None = None,
 ) -> EstimationResult:
     """Fit an unrestricted one-lag drift matrix (K*K free parameters).
 
-    ``ridge_scale`` (used when ``ridge`` is None) sets the ridge as a
-    fraction of the mean information-diagonal; the unrestricted fit has
-    K*K free parameters and usually wants more shrinkage than the
+    ``ridge_scale`` fixes the ridge as a fraction of the mean
+    information-diagonal (None takes the automatic one); the unrestricted
+    fit has K*K free parameters and usually wants more shrinkage than the
     structured one.
     """
     if policy is None:
@@ -480,7 +477,8 @@ def estimate_mcar(
     info, score = _mcar_statistics(
         values, thresholded.values, thresholded.spacings, _precision(triplet)
     )
-    return _finish(info, score, thresholded, path, triplet, ridge, "mcar", None, ridge_scale)
+    ridge = None if ridge_scale is None else ridge_scale * np.trace(info) / info.shape[0]
+    return _finish(info, score, thresholded, path, triplet, ridge, "mcar", None)
 
 
 def estimate_triplet(

@@ -93,13 +93,16 @@ def rolling_forecast(
     """One-step conditional-mean forecasts over evaluation indices.
 
     For each fine-grid index ``n`` in ``eval_range`` the state is built from
-    the observation at ``n - horizon_steps`` (zero-init rule) and propagated
-    forward.  ``horizon`` selects the time step: "fine" uses the fine mesh,
-    "coarse" the coarse mesh (the convention that matches discrete
-    benchmarks when the two grids coincide), or an explicit float.
+    the observation at ``n - horizon_steps`` (zero-init rule; at least one
+    step back) and propagated forward.  ``horizon`` selects the time step:
+    "fine" uses the fine mesh, "coarse" the coarse mesh (the convention that
+    matches discrete benchmarks when the two grids coincide), or an explicit
+    float.
 
     Returns an array of shape ``(len(eval_range), n_edges)``.
     """
+    if horizon_steps < 1:
+        raise ValueError(f"horizon_steps must be >= 1, got {horizon_steps}")
     idx = np.asarray(list(eval_range), dtype=int)
     if idx.size == 0:
         return np.empty((0, path.n_edges))

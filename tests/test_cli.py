@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from grou.cli import run
+from grou.cli import _build_parser, run
 from grou.graphs import path_graph
 from grou.model import GrouParams
 from grou.noise import CompoundPoissonJumps, LevySpec, SymmetricGammaJumps
@@ -226,6 +227,22 @@ class TestEstimateForecast:
         assert code == 1
         assert "weights are for 3 edges" in capsys.readouterr().err
 
+    def test_forecast_horizon_steps_zero_exit_1(self, workdir, capsys):
+        self.fit_two_edges(workdir)
+        code = run(
+            [
+                "forecast",
+                "--path", str(workdir / "path.csv"),
+                "--fit", str(workdir / "report.json"),
+                "--graph", str(workdir / "graph.json"),
+                "--horizon-steps", "0",
+                "--out", str(workdir / "forecast.csv"),
+            ]
+        )
+        assert code == 1
+        assert "horizon_steps must be >= 1, got 0" in capsys.readouterr().err
+        assert not (workdir / "forecast.csv").exists()
+
     def test_estimate_missing_columns_exit_1(self, workdir):
         bad = workdir / "bad.csv"
         bad.write_text("a,b\n0,1\n1,2\n")
@@ -372,6 +389,11 @@ class TestMrcCommand:
         header = (workdir / "edges.csv").read_text().splitlines()[1]
         assert json.loads(header.removeprefix("# config: "))["skipped_rows"] == 2
 
+    def test_step_zero_exit_1(self, workdir, capsys):
+        assert run([*self.write_prices(workdir, []), "--step", "0"]) == 1
+        assert "step must be positive" in capsys.readouterr().err
+        assert not (workdir / "edges.csv").exists()
+
     def test_absurd_time_span_exit_2(self, workdir, capsys):
         assert run(self.write_prices(workdir, ["1e300,101,51"])) == 2
         assert "time span of 1e+291 s" in capsys.readouterr().err  # read as nanoseconds
@@ -494,8 +516,74 @@ class TestGridArguments:
         assert f"ratio must be >= 1, got {ratio}" in capsys.readouterr().err
 
 
+def _parser_destinations(subcommand):
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in subparsers.choices[subcommand]._actions} - {"help"}
+
+
+def _header_config(file):
+    line = file.read_text().splitlines()[1]
+    return json.loads(line.removeprefix("# config: "))
+
+
+class TestHeaderConfig:
+    def test_header_keys_are_the_parsed_flags(self, workdir):
+        """Each header config records every flag of its subcommand but the
+        outputs (plus the subcommand name and, for mrc, the skip counts)."""
+        assert run(simulate_args(workdir, extra=["--truth-out", str(workdir / "truth.json")])) == 0
+        fit = TestEstimateForecast()
+        fit.fit_two_edges(workdir)
+        forecast = ["forecast", "--path", str(workdir / "path.csv"), "--fit",
+                    str(workdir / "report.json"), "--graph", str(workdir / "graph.json"),
+                    "--out", str(workdir / "forecast.csv")]
+        assert run(forecast) == 0
+        assert run(TestMrcCommand().write_prices(workdir, [])) == 0
+        headers = {
+            "simulate": _header_config(workdir / "path.csv"),
+            "truth": json.loads((workdir / "truth.json").read_text())["config"],
+            "estimate": json.loads((workdir / "report.json").read_text())["config"],
+            "forecast": _header_config(workdir / "forecast.csv"),
+            "mrc": _header_config(workdir / "edges.csv"),
+        }
+        for name, config in headers.items():
+            subcommand = "simulate" if name == "truth" else name
+            expected = _parser_destinations(subcommand) - {"out", "truth_out"} | {"subcommand"}
+            if subcommand == "mrc":
+                expected |= {"skipped_rows", "skipped_windows"}
+            assert set(config) == expected, name
+            assert config["subcommand"] == subcommand
+
+
+# wrong-typed config entries: (subcommand, entries the config sets, entry named)
+_WRONG_TYPES = {
+    "wrong_type_ratio": ("select", {"ratio": None}, "ratio"),
+    "wrong_type_tolerance": ("select", {"tolerance": [1]}, "tolerance"),
+    "wrong_type_mesh_fine": ("select", {"mesh_fine": None}, "mesh_fine"),
+    "wrong_type_eval_fraction": ("select", {"eval_fraction": {}}, "eval_fraction"),
+    "wrong_type_test_fraction": ("select", {"test_fraction": None}, "test_fraction"),
+    "wrong_type_seed": ("select", {"seed": [1]}, "seed"),
+    "wrong_type_edge_series": ("select", {"edge_series": None}, "edge_series"),
+    "wrong_type_n_vertices": ("select", {"mode": "joint", "n_vertices": None}, "n_vertices"),
+    "wrong_type_demean": ("select", {"demean": "no"}, "demean"),
+    "wrong_type_table_out": ("select", {"table_out": 5}, "table_out"),
+    "wrong_type_n_paths": ("benchmark", {"n_paths": None}, "n_paths"),
+    "wrong_type_models": ("benchmark", {"models": 5}, "models"),
+    "wrong_type_t_end": ("benchmark", {"t_end": [2]}, "t_end"),
+    "wrong_type_sigma2": ("benchmark", {"design": {"sigma2": None}}, "sigma2"),
+    "wrong_type_study_graph": (
+        "benchmark", {"design": {}, "graph": ["g.json"], "params": "p.json", "noise": "n.json"},
+        "graph",
+    ),
+}
+
+
 def _config_fault(workdir, name):
     """Write one malformed config; return its argv and the text the error must name."""
+    if name in _WRONG_TYPES and _WRONG_TYPES[name][0] == "benchmark":
+        _, entries, key = _WRONG_TYPES[name]
+        (workdir / "study.json").write_text(json.dumps({"design": {"sigma2": 1.0}, **entries}))
+        return ["benchmark", "--config", str(workdir / "study.json")], f"config entry '{key}'"
     if name == "scenario":
         (workdir / "study.json").write_text(json.dumps({"design": {"scenario": 5}}))
         return ["benchmark", "--config", str(workdir / "study.json")], "5"
@@ -519,7 +607,11 @@ def _config_fault(workdir, name):
     config = {"edge_series": str(workdir / "edges.csv"), "mode": "shapes", "ratio": 1,
               "graph": str(workdir / "net.json"), "shapes": [[1, [1]]]}
     graph = {"n_vertices": 3, "edges": [[0, 1], [1, 2]]}
-    if name == "graph_vertex":
+    if name in _WRONG_TYPES:
+        _, entries, key = _WRONG_TYPES[name]
+        config.update(entries)
+        needle = f"config entry '{key}'"
+    elif name == "graph_vertex":
         graph = {"n_vertices": 4, "edges": [[0, 1], [0, 3]]}
         needle = "(0, 3)"
     elif name.startswith("select_ratio"):
@@ -554,6 +646,7 @@ class TestUsage:
             "select_not_object",
             "select_ratio_zero",
             "select_ratio_negative",
+            *_WRONG_TYPES,
         ],
     )
     def test_config_fault_is_usage_error(self, workdir, name, capsys):

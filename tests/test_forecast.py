@@ -161,6 +161,17 @@ class TestRollingForecast:
         with pytest.raises(ValueError):
             rolling_forecast(path, fitted, weights, [path.n_points])
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_horizon_steps_below_one_rejected(self, steps):
+        weights, params, system = two_edge_setup()
+        spec = LevySpec(np.zeros(2), np.eye(2))
+        grid = make_uniform_grids(1.0, 1 / 32, 4)
+        path, fitted = self.fitted_on(system, spec, grid, weights=weights)
+        with pytest.raises(ValueError, match="horizon_steps must be >= 1"):
+            rolling_forecast(path, fitted, weights, range(4, 8), horizon_steps=steps)
+        with pytest.raises(ValueError, match="horizon_steps must be >= 1"):
+            rolling_forecast(path, fitted, weights, [], horizon_steps=steps)
+
     def test_horizon_modes(self):
         weights, params, system = two_edge_setup()
         spec = LevySpec(np.zeros(2), np.eye(2))

@@ -61,7 +61,7 @@ def _seed_from(args, config=None):
     if args.seed is not None:
         return args.seed
     if config and config.get("seed") is not None:  # a null seed is not set
-        return _options(config, seed=int)["seed"]
+        return _options(config, seed=_integer)["seed"]
     return int(os.environ.get("GROU_SEED", "0"))
 
 
@@ -116,6 +116,15 @@ def _of_type(kind, expected):
 
 
 _text, _flag = _of_type(str, "a string"), _of_type(bool, "true or false")
+
+
+def _integer(value):
+    """A JSON integer, or a float with no fractional part, as an int; booleans are not integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_shapes(doc):
@@ -247,6 +256,8 @@ def _fit_from_report(doc):
 
 
 def _cmd_forecast(args):
+    if args.eval_tail < 0:
+        raise _UsageError(f"--eval-tail must be >= 0, got {args.eval_tail}")
     path = read_path_csv(args.path, ratio=args.ratio)
     doc = _load(args.fit, "fit report", json.loads)
     try:
@@ -327,7 +338,8 @@ def _study_scenario(doc):
 
 def _study_from_config(doc, seed):
     common = _options(
-        doc, n_paths=int, n_obs=int, t_end=float, ratio=int, test_size=int, models=tuple
+        doc, n_paths=_integer, n_obs=_integer, t_end=float, ratio=_integer, test_size=_integer,
+        models=tuple,
     )
     design = doc.get("design")
     if design:
@@ -364,12 +376,12 @@ def _cmd_select(args):
     need = _required(doc, "selection config", edge_series=_text, shapes=_parse_shapes)
     scoring = _options(doc, tolerance=float, eval_fraction=float)
     search = _options(
-        doc, n_candidates=int, edge_prob=float, retain=int,
+        doc, n_candidates=_integer, edge_prob=float, retain=_integer,
         screen_shape=lambda shape: _parse_shapes([shape])[0],
     )
     # entries only the CLI reads; n_vertices defaults to the series' asset count
     local = {"test_fraction": 0.2, "demean": True, **_options(
-        doc, test_fraction=float, demean=_flag, n_vertices=int, graph=_text, table_out=_text
+        doc, test_fraction=float, demean=_flag, n_vertices=_integer, graph=_text, table_out=_text
     )}
     policy = ThresholdPolicy(**_options(doc, activity=_text))
     mode = doc.get("mode", "shapes")
@@ -378,7 +390,7 @@ def _cmd_select(args):
     if mode == "shapes" and "graph" not in local:
         raise _UsageError("selection config needs 'graph' in shapes mode")
     rolling = read_edge_series_csv(need["edge_series"])
-    path = rolling.to_path(**_options(doc, mesh_fine=float, ratio=int))
+    path = rolling.to_path(**_options(doc, mesh_fine=float, ratio=_integer))
     try:
         n_train = _split_points(path.n_points, local["test_fraction"])
     except ValueError:

@@ -68,6 +68,8 @@ INFINITE_BETA_DEFAULT = 0.1
 
 _RIDGE_SCALE_DEFAULT = 1e-8
 _RIDGE_ESCALATIONS = 30
+_STAYED_SINGULAR = "information matrix stayed singular under ridge escalation"
+_ALL_EXCEED = "every coarse increment exceeds the threshold"
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,13 @@ def threshold_increments(
     are zeroed, not dropped.
     """
     _, _, raw, spacings = _coarse_increments(path, lags)
-    corrected = raw - triplet.mean_rate[None, :] * spacings[:, None]
-    cuts = policy.thresholds(spacings, path.n_edges)
+    return _truncate(raw, spacings, triplet.mean_rate, policy)
+
+
+def _truncate(raw, spacings, mean_rate, policy):
+    """The rule of :func:`threshold_increments` on raw coarse increments, column by column."""
+    corrected = raw - mean_rate[None, :] * spacings[:, None]
+    cuts = policy.thresholds(spacings, raw.shape[1])
     kept = np.abs(corrected) <= cuts
     return ThresholdedIncrements(
         values=np.where(kept, corrected, 0.0), kept=kept, thresholds=cuts, spacings=spacings
@@ -210,12 +217,31 @@ def _regressors(path: SampledPath, weights: WeightMatrices | None, shape):
             raise ConfigurationError(
                 f"weights are for {weights.n_edges} edges, path has {K}"
             )
+    derivs = _derivatives(path, lags)
+    return derivs, _aggregates(derivs, () if weights is None else weights.matrices, stages)
+
+
+def _derivatives(path: SampledPath, lags: int) -> np.ndarray:
+    """The ``derivs`` of :func:`_regressors`, shape ``(L, M, K)``."""
     points = _estimation_window(path, lags)[:-1]
-    derivs = np.stack([finite_differences(path, lags - l)[points] for l in range(1, lags + 1)])
-    aggregates = [
-        derivs[l] @ weights.stage(r).T for l in range(lags) for r in range(1, stages[l] + 1)
+    return np.stack([finite_differences(path, lags - l)[points] for l in range(1, lags + 1)])
+
+
+def _aggregates(derivs, matrices, stages) -> np.ndarray:
+    """Neighborhood aggregates ``derivs[l] @ W_r^T``, lag by lag and stage by stage.
+
+    ``derivs`` is ``(..., L, M, K)`` and ``matrices[r - 1]`` holds ``W_r``, one
+    matrix or a stack ``(..., K, K)`` matching the leading axes of ``derivs``;
+    the result is ``(..., sum(R), M, K)``.
+    """
+    parts = [
+        derivs[..., l, :, :] @ np.swapaxes(matrices[r], -1, -2)
+        for l in range(len(stages))
+        for r in range(stages[l])
     ]
-    return derivs, np.array(aggregates).reshape(len(aggregates), points.size, K)
+    if not parts:
+        return np.zeros(derivs.shape[:-3] + (0,) + derivs.shape[-2:])
+    return np.stack(parts, axis=-3)
 
 
 @dataclass(frozen=True)
@@ -276,11 +302,18 @@ class EstimationResult:
 
 def _working_covariance(triplet: LevySpec) -> np.ndarray:
     sigma = np.asarray(triplet.brownian_cov, dtype=float)
-    w = np.linalg.eigvalsh(sigma)
-    scale = max(w.max(), 1.0)
-    if w.min() <= 1e-8 * scale:
-        sigma = sigma + 1e-8 * scale * np.eye(sigma.shape[0])
-    return sigma
+    return _jittered(sigma, np.linalg.eigvalsh(sigma))
+
+
+def _jittered(sigma, eigenvalues):
+    """``sigma + 1e-8 * max(lambda_max, 1) * I`` where ``lambda_min`` is at or below that floor.
+
+    ``eigenvalues`` are those of ``sigma``; both may carry leading stack axes.
+    """
+    floor = 1e-8 * np.maximum(eigenvalues.max(axis=-1), 1.0)
+    low = eigenvalues.min(axis=-1) <= floor
+    jittered = sigma + floor[..., None, None] * np.eye(sigma.shape[-1])
+    return np.where(low[..., None, None], jittered, sigma)
 
 
 def _solve_with_ridge(info, score, ridge):
@@ -308,7 +341,44 @@ def _solve_with_ridge(info, score, ridge):
             return cho_solve(factor, score), float(value)
         except np.linalg.LinAlgError:
             value *= 10.0
-    raise SingularityError("information matrix stayed singular under ridge escalation")
+    raise SingularityError(_STAYED_SINGULAR)
+
+
+def _solve_with_ridge_stack(info, score):
+    """The automatic ridge of :func:`_solve_with_ridge` over a stack of fits.
+
+    ``info`` is ``(G, p, p)`` and ``score`` ``(G, p)``.  Only the fits whose
+    regularized matrix fails to factorize escalate, tenfold per round.
+    Returns ``theta``, with NaN rows where every escalation failed.
+    """
+    p = info.shape[-1]
+    eye = np.eye(p)
+    value = _RIDGE_SCALE_DEFAULT * np.maximum(
+        np.trace(info, axis1=-2, axis2=-1) / p, np.finfo(float).tiny
+    )
+    theta = np.full(score.shape, np.nan)
+    todo = np.arange(info.shape[0])
+    for _ in range(_RIDGE_ESCALATIONS):
+        regularized = info[todo] + value[todo, None, None] * eye
+        ok = _factorable(regularized)
+        solved = todo[ok]
+        theta[solved] = np.linalg.solve(regularized[ok], score[solved, :, None])[..., 0]
+        todo = todo[~ok]
+        if todo.size == 0:
+            break
+        value[todo] *= 10.0
+    return theta
+
+
+def _factorable(stack) -> np.ndarray:
+    """Which matrices of a stack admit a Cholesky factorization."""
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        if stack.shape[0] == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_factorable(stack[g : g + 1]) for g in range(stack.shape[0])])
+    return np.ones(stack.shape[0], dtype=bool)
 
 
 def grid_diagnostics(grid) -> dict:
@@ -338,33 +408,47 @@ def _precision(triplet: LevySpec) -> np.ndarray:
 
 
 def _drift_statistics(derivs, aggregates, stages, increments, spacings, prec):
-    """Information matrix and score of a structured drift, in parameter order.
+    """Information matrices and scores of a stack of structured drift fits, in parameter order.
 
+    Every input but ``spacings`` carries a leading axis of G fits that share
+    one coarse grid and one shape: ``derivs`` ``(G, L, M, K)``, ``aggregates``
+    ``(G, Q, M, K)``, ``increments`` ``(G, M, K)``, ``prec`` ``(G, K, K)``.
     With ``D_l`` the lag-l derivative rows, ``A_q`` the aggregate rows,
-    ``C`` the thresholded increments and ``S`` the precision:
+    ``C`` the thresholded increments and ``S`` the precision, each fit gets
 
         diagonal x diagonal   S o (D_l^T diag(dt) D_l')
         diagonal x aggregate  sum_m dt_m D_l[m] o (A_q S)[m]
         aggregate x aggregate sum_m dt_m (A_q S)[m] . A_q'[m]
         score                 -sum_m D_l[m] o (C S)[m],  -sum_m A_q[m] . (C S)[m]
+
+    Each fit's products run on its own slice, so a stack gives bit for bit
+    what its fits give one at a time.
     """
-    L, M, K = derivs.shape
-    Q = aggregates.shape[0]
-    wide = derivs.transpose(1, 0, 2).reshape(M, L * K)
-    weighted_aggs = aggregates @ prec * spacings[:, None]
+    G, L, M, K = derivs.shape
+    Q = aggregates.shape[1]
+    wide = derivs.transpose(0, 2, 1, 3).reshape(G, M, L * K)
+    weighted_aggs = aggregates @ prec[:, None] * spacings[:, None]
     inc_prec = increments @ prec
-    cross = np.einsum("lmk,qmk->lkq", derivs, weighted_aggs).reshape(L * K, Q)
+    cross = np.einsum("glmk,gqmk->glkq", derivs, weighted_aggs).reshape(G, L * K, Q)
+    flat_aggs = aggregates.reshape(G, Q, M * K)
     info = np.block(
         [
-            [np.tile(prec, (L, L)) * ((wide * spacings[:, None]).T @ wide), cross],
-            [cross.T, weighted_aggs.reshape(Q, M * K) @ aggregates.reshape(Q, M * K).T],
+            [
+                np.tile(prec, (1, L, L)) * ((wide * spacings[:, None]).transpose(0, 2, 1) @ wide),
+                cross,
+            ],
+            [
+                cross.transpose(0, 2, 1),
+                weighted_aggs.reshape(G, Q, M * K) @ flat_aggs.transpose(0, 2, 1),
+            ],
         ]
     )
     score = -np.concatenate(
         [
-            np.einsum("lmk,mk->lk", derivs, inc_prec).reshape(-1),
-            aggregates.reshape(Q, M * K) @ inc_prec.reshape(-1),
-        ]
+            np.einsum("glmk,gmk->glk", derivs, inc_prec).reshape(G, L * K),
+            (flat_aggs @ inc_prec.reshape(G, M * K, 1))[..., 0],
+        ],
+        axis=1,
     )
     # the statistics come out grouped as [all diagonal blocks | all
     # aggregates]; GrouParams.flatten's layout interleaves them lag by lag
@@ -372,7 +456,7 @@ def _drift_statistics(derivs, aggregates, stages, increments, spacings, prec):
         np.arange(L * K).reshape(L, K),
         np.split(np.arange(L * K, L * K + Q), np.cumsum(stages)[:-1]),
     ).flatten().astype(int)
-    return info[np.ix_(order, order)], score[order]
+    return info[:, order[:, None], order], score[:, order]
 
 
 def _mcar_statistics(values, increments, spacings, prec):
@@ -451,8 +535,9 @@ def estimate_drift(
     shape = (int(lags), tuple(int(r) for r in stages))
     derivs, aggregates = _regressors(path, weights, shape)
     thresholded = threshold_increments(path, policy, triplet, lags=shape[0])
-    info, score = _drift_statistics(
-        derivs, aggregates, shape[1], thresholded.values, thresholded.spacings, _precision(triplet)
+    (info,), (score,) = _drift_statistics(
+        derivs[None], aggregates[None], shape[1], thresholded.values[None],
+        thresholded.spacings, _precision(triplet)[None],
     )
     return _finish(info, score, thresholded, path, triplet, ridge, "grou", shape)
 
@@ -500,24 +585,10 @@ def estimate_triplet(
     """
     if policy is None:
         policy = ThresholdPolicy()
-    _, _, raw, spacings = _coarse_increments(path, lags)
-    if raw.shape[0] < min_increments:
-        raise EstimationError(
-            f"triplet estimation needs >= {min_increments} coarse increments, "
-            f"have {raw.shape[0]}"
-        )
-    K = path.n_edges
-    cuts = policy.thresholds(spacings, K)
-    total_time = float(spacings.sum())
-
-    small0 = np.abs(raw) <= cuts
-    b_hat = (raw * small0).sum(axis=0) / total_time
-
-    corrected = raw - b_hat[None, :] * spacings[:, None]
-    small = np.abs(corrected) <= cuts
+    b_hat, corrected, small, total_time = _small_increments(path, policy, lags, min_increments)
     joint_small = small.all(axis=1)
     if not joint_small.any():
-        raise EstimationError("every coarse increment exceeds the threshold")
+        raise EstimationError(_ALL_EXCEED)
     kept = corrected[joint_small]
     sigma_hat = kept.T @ kept / total_time
 
@@ -529,3 +600,24 @@ def estimate_triplet(
         rate_hat = float(exceed.sum()) / total_time
         jumps = CompoundPoissonJumps(rate=rate_hat, jump_cov=second_moment / rate_hat)
     return LevySpec(b_hat, 0.5 * (sigma_hat + sigma_hat.T), jumps)
+
+
+def _small_increments(path, policy, lags=1, min_increments=100):
+    """The column-by-column part of :func:`estimate_triplet`.
+
+    Returns ``(b_hat, corrected, small, total_time)``: the per-component
+    drift, the drift-corrected coarse increments, their sub-threshold mask
+    and the time they span.  No column's values depend on another's.
+    """
+    _, _, raw, spacings = _coarse_increments(path, lags)
+    if raw.shape[0] < min_increments:
+        raise EstimationError(
+            f"triplet estimation needs >= {min_increments} coarse increments, "
+            f"have {raw.shape[0]}"
+        )
+    cuts = policy.thresholds(spacings, path.n_edges)
+    total_time = float(spacings.sum())
+    small0 = np.abs(raw) <= cuts
+    b_hat = (raw * small0).sum(axis=0) / total_time
+    corrected = raw - b_hat[None, :] * spacings[:, None]
+    return b_hat, corrected, np.abs(corrected) <= cuts, total_time

@@ -146,24 +146,31 @@ class WeightMatrices:
         return self.matrices[r - 1]
 
 
-def _stage_masks(graph: EdgeGraph, max_stage: int) -> list[np.ndarray]:
+def _stage_masks(ends: np.ndarray, n_vertices: int, max_stage: int) -> list[np.ndarray]:
     """Boolean K-by-K masks of stages ``0 .. max_stage``, row ``a`` for edge ``a``.
 
-    Edges are stage-1 neighbors when they share an endpoint: the line-graph
-    adjacency ``B^T B - 2I`` of the vertex-edge incidence ``B``, which counts
-    outgoing and incoming incidence alike, so directed and undirected graphs
-    follow one rule.  Stage r holds the edges first reached in r steps.
+    ``ends`` holds the edges' vertex pairs, ``(K, 2)`` or a stack ``(..., K, 2)``
+    of graphs with K edges each, which gives stacked masks.  Edges are
+    stage-1 neighbors when they share an endpoint: the line-graph adjacency
+    ``B^T B - 2I`` of the vertex-edge incidence ``B``, which counts outgoing
+    and incoming incidence alike, so directed and undirected graphs follow
+    one rule.  Stage r holds the edges first reached in r steps.
     """
-    ends = np.array(graph.edges, dtype=int).reshape(-1, 2)
-    incidence = (np.arange(graph.n_vertices)[:, None, None] == ends).any(axis=2).astype(int)
-    adjacency = incidence.T @ incidence - 2 * np.eye(ends.shape[0], dtype=int) > 0
-    frontier = reached = np.eye(ends.shape[0], dtype=bool)
+    K = ends.shape[-2]
+    incidence = (np.arange(n_vertices)[:, None, None] == ends[..., None, :, :]).any(axis=-1)
+    incidence = incidence.astype(int)
+    adjacency = np.swapaxes(incidence, -1, -2) @ incidence - 2 * np.eye(K, dtype=int) > 0
+    frontier = reached = np.broadcast_to(np.eye(K, dtype=bool), adjacency.shape)
     masks = [frontier]
     for _ in range(max_stage):
         frontier = (frontier @ adjacency) & ~reached
         reached = reached | frontier
         masks.append(frontier)
     return masks
+
+
+def _edge_ends(graph: EdgeGraph) -> np.ndarray:
+    return np.array(graph.edges, dtype=int).reshape(-1, 2)
 
 
 def edge_neighbors(graph: EdgeGraph, edge: int, max_stage: int) -> NeighborStages:
@@ -182,7 +189,7 @@ def edge_neighbors(graph: EdgeGraph, edge: int, max_stage: int) -> NeighborStage
         raise IndexError(f"edge index {edge} out of range (K={graph.n_edges})")
     if max_stage < 0:
         raise ValueError("max_stage must be >= 0")
-    masks = _stage_masks(graph, max_stage)
+    masks = _stage_masks(_edge_ends(graph), graph.n_vertices, max_stage)
     stages = tuple(frozenset(int(b) for b in np.flatnonzero(m[edge])) for m in masks)
     return NeighborStages(reference_edge=edge, stages=stages)
 
@@ -191,11 +198,18 @@ def weight_matrices(graph: EdgeGraph, max_stage: int) -> WeightMatrices:
     """Uniform neighborhood weight matrices for stages ``1 .. max_stage``."""
     if max_stage < 1:
         raise ValueError("max_stage must be >= 1")
+    return WeightMatrices(
+        matrices=tuple(_weight_stack(_edge_ends(graph), graph.n_vertices, max_stage))
+    )
+
+
+def _weight_stack(ends: np.ndarray, n_vertices: int, max_stage: int) -> list[np.ndarray]:
+    """``W_1 .. W_max_stage`` of the graphs whose edges are ``ends`` (see :func:`_stage_masks`)."""
     mats = []
-    for mask in _stage_masks(graph, max_stage)[1:]:
-        counts = mask.sum(axis=1, keepdims=True)
+    for mask in _stage_masks(ends, n_vertices, max_stage)[1:]:
+        counts = mask.sum(axis=-1, keepdims=True)
         mats.append(np.where(mask, 1.0 / np.maximum(counts, 1), 0.0))
-    return WeightMatrices(matrices=tuple(mats))
+    return mats
 
 
 def random_er_graph(n_vertices: int, edge_prob: float, rng_seed) -> EdgeGraph:

@@ -213,20 +213,10 @@ def build_companion(params: GrouParams, weights: WeightMatrices | None) -> Compa
             raise ConfigurationError(
                 f"weights are for {weights.n_edges} edges, parameters for {K}"
             )
-    lag_matrices = []
-    for l in range(L):
-        Q = np.diag(params.alpha[l]).astype(float)
-        for r in range(1, params.stages[l] + 1):
-            Q = Q + params.beta[l][r - 1] * weights.stage(r)
-        lag_matrices.append(Q)
-
+    matrices = () if weights is None else weights.matrices
+    lag_matrices = [_lag_matrix(params.alpha[l], params.beta[l], matrices) for l in range(L)]
     dim = L * K
-    transition = np.zeros((dim, dim))
-    for l in range(L - 1):
-        transition[l * K : (l + 1) * K, (l + 1) * K : (l + 2) * K] = np.eye(K)
-    for l in range(L):
-        # bottom block row holds -Q_L, -Q_{L-1}, ..., -Q_1
-        transition[(L - 1) * K :, l * K : (l + 1) * K] = -lag_matrices[L - 1 - l]
+    transition = _companion_transition(lag_matrices)
     noise_selector = np.zeros((dim, K))
     noise_selector[(L - 1) * K :, :] = np.eye(K)
     observation = np.zeros((K, dim))
@@ -237,6 +227,37 @@ def build_companion(params: GrouParams, weights: WeightMatrices | None) -> Compa
         noise_selector=noise_selector,
         observation=observation,
     )
+
+
+def _lag_matrix(alpha, beta, matrices) -> np.ndarray:
+    """``Q = diag(alpha) + sum_r beta[r - 1] * W_r``.
+
+    ``alpha`` is ``(..., K)``, ``beta`` ``(..., R)`` and ``matrices[r - 1]``
+    holds ``W_r``; leading axes give a stack of lag matrices.
+    """
+    K = alpha.shape[-1]
+    Q = np.zeros(alpha.shape + (K,))
+    Q[..., np.arange(K), np.arange(K)] = alpha
+    for r in range(beta.shape[-1]):
+        Q = Q + beta[..., r, None, None] * matrices[r]
+    return Q
+
+
+def _companion_transition(lag_matrices) -> np.ndarray:
+    """Companion transition of the lag matrices ``Q_1 .. Q_L``.
+
+    Identity blocks on the block super-diagonal, ``-Q_L, ..., -Q_1`` along the
+    bottom block row.  Each ``Q_l`` may be a stack ``(..., K, K)``, which gives a
+    stack of transitions.
+    """
+    L = len(lag_matrices)
+    K = lag_matrices[0].shape[-1]
+    transition = np.zeros(lag_matrices[0].shape[:-2] + (L * K, L * K))
+    for l in range(L - 1):
+        transition[..., l * K : (l + 1) * K, (l + 1) * K : (l + 2) * K] = np.eye(K)
+    for l in range(L):
+        transition[..., (L - 1) * K :, l * K : (l + 1) * K] = -lag_matrices[L - 1 - l]
+    return transition
 
 
 def is_hurwitz(system: CompanionSystem) -> bool:
@@ -319,14 +340,18 @@ def cov_integral(transition: np.ndarray, rhs: np.ndarray, h: float):
 
 
 def drift_integral(transition: np.ndarray, vec: np.ndarray, h: float) -> np.ndarray:
-    """``int_0^h expm(u*transition) du @ vec`` without inverting the transition."""
-    n = transition.shape[0]
+    """``int_0^h expm(u*transition) du @ vec`` without inverting the transition.
+
+    A stack of transitions ``(..., n, n)`` with vectors ``(..., n)`` gives a
+    stack of integrals.
+    """
+    n = transition.shape[-1]
     if h == 0.0:
-        return np.zeros(n)
-    block = np.zeros((n + 1, n + 1))
-    block[:n, :n] = transition
-    block[:n, n] = vec
-    return expm(h * block)[:n, n]
+        return np.zeros(np.shape(vec))
+    block = np.zeros(transition.shape[:-2] + (n + 1, n + 1))
+    block[..., :n, :n] = transition
+    block[..., :n, n] = vec
+    return expm(h * block)[..., :n, n]
 
 
 def stationary_moments(system: CompanionSystem, noise) -> MomentSet:

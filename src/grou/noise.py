@@ -59,12 +59,23 @@ def _check_psd(matrix, name):
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be square, got shape {matrix.shape}")
-    if not np.allclose(matrix, matrix.T, atol=1e-10):
-        raise ValueError(f"{name} must be symmetric")
-    w = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
-    if w.min() < -1e-10 * max(1.0, abs(w.max())):
-        raise ValueError(f"{name} must be positive semi-definite")
+    _psd_spectrum(matrix, name)
     return matrix
+
+
+def _psd_spectrum(matrix, name):
+    """Eigenvalues of a symmetric PSD matrix, or of each matrix of a stack ``(..., n, n)``.
+
+    Raises ValueError naming ``name`` when any matrix is asymmetric or has an
+    eigenvalue below ``-1e-10 * max(1, |largest|)``.
+    """
+    flipped = np.swapaxes(matrix, -1, -2)
+    if not np.allclose(matrix, flipped, atol=1e-10):
+        raise ValueError(f"{name} must be symmetric")
+    w = np.linalg.eigvalsh(0.5 * (matrix + flipped))
+    if np.any(w.min(axis=-1) < -1e-10 * np.maximum(1.0, np.abs(w.max(axis=-1)))):
+        raise ValueError(f"{name} must be positive semi-definite")
+    return w
 
 
 @dataclass(frozen=True)

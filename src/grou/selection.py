@@ -9,6 +9,10 @@ sit within a small tolerance of the best does the information criterion
 break the tie (lower wins).  Joint selection over unknown networks screens
 a large random candidate set with a cheap fixed shape, keeps the most
 promising graphs, and then runs the full shape selection on each survivor.
+The screen is one array program on one BLAS thread: the work that depends
+on the path alone is done once for every pair column, and the candidates
+run in stacks of equal edge count.  A candidate whose fit fails is skipped
+with a warning that gives the reason.
 """
 
 from __future__ import annotations
@@ -18,14 +22,32 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from ._blas import one_blas_thread
 from .benchmarks import BenchmarkContext, fit_and_evaluate
-from .errors import GrouError
+from .errors import ConfigurationError, EstimationError, GrouError, SingularityError
 # estimate_drift is unused here but stays bound: perfbench's tracer test checks this import site
-from .estimate import EstimationResult, ThresholdPolicy, _bic, estimate_drift, estimate_triplet
-from .graphs import EdgeGraph, pair_order, random_er_graph, weight_matrices
-from .noise import stream_rng
+from .estimate import (
+    _ALL_EXCEED,
+    _STAYED_SINGULAR,
+    EstimationResult,
+    ThresholdPolicy,
+    _aggregates,
+    _bic,
+    _coarse_increments,
+    _derivatives,
+    _drift_statistics,
+    _jittered,
+    _small_increments,
+    _solve_with_ridge_stack,
+    _truncate,
+    estimate_drift,
+    estimate_triplet,
+)
+from .graphs import EdgeGraph, _weight_stack, pair_order, random_er_graph, weight_matrices
+from .model import _companion_transition, _lag_matrix, drift_integral
+from .noise import _psd_spectrum, stream_rng
 from .simulate import SampledPath
 
 __all__ = [
@@ -157,6 +179,121 @@ def _columns_for(graph: EdgeGraph, n_vertices: int):
     return [order[edge] for edge in graph.edges]
 
 
+# Cells (edges x rows) per candidate batch of the screen.  A batch holds a
+# few copies of its candidates' held-out rows and regressors; the bound keeps
+# each copy to 4 MiB however many candidates share an edge count.
+_BATCH_CELLS = 1 << 19
+
+
+def _by_candidate(columns, cols):
+    """``columns[..., cols]`` with the candidate axis first: ``(..., N)`` to ``(G, ..., K)``."""
+    return np.ascontiguousarray(np.moveaxis(columns[..., cols], -2, 0))
+
+
+def _one_step_maps(theta, matrices, shape, mean_rate, h):
+    """``(gain, const)`` of :func:`grou.forecast.one_step_map` for a stack of fitted drifts.
+
+    ``theta`` is ``(G, p)`` in :meth:`GrouParams.flatten` order,
+    ``matrices[r - 1]`` the ``(G, K, K)`` stack of ``W_r`` and ``mean_rate``
+    ``(G, K)``; the lag matrices and transitions are built as
+    :func:`grou.model.build_companion` builds them.
+    """
+    lags, stages = shape
+    G, K = mean_rate.shape
+    lag_matrices, pos = [], 0
+    for l in range(lags):
+        alpha, beta = theta[:, pos : pos + K], theta[:, pos + K : pos + K + stages[l]]
+        lag_matrices.append(_lag_matrix(alpha, beta, matrices))
+        pos += K + stages[l]
+    transition = _companion_transition(lag_matrices)
+    drift = np.zeros((G, lags * K))
+    drift[:, -K:] = mean_rate
+    return expm(h * transition)[:, :K, :K], drift_integral(transition, drift, h)[:, :K]
+
+
+def _screen(path, graphs, n_vertices, shape, n_train, policy):
+    """Held-out directional accuracy of every non-empty candidate graph under one shape.
+
+    This is the scoring of :func:`select_model` run as array programs: a
+    noise triplet from the training head, a drift fit with the automatic
+    ridge, then one-step forecasts at the fine mesh over the held-out tail.
+    What depends on the path alone (the coarse increments, their drift and
+    sub-threshold masks, the regressors, the held-out rows) is computed once
+    for all pair columns; candidates with equal edge counts run as stacks.
+    Returns ``(accuracies, failures)``, both keyed by candidate index; a
+    failure is the error the candidate's own fit raises.
+    """
+    lags, stages = shape
+    policy = ThresholdPolicy() if policy is None else policy
+    train = path.section(0, n_train)
+    by_size = {}
+    for i, g in enumerate(graphs):
+        if g.n_edges:
+            by_size.setdefault(g.n_edges, []).append(i)
+    accuracies, failures = {}, {}
+    try:
+        b_hat, corrected, small, total_time = _small_increments(train, policy)
+    except GrouError as exc:
+        return accuracies, {i: exc for members in by_size.values() for i in members}
+    fit_error = None
+    try:
+        derivs = _derivatives(train, lags)
+        _, _, raw, spacings = _coarse_increments(train, lags)
+        increments = _truncate(raw, spacings, b_hat, policy).values
+    except GrouError as exc:
+        fit_error = exc
+    # held-out rows: previous values and the signs of the realized moves
+    previous = path.values[n_train - 1 : -1]
+    realized = np.sign(path.values[n_train:] - previous).astype(np.int8)
+    column = np.zeros((n_vertices, n_vertices), dtype=int)
+    column[np.triu_indices(n_vertices, 1)] = np.arange(path.n_edges)
+    n_stages = max(max(stages, default=0), 1)
+    for K, members in sorted(by_size.items()):
+        size = max(1, _BATCH_CELLS // (K * (previous.shape[0] + lags * corrected.shape[0])))
+        for start in range(0, len(members), size):
+            ids = np.array(members[start : start + size])
+            ends = np.array([graphs[i].edges for i in ids])
+            # the triplet: Brownian covariance of the rows below every cutoff
+            joint = small[:, column[ends[..., 0], ends[..., 1]]].all(axis=-1).T
+            live = joint.any(axis=1)
+            failures.update((i, EstimationError(_ALL_EXCEED)) for i in ids[~live].tolist())
+            if fit_error is not None:
+                failures.update((i, fit_error) for i in ids[live].tolist())
+                continue
+            if not live.any():
+                continue
+            ids, ends, joint = ids[live], ends[live], joint[live]
+            cols = column[ends[..., 0], ends[..., 1]]
+            kept = np.where(joint[..., None], _by_candidate(corrected, cols), 0.0)
+            sigma = kept.transpose(0, 2, 1) @ kept / total_time
+            sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+            prec = np.linalg.inv(_jittered(sigma, _psd_spectrum(sigma, "brownian_cov")))
+            # the drift fit
+            matrices = _weight_stack(ends, n_vertices, n_stages)
+            d = _by_candidate(derivs, cols)
+            info, score = _drift_statistics(
+                d, _aggregates(d, matrices, stages), stages,
+                _by_candidate(increments, cols), spacings, prec,
+            )
+            theta = _solve_with_ridge_stack(0.5 * (info + info.transpose(0, 2, 1)), score)
+            solved = ~np.isnan(theta).any(axis=1)
+            failures.update((i, SingularityError(_STAYED_SINGULAR)) for i in ids[~solved].tolist())
+            ids, cols = ids[solved], cols[solved]
+            # one-step forecasts over the held-out rows
+            gain, const = _one_step_maps(
+                theta[solved], [m[solved] for m in matrices], shape, b_hat[cols],
+                train.grid.mesh_fine,
+            )
+            prev = _by_candidate(previous, cols)
+            with np.errstate(invalid="ignore"):
+                moves = prev @ gain.transpose(0, 2, 1)
+                moves += const[:, None, :]
+                moves -= prev
+            hits = np.count_nonzero(np.sign(moves) == _by_candidate(realized, cols), axis=(1, 2))
+            accuracies.update(zip(ids.tolist(), (hits / prev[0].size).tolist()))
+    return accuracies, failures
+
+
 def joint_network_model_search(
     path: SampledPath,
     n_vertices: int,
@@ -178,8 +315,9 @@ def joint_network_model_search(
     held-out scoring as :func:`select_model`, its noise triplet estimated
     from its own training head; the best ``retain`` graphs get the full
     shape selection, and the pair with the best accuracy wins (ties by the
-    information criterion, then by candidate index).  The screening runs
-    on one BLAS thread.
+    information criterion, then by candidate index).  The screen runs on
+    one BLAS thread as one array program, candidates batched by edge count;
+    a candidate whose fit fails is skipped with a warning giving the reason.
     """
     n_pairs = n_vertices * (n_vertices - 1) // 2
     if path.n_edges != n_pairs:
@@ -187,34 +325,25 @@ def joint_network_model_search(
             f"path has {path.n_edges} columns; expected {n_pairs} pair series "
             f"for {n_vertices} vertices"
         )
-    screen_shape = (int(screen_shape[0]), tuple(int(r) for r in screen_shape[1]))
+    lags, stages = int(screen_shape[0]), tuple(int(r) for r in screen_shape[1])
+    if len(stages) != lags:
+        raise ConfigurationError(f"shape mismatch: {lags} lags but {len(stages)} stage counts")
     n_train = _split_points(path.n_points, eval_fraction)
 
     graphs = [
         random_er_graph(n_vertices, edge_prob, stream_rng(rng_seed, i)) for i in range(n_candidates)
     ]
-
-    screened = []
     with one_blas_thread():
-        for i, g in enumerate(graphs):
-            if g.n_edges == 0:
-                continue
-            sub = path.select_columns(_columns_for(g, n_vertices))
-            try:
-                weights = weight_matrices(g, max(max(screen_shape[1], default=0), 1))
-                acc, _ = _score_shape(sub, weights, screen_shape, n_train, None, policy)
-            except (GrouError, np.linalg.LinAlgError) as exc:
-                warnings.warn(f"candidate {i} skipped in screening: {exc}", stacklevel=2)
-                continue
-            screened.append((acc, i))
-    if not screened:
+        accuracies, failures = _screen(path, graphs, n_vertices, (lags, stages), n_train, policy)
+    for i, exc in sorted(failures.items()):
+        warnings.warn(f"candidate {i} skipped in screening: {exc}", stacklevel=2)
+    if not accuracies:
         raise GrouError("no candidate network survived screening")
-    screened.sort(key=lambda s: (-s[0], s[1]))
-    kept = screened[: int(retain)]
+    kept = sorted(accuracies.items(), key=lambda s: (-s[1], s[0]))[: int(retain)]
 
     all_scores = []
     finalists = []
-    for acc, i in kept:
+    for i, _ in kept:
         g = graphs[i]
         sub = path.select_columns(_columns_for(g, n_vertices))
         try:

@@ -11,10 +11,11 @@ from grou.benchmarks import directional_accuracy
 from grou.estimate import _regressors, estimate_drift
 from grou.forecast import rolling_forecast
 from grou.graphs import random_er_graph, weight_matrices
-from grou.errors import IngestionError
+from grou.errors import GrouError, IngestionError
 from grou.model import GrouParams, build_companion, cov_integral, drift_integral, is_hurwitz
 from grou.mrc import PriceMatrix
 from grou.noise import SymmetricGammaJumps, psd_factor
+from grou.selection import _columns_for, _score_shape
 
 
 def draw_hurwitz_system(rng, max_edges=5, max_lags=3):
@@ -242,6 +243,31 @@ def heldout_scores(path, weights, shape, n_train, triplet):
     idx = np.arange(n_train, path.n_points)
     preds = rolling_forecast(path, fitted, weights, idx, horizon="fine")
     return directional_accuracy(path.values[idx], preds, path.values[idx - 1]), fitted
+
+
+def screen_loop(path, graphs, n_vertices, shape, n_train, policy=None):
+    """Held-out directional accuracy of each candidate graph, one fit at a time.
+
+    The per-candidate screen that ``grou.selection._screen`` replaces with
+    batched array programs, kept as its oracle: each non-empty candidate's
+    pair columns go through ``select_model``'s scoring route, the noise
+    triplet estimated from the candidate's own training head.  Returns
+    ``(accuracies, messages)``: accuracies by candidate index and the skip
+    warnings of the joint search, in order.
+    """
+    accuracies, messages = {}, []
+    for i, g in enumerate(graphs):
+        if g.n_edges == 0:
+            continue
+        sub = path.select_columns(_columns_for(g, n_vertices))
+        try:
+            weights = weight_matrices(g, max(max(shape[1], default=0), 1))
+            acc, _ = _score_shape(sub, weights, shape, n_train, None, policy)
+        except (GrouError, np.linalg.LinAlgError) as exc:
+            messages.append(f"candidate {i} skipped in screening: {exc}")
+            continue
+        accuracies[i] = acc
+    return accuracies, messages
 
 
 def _loop_timestamp(token):

@@ -243,6 +243,22 @@ class TestEstimateForecast:
         assert "horizon_steps must be >= 1, got 0" in capsys.readouterr().err
         assert not (workdir / "forecast.csv").exists()
 
+    def test_forecast_negative_eval_tail_exit_1(self, workdir, capsys):
+        self.fit_two_edges(workdir)
+        argv = [
+            "forecast",
+            "--path", str(workdir / "path.csv"),
+            "--fit", str(workdir / "report.json"),
+            "--graph", str(workdir / "graph.json"),
+            "--out", str(workdir / "forecast.csv"),
+        ]
+        assert run([*argv, "--eval-tail", "-5"]) == 1
+        assert "--eval-tail must be >= 0, got -5" in capsys.readouterr().err
+        assert not (workdir / "forecast.csv").exists()
+        # zero stays valid: only the forecast beyond the path
+        assert run([*argv, "--eval-tail", "0"]) == 0
+        assert "wrote 1 forecast rows" in capsys.readouterr().out
+
     def test_estimate_missing_columns_exit_1(self, workdir):
         bad = workdir / "bad.csv"
         bad.write_text("a,b\n0,1\n1,2\n")
@@ -575,6 +591,16 @@ _WRONG_TYPES = {
         "benchmark", {"design": {}, "graph": ["g.json"], "params": "p.json", "noise": "n.json"},
         "graph",
     ),
+    # integer entries take no booleans and no fractions
+    "not_integer_n_candidates": ("select", {"mode": "joint", "n_candidates": True}, "n_candidates"),
+    "not_integer_retain": ("select", {"mode": "joint", "retain": 2.9}, "retain"),
+    "not_integer_n_vertices": ("select", {"mode": "joint", "n_vertices": False}, "n_vertices"),
+    "not_integer_ratio": ("select", {"ratio": True}, "ratio"),
+    "not_integer_seed": ("select", {"seed": 1.5}, "seed"),
+    "not_integer_n_paths": ("benchmark", {"n_paths": 2.5}, "n_paths"),
+    "not_integer_n_obs": ("benchmark", {"n_obs": True}, "n_obs"),
+    "not_integer_study_ratio": ("benchmark", {"ratio": False}, "ratio"),
+    "not_integer_test_size": ("benchmark", {"test_size": 100.5}, "test_size"),
 }
 
 

@@ -18,6 +18,9 @@ from grou.estimate import (
     grid_diagnostics,
     threshold_increments,
     _coarse_increments,
+    _drift_statistics,
+    _solve_with_ridge,
+    _solve_with_ridge_stack,
     _working_covariance,
 )
 from grou.graphs import EdgeGraph, complete_graph, path_graph, weight_matrices
@@ -210,6 +213,43 @@ class TestStructuredStatistics:
                 expected += b * deriv @ weights.stage(r).T
         implied = np.einsum("mpk,p->mk", H, params.flatten())
         np.testing.assert_allclose(implied, expected, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=19),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_stacked_fits_equal_single_fits_bit_for_bit(self, stages, K, G, seed):
+        rng = np.random.default_rng(seed)
+        lags, Q, M = len(stages), sum(stages), int(rng.integers(2, 300))
+        derivs = rng.normal(size=(G, lags, M, K))
+        aggregates = rng.normal(size=(G, Q, M, K))
+        increments = rng.normal(size=(G, M, K))
+        spacings = rng.uniform(0.01, 0.1, size=M)
+        root = rng.normal(size=(G, K, K))
+        prec = root @ root.transpose(0, 2, 1) + np.eye(K)
+        info, score = _drift_statistics(derivs, aggregates, stages, increments, spacings, prec)
+        for g in range(G):
+            one = slice(g, g + 1)
+            (info_g,), (score_g,) = _drift_statistics(
+                derivs[one], aggregates[one], stages, increments[one], spacings, prec[one]
+            )
+            assert np.array_equal(info[g], info_g)
+            assert np.array_equal(score[g], score_g)
+
+    def test_stacked_ridge_escalates_only_the_failing_fits(self):
+        infos = np.array([np.eye(2), np.diag([1.0, -1e-6]), np.diag([1.0, -1e30])])
+        scores = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        theta = _solve_with_ridge_stack(infos, scores)
+        for g in range(2):
+            single, _ = _solve_with_ridge(infos[g], scores[g], None)
+            np.testing.assert_allclose(theta[g], single, rtol=1e-12)
+        assert _solve_with_ridge(infos[1], scores[1], None)[1] > 1e-6  # escalated
+        assert np.isnan(theta[2]).all()
+        with pytest.raises(SingularityError):
+            _solve_with_ridge(infos[2], scores[2], None)
 
     def test_mcar_fit_forms_no_dense_regressors(self):
         # training section of one K=10 predictive-study path: M = 1,785

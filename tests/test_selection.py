@@ -1,21 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grou.estimate import estimate_drift, estimate_triplet
-from grou.graphs import path_graph, random_er_graph, weight_matrices
+from grou.estimate import _ALL_EXCEED, ThresholdPolicy, estimate_drift, estimate_triplet
+from grou.graphs import EdgeGraph, pair_order, path_graph, random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion
-from grou.noise import LevySpec
+from grou.noise import LevySpec, stream_rng
 from grou.selection import (
     CandidateScore,
     _choose,
+    _screen,
     _split_points,
     bic,
     joint_network_model_search,
     select_model,
 )
-from grou.simulate import make_uniform_grids, simulate_path
+from grou.simulate import SampledPath, make_uniform_grids, simulate_path
 
-from conftest import heldout_scores
+from conftest import heldout_scores, screen_loop
 
 
 def fitted_result(seed=0):
@@ -203,3 +208,79 @@ class TestJointSearch:
             path, n_vertices, shapes=[(1, (1,))], n_candidates=1, retain=1, rng_seed=2
         )
         assert outcome.chosen_graph is not None
+
+
+SCREEN_SHAPES = [(1, (1,)), (1, (2,)), (2, (1, 1))]
+
+
+def screen_panel(n_vertices, seed, ratio, jumpy):
+    """Mean-reverting pair series with correlated shocks on a uniform grid.
+
+    The shocks censor a few coarse increments here and there; with ``jumpy``
+    column 0 also jumps by 5 at every coarse step, so the triplet of any
+    candidate holding that pair has no sub-threshold increment left.
+    """
+    rng = np.random.default_rng(seed)
+    n_pairs = n_vertices * (n_vertices - 1) // 2
+    grid = make_uniform_grids(6.0, 0.02, ratio)
+    n = grid.fine.size
+    mixing = np.eye(n_pairs) + 0.3 * rng.normal(size=(n_pairs, n_pairs))
+    shocks = 0.2 * rng.normal(size=(n, n_pairs)) @ mixing
+    values = np.zeros((n, n_pairs))
+    for t in range(1, n):
+        values[t] = 0.9 * values[t - 1] + shocks[t]
+    if jumpy:
+        values[:, 0] += 5.0 * (np.arange(n) // ratio)
+    return SampledPath(grid=grid, values=values)
+
+
+class TestScreen:
+    """The batched screen against the per-candidate loop it replaced (``conftest.screen_loop``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=5),
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from([1, 2]),
+        st.sampled_from(SCREEN_SHAPES),
+        st.booleans(),
+        st.lists(st.integers(min_value=0, max_value=2**10 - 1), max_size=5),
+    )
+    def test_accuracies_and_skips_equal_the_loop(
+        self, n_vertices, seed, ratio, shape, jumpy, masks
+    ):
+        path = screen_panel(n_vertices, seed, ratio, jumpy)
+        pairs = pair_order(n_vertices)
+        # the empty graph, one edge and the full graph, then random edge sets
+        edge_sets = [[], [pairs[seed % len(pairs)]], pairs]
+        edge_sets += [[p for k, p in enumerate(pairs) if mask >> k & 1] for mask in masks]
+        graphs = [EdgeGraph(n_vertices, edges) for edges in edge_sets]
+        n_train = _split_points(path.n_points, 0.2)
+        policy = ThresholdPolicy()
+        expected, messages = screen_loop(path, graphs, n_vertices, shape, n_train, policy)
+        accuracies, failures = _screen(path, graphs, n_vertices, shape, n_train, policy)
+        assert accuracies == expected
+        got = [f"candidate {i} skipped in screening: {exc}" for i, exc in sorted(failures.items())]
+        assert got == messages
+        if jumpy:
+            # the full graph holds the jumping pair
+            assert f"candidate 2 skipped in screening: {_ALL_EXCEED}" in got
+
+    @pytest.mark.parametrize("shape", SCREEN_SHAPES)
+    def test_search_warns_and_keeps_like_the_loop(self, shape):
+        path = screen_panel(4, 11, 2, jumpy=True)
+        n_train = _split_points(path.n_points, 0.2)
+        graphs = [random_er_graph(4, 0.5, stream_rng(5, i)) for i in range(16)]
+        expected, messages = screen_loop(path, graphs, 4, shape, n_train)
+        assert messages and expected
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = joint_network_model_search(
+                path, 4, [shape], n_candidates=16, edge_prob=0.5, screen_shape=shape,
+                retain=3, rng_seed=5,
+            )
+        got = [str(w.message) for w in caught if "skipped in screening" in str(w.message)]
+        assert got == messages
+        retained = sorted(expected, key=lambda i: (-expected[i], i))[:3]
+        assert sorted({c.graph_ref for c in outcome.candidates}) == sorted(retained)
+

@@ -320,8 +320,28 @@ def _second_of_day(epoch_seconds: np.ndarray) -> np.ndarray:
 # regular session 09:30-16:00; trimming drops the first and last hour (minutes of the day)
 _SESSION = (9 * 60 + 30, 16 * 60)
 _TRIMMED = (10 * 60 + 30, 15 * 60)
-# rows parsed per chunk: bounds the token lists held at once
+# lines parsed per chunk: bounds the lines and cells held at once
 _CHUNK_ROWS = 32_768
+
+
+def _fast_cells(lines: list[str], width: int) -> np.ndarray | None:
+    """The chunk's cells read by numpy's C reader, or None where they must go through ``csv``.
+
+    The result is used only where it is certain to equal ``csv``'s reading:
+    one row of ``width`` numbers per line.  The last line must close its
+    record (a quoted cell may run on into the next chunk), and a line that
+    numpy drops (a blank one) or a chunk of uniformly narrow rows shows as
+    a wrong shape.
+    """
+    try:
+        if len(next(csv.reader(lines[-1:], strict=True))) != width:
+            return None
+        cells = np.loadtxt(
+            lines, delimiter=",", dtype=float, ndmin=2, comments=None, quotechar='"'
+        )
+    except (ValueError, csv.Error):
+        return None
+    return cells if cells.shape == (len(lines), width) else None
 
 
 def ingest_prices(
@@ -341,6 +361,14 @@ def ingest_prices(
     non-finite or non-positive price, or (with ``market_hours`` or
     ``trim_open_close``) a time outside the session.  An empty result, or
     a time span too long to lay out on the grid, raises.
+
+    The file is read in chunks of ``_CHUNK_ROWS`` lines.  numpy's C reader
+    parses a chunk first; a chunk it rejects (an ISO-8601 stamp, a cell it
+    does not read as a number, a row of the wrong width, a blank line, a
+    quoted cell that runs past the chunk's last line) goes through
+    ``csv`` record by record with the same grammar, so the result does not
+    depend on which reader took a chunk.  A rejected chunk pays for the
+    failed attempt too; an ISO-stamped file fails at its first cell.
     """
     if not frequency > 0:
         raise ValueError(f"frequency must be positive, got {frequency}")
@@ -348,9 +376,9 @@ def ingest_prices(
     filter_hours = market_hours or trim_open_close
     kept, skipped = [], 0
     with open(file, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        lines_in = (line for line in fh if not line.startswith("#"))
         try:
-            header = next(reader)
+            header = next(csv.reader(lines_in))
         except StopIteration:
             raise IngestionError(f"{file}: empty file") from None
         if len(header) < 2 or header[0].lower() not in ("timestamp", "time"):
@@ -358,12 +386,19 @@ def ingest_prices(
                 f"{file}: expected header 'timestamp,<asset>,...', got {header!r}"
             )
         asset_ids = tuple(h.strip() for h in header[1:])
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            rows = [row for row in chunk if len(row) == len(header)]
-            skipped += len(chunk) - len(rows)
-            if not rows:
-                continue
-            cells = _parse_cells(rows)
+        while lines := list(itertools.islice(lines_in, _CHUNK_ROWS)):
+            cells = _fast_cells(lines, len(header))
+            if cells is None:
+                # csv's records of the chunk; one that runs past its last line reads on from the file
+                reader = csv.reader(itertools.chain(lines, lines_in))
+                chunk = []
+                while reader.line_num < len(lines):
+                    chunk.append(next(reader))
+                rows = [row for row in chunk if len(row) == len(header)]
+                skipped += len(chunk) - len(rows)
+                if not rows:
+                    continue
+                cells = _parse_cells(rows)
             t = cells[:, 0]
             cells[:, 0] = np.where(np.abs(t) > 1e14, t / 1e9, t)  # epoch nanoseconds
             quotes = cells[:, 1:]
@@ -371,7 +406,7 @@ def ingest_prices(
             if filter_hours:
                 second = _second_of_day(np.where(good, cells[:, 0], 0.0))
                 good &= (60 * wall_lo <= second) & (second < 60 * wall_hi)
-            skipped += len(rows) - int(good.sum())
+            skipped += len(cells) - int(good.sum())
             kept.append(cells[good])
     if not any(part.shape[0] for part in kept):
         raise IngestionError(f"{file}: no usable price rows")

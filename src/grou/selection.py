@@ -9,10 +9,11 @@ sit within a small tolerance of the best does the information criterion
 break the tie (lower wins).  Joint selection over unknown networks screens
 a large random candidate set with a cheap fixed shape, keeps the most
 promising graphs, and then runs the full shape selection on each survivor.
-The screen is one array program on one BLAS thread: the work that depends
-on the path alone is done once for every pair column, and the candidates
-run in stacks of equal edge count.  A candidate whose fit fails is skipped
-with a warning that gives the reason.
+The whole search, screen and survivors alike, runs on one BLAS thread.  The
+screen is one array program: the work that depends on the path alone is
+done once for every pair column, and the candidates run in stacks of equal
+edge count.  A candidate whose fit fails is skipped with a warning that
+gives the reason.
 """
 
 from __future__ import annotations
@@ -315,9 +316,10 @@ def joint_network_model_search(
     held-out scoring as :func:`select_model`, its noise triplet estimated
     from its own training head; the best ``retain`` graphs get the full
     shape selection, and the pair with the best accuracy wins (ties by the
-    information criterion, then by candidate index).  The screen runs on
-    one BLAS thread as one array program, candidates batched by edge count;
-    a candidate whose fit fails is skipped with a warning giving the reason.
+    information criterion, then by candidate index).  The whole search, the
+    finalists' shape selection included, runs on one BLAS thread; the screen
+    is one array program, candidates batched by edge count.  A candidate
+    whose fit fails is skipped with a warning giving the reason.
     """
     n_pairs = n_vertices * (n_vertices - 1) // 2
     if path.n_edges != n_pairs:
@@ -335,32 +337,32 @@ def joint_network_model_search(
     ]
     with one_blas_thread():
         accuracies, failures = _screen(path, graphs, n_vertices, (lags, stages), n_train, policy)
-    for i, exc in sorted(failures.items()):
-        warnings.warn(f"candidate {i} skipped in screening: {exc}", stacklevel=2)
-    if not accuracies:
-        raise GrouError("no candidate network survived screening")
-    kept = sorted(accuracies.items(), key=lambda s: (-s[1], s[0]))[: int(retain)]
+        for i, exc in sorted(failures.items()):
+            warnings.warn(f"candidate {i} skipped in screening: {exc}", stacklevel=2)
+        if not accuracies:
+            raise GrouError("no candidate network survived screening")
+        kept = sorted(accuracies.items(), key=lambda s: (-s[1], s[0]))[: int(retain)]
 
-    all_scores = []
-    finalists = []
-    for i, _ in kept:
-        g = graphs[i]
-        sub = path.select_columns(_columns_for(g, n_vertices))
-        try:
-            outcome = select_model(
-                sub,
-                g,
-                shapes,
-                tolerance=tolerance,
-                eval_fraction=eval_fraction,
-                policy=policy,
-                graph_ref=i,
-            )
-        except GrouError as exc:
-            warnings.warn(f"candidate {i} skipped in selection: {exc}", stacklevel=2)
-            continue
-        all_scores.extend(outcome.candidates)
-        finalists.append((outcome.chosen, g, i))
+        all_scores = []
+        finalists = []
+        for i, _ in kept:
+            g = graphs[i]
+            sub = path.select_columns(_columns_for(g, n_vertices))
+            try:
+                outcome = select_model(
+                    sub,
+                    g,
+                    shapes,
+                    tolerance=tolerance,
+                    eval_fraction=eval_fraction,
+                    policy=policy,
+                    graph_ref=i,
+                )
+            except GrouError as exc:
+                warnings.warn(f"candidate {i} skipped in selection: {exc}", stacklevel=2)
+                continue
+            all_scores.extend(outcome.candidates)
+            finalists.append((outcome.chosen, g, i))
     if not finalists:
         raise GrouError("no candidate pair survived model selection")
     finalists.sort(key=lambda f: (-f[0].dir_acc, f[0].bic, f[2]))

@@ -469,12 +469,16 @@ def price_files(draw):
     n_assets = draw(st.integers(1, 3))
     edge = _DAY + draw(st.sampled_from(_EDGES))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
+    # numeric stamps only, so that whole chunks reach numpy's reader
+    numeric = draw(st.booleans())
 
     def stamp():
         offset = draw(st.one_of(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0]), st.integers(-90, 90)))
         second = edge + offset + draw(st.sampled_from([0, 0, 0, 5400, -7200]))
         fraction = draw(st.sampled_from(_FRACTIONS))
         style = draw(st.sampled_from(["seconds", "seconds", "nanoseconds", "iso", "iso_naive"]))
+        if numeric and style.startswith("iso"):
+            style = "seconds"
         if style == "seconds":
             return f"{second}{fraction}"
         if style == "nanoseconds":
@@ -487,13 +491,21 @@ def price_files(draw):
         value = draw(st.sampled_from(["100", "101.5", "99.25", " 100.125 ", "1_00", "1e2", "0.5"]))
         if draw(st.integers(0, 9)) == 0:
             value = draw(st.sampled_from(["0", "-3", "inf", "nan", "abc", ""]))
+        if draw(st.integers(0, 9)) == 0:  # tokens float and numpy's reader may read apart
+            value = draw(st.sampled_from(["١٠٠", "1d2", "0x10", " 100 ", "+5"]))
         return f'"{value}"' if draw(st.booleans()) else value
 
     lines = draw(st.sampled_from([[], ["# leading comment"]]))
     header = [draw(st.sampled_from(["timestamp", "Time"]))] + [f"A{j}" for j in range(n_assets)]
     lines.append(",".join(header))
+    # every data row short: with a chunk of one or two lines, numpy's reader sees a narrow chunk
+    narrow = draw(st.integers(0, 4)) == 0
     for _ in range(draw(st.integers(0, 30))):
         kind = draw(st.sampled_from(["row"] * 6 + ["short", "long", "blank", "comment", "bad_stamp"]))
+        if draw(st.integers(0, 4)) == 0:  # rows numpy's reader drops, widens or splits
+            kind = draw(st.sampled_from(["whitespace", "trailing_comma", "quoted_newline"]))
+        if narrow and kind == "row":
+            kind = "short"
         cells = [stamp()] + [price() for _ in range(n_assets)]
         if kind == "short":
             cells = cells[:-1]
@@ -501,7 +513,15 @@ def price_files(draw):
             cells.append("1")
         elif kind == "bad_stamp":
             cells[0] = draw(st.sampled_from(["x", "nan", "inf", "", "2023-13-01"]))
-        lines.append({"blank": "", "comment": "# a comment, with a comma"}.get(kind, ",".join(cells)))
+        elif kind == "trailing_comma":
+            cells.append("")
+        elif kind == "quoted_newline":  # one record over two lines
+            cells[-1] = f'"100{newline}"'
+        lines.append(
+            {"blank": "", "comment": "# a comment, with a comma", "whitespace": " \t "}.get(
+                kind, ",".join(cells)
+            )
+        )
     return newline.join(lines) + newline, draw(st.sampled_from([1, 2, 3, 7, 32_768]))
 
 
@@ -555,5 +575,51 @@ def test_ingest_matches_row_loop(tmp_path_factory, file_and_chunk, frequency, ma
         got = ingest_prices(file, **options)
     assert got.skipped_rows == expected.skipped_rows
     assert got.asset_ids == expected.asset_ids
+    assert got.times.tobytes() == expected.times.tobytes()
+    assert got.log_prices.tobytes() == expected.log_prices.tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_clean_chunks_skip_the_cell_parser(tmp_path, newline):
+    """numpy's reader takes every chunk of a clean file; an ISO stamp sends its chunk through csv."""
+    rows = [f'{_DAY + 36000 + i},{100 + i},"{50 + i}.5"' for i in range(40)]
+    file = tmp_path / "prices.csv"
+
+    def ingest(rows):
+        file.write_bytes((newline.join(["# comment", "timestamp,A0,A1", *rows]) + newline).encode())
+        with mock.patch.object(mrc_module, "_CHUNK_ROWS", 16), mock.patch.object(
+            mrc_module, "_parse_cells", wraps=mrc_module._parse_cells
+        ) as parse:
+            return ingest_prices(file), parse.call_count
+
+    clean, calls = ingest(rows)
+    assert calls == 0 and clean.skipped_rows == 0 and clean.times.size == 40
+    rows[20] = "2023-01-02T10:00:20+00:00" + rows[20][rows[20].index(",") :]
+    stamped, calls = ingest(rows)
+    assert calls == 1
+    assert stamped.times.tobytes() == clean.times.tobytes()
+    assert stamped.log_prices.tobytes() == clean.log_prices.tobytes()
+
+
+# files where a chunk reads apart in numpy and csv: a quoted cell that runs on
+# past its line (a good row over two or three lines, the last unclosed), blank
+# and whitespace-only lines (skipped rows numpy drops or rejects), and short
+# rows that fill whole chunks (numpy takes its width from the first row)
+_READ_APART = {
+    "quoted_newline": 'timestamp,A0\n0,100\n1,"101\n"\n2,102\n3,"103\n\n"\n4,104\n5,"105',
+    "blank_lines": "timestamp,A0,A1\n0,1,1\n\n1,2,2\n \t \n2,3,3\n\n",
+    "short_rows": "timestamp,A0,A1\n0,1\n1,2\n2,3,3\n3,4\n4,5\n5,6,6\n",
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 32_768])
+@pytest.mark.parametrize("name", list(_READ_APART))
+def test_chunks_read_apart_match_the_loop(tmp_path, name, chunk_rows):
+    file = tmp_path / "prices.csv"
+    file.write_text(_READ_APART[name])
+    with mock.patch.object(mrc_module, "_CHUNK_ROWS", chunk_rows):
+        got = ingest_prices(file)
+    expected = ingest_prices_loop(file)
+    assert got.skipped_rows == expected.skipped_rows
     assert got.times.tobytes() == expected.times.tobytes()
     assert got.log_prices.tobytes() == expected.log_prices.tobytes()

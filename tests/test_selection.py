@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -20,7 +21,9 @@ from grou.selection import (
 )
 from grou.simulate import SampledPath, make_uniform_grids, simulate_path
 
-from conftest import heldout_scores, screen_loop
+from conftest import blas_counts, heldout_scores, screen_loop
+
+selection_module = importlib.import_module("grou.selection")
 
 
 def fitted_result(seed=0):
@@ -201,6 +204,21 @@ class TestJointSearch:
         path, _ = self.make_pair_panel()
         with pytest.raises(ValueError):
             joint_network_model_search(path, 4, shapes=[(1, (1,))], n_candidates=2)
+
+    def test_finalists_run_on_one_blas_thread(self, blas_at_two, monkeypatch):
+        path, n_vertices = self.make_pair_panel()
+        counts = []
+
+        def spy(*args, **kwargs):
+            counts.append(blas_counts(blas_at_two))
+            return select_model(*args, **kwargs)
+
+        monkeypatch.setattr(selection_module, "select_model", spy)
+        joint_network_model_search(
+            path, n_vertices, shapes=[(1, (1,))], n_candidates=8, retain=3, rng_seed=13
+        )
+        assert counts == [[1] * len(blas_at_two)] * 3
+        assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
 
     def test_degenerate_single_candidate(self):
         path, n_vertices = self.make_pair_panel(seed=3)

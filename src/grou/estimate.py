@@ -70,6 +70,7 @@ _RIDGE_SCALE_DEFAULT = 1e-8
 _RIDGE_ESCALATIONS = 30
 _STAYED_SINGULAR = "information matrix stayed singular under ridge escalation"
 _ALL_EXCEED = "every coarse increment exceeds the threshold"
+_IRREGULAR = "observation grids are irregular; estimator uses actual spacings"
 
 
 @dataclass(frozen=True)
@@ -185,9 +186,13 @@ def threshold_increments(
 
 
 def _truncate(raw, spacings, mean_rate, policy):
-    """The rule of :func:`threshold_increments` on raw coarse increments, column by column."""
-    corrected = raw - mean_rate[None, :] * spacings[:, None]
-    cuts = policy.thresholds(spacings, raw.shape[1])
+    """The rule of :func:`threshold_increments` on raw coarse increments, column by column.
+
+    ``raw`` is ``(M, K)`` with ``mean_rate`` ``(K,)``, or a stack ``(..., M, K)``
+    with ``mean_rate`` ``(..., K)``.
+    """
+    corrected = raw - mean_rate[..., None, :] * spacings[:, None]
+    cuts = policy.thresholds(spacings, raw.shape[-1])
     kept = np.abs(corrected) <= cuts
     return ThresholdedIncrements(
         values=np.where(kept, corrected, 0.0), kept=kept, thresholds=cuts, spacings=spacings
@@ -206,8 +211,7 @@ def _regressors(path: SampledPath, weights: WeightMatrices | None, shape):
     """
     lags, stages = shape
     stages = tuple(int(r) for r in stages)
-    if len(stages) != lags:
-        raise ConfigurationError(f"shape mismatch: {lags} lags but {len(stages)} stage counts")
+    _check_shape(lags, stages)
     K = path.n_edges
     max_stage = max(stages, default=0)
     if max_stage > 0:
@@ -219,6 +223,11 @@ def _regressors(path: SampledPath, weights: WeightMatrices | None, shape):
             )
     derivs = _derivatives(path, lags)
     return derivs, _aggregates(derivs, () if weights is None else weights.matrices, stages)
+
+
+def _check_shape(lags, stages):
+    if len(stages) != lags:
+        raise ConfigurationError(f"shape mismatch: {lags} lags but {len(stages)} stage counts")
 
 
 def _derivatives(path: SampledPath, lags: int) -> np.ndarray:
@@ -469,6 +478,20 @@ def _bic(theta, info, n_coarse) -> float:
     return float(-theta @ info @ theta + theta.size * np.log(n_coarse))
 
 
+def _irregular(grid, uniformity_fine) -> bool:
+    """Whether a fit on ``grid`` warns that its grids are irregular (``uniformity_fine`` is the grid's)."""
+    # data-driven grids routinely end on a shorter coarse interval (the
+    # series length is rarely a whole number of coarse steps); that stub is
+    # harmless, so judge coarse uniformity on the interior spacings
+    coarse_steps = np.diff(grid.coarse)
+    interior = coarse_steps[:-1] if coarse_steps.size > 1 else coarse_steps
+    coarse_uniform = (
+        interior.min() / interior.max() >= 0.99
+        and coarse_steps[-1] <= interior.max() * 1.01
+    )
+    return uniformity_fine < 0.99 or not coarse_uniform
+
+
 def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
     info = 0.5 * (info + info.T)
     theta, ridge_used = _solve_with_ridge(info, score, ridge)
@@ -477,20 +500,8 @@ def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
     bic = _bic(theta, info, n_coarse) if n_coarse > 1 else float("nan")
     diag = grid_diagnostics(path.grid)
     diag["kept_fraction"] = thresholded.kept_fraction
-    # data-driven grids routinely end on a shorter coarse interval (the
-    # series length is rarely a whole number of coarse steps); that stub is
-    # harmless, so judge coarse uniformity on the interior spacings
-    coarse_steps = np.diff(path.grid.coarse)
-    interior = coarse_steps[:-1] if coarse_steps.size > 1 else coarse_steps
-    coarse_uniform = (
-        interior.min() / interior.max() >= 0.99
-        and coarse_steps[-1] <= interior.max() * 1.01
-    )
-    if diag["uniformity_fine"] < 0.99 or not coarse_uniform:
-        warnings.warn(
-            "observation grids are irregular; estimator uses actual spacings",
-            stacklevel=3,
-        )
+    if _irregular(path.grid, diag["uniformity_fine"]):
+        warnings.warn(_IRREGULAR, stacklevel=3)
     return EstimationResult(
         theta_hat=theta,
         score=score,

@@ -9,11 +9,15 @@ sit within a small tolerance of the best does the information criterion
 break the tie (lower wins).  Joint selection over unknown networks screens
 a large random candidate set with a cheap fixed shape, keeps the most
 promising graphs, and then runs the full shape selection on each survivor.
-The whole search, screen and survivors alike, runs on one BLAS thread.  The
-screen is one array program: the work that depends on the path alone is
-done once for every pair column, and the candidates run in stacks of equal
-edge count.  A candidate whose fit fails is skipped with a warning that
-gives the reason.
+The whole search, screen and survivors alike, runs on one BLAS thread.
+
+Screen and shape selection are both array programs: the work that depends
+on the path alone is done once for every pair column, and graphs with equal
+edge counts run as stacks.  The screen's stacks solve together; in the
+shape selection each graph keeps its own noise triplet and precision, and
+each fit its own ridge solve, so a stack scores every shape exactly as a
+fit on its own would (:func:`select_model` on one graph is a stack of one).
+A candidate whose fit fails is skipped with a warning that gives the reason.
 """
 
 from __future__ import annotations
@@ -26,27 +30,31 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._blas import one_blas_thread
-from .benchmarks import BenchmarkContext, fit_and_evaluate
-from .errors import ConfigurationError, EstimationError, GrouError, SingularityError
+from .errors import EstimationError, GrouError, SingularityError
 # estimate_drift is unused here but stays bound: perfbench's tracer test checks this import site
 from .estimate import (
     _ALL_EXCEED,
+    _IRREGULAR,
     _STAYED_SINGULAR,
     EstimationResult,
     ThresholdPolicy,
     _aggregates,
     _bic,
+    _check_shape,
     _coarse_increments,
     _derivatives,
     _drift_statistics,
+    _irregular,
     _jittered,
+    _precision,
     _small_increments,
+    _solve_with_ridge,
     _solve_with_ridge_stack,
     _truncate,
     estimate_drift,
     estimate_triplet,
 )
-from .graphs import EdgeGraph, _weight_stack, pair_order, random_er_graph, weight_matrices
+from .graphs import EdgeGraph, _edge_ends, _weight_stack, pair_order, random_er_graph
 from .model import _companion_transition, _lag_matrix, drift_integral
 from .noise import _psd_spectrum, stream_rng
 from .simulate import SampledPath
@@ -66,10 +74,13 @@ def bic(result: EstimationResult) -> float:
     ``n_coarse`` counts the coarse-grid increments that entered the fit,
     not raw timestamps.
     """
-    n = result.n_coarse
+    return _checked_bic(result.theta_hat, result.info, result.n_coarse)
+
+
+def _checked_bic(theta, info, n):
     if n <= 1:
         raise ValueError(f"need more than one coarse increment, have {n}")
-    return _bic(result.theta_hat, result.info, n)
+    return _bic(theta, info, n)
 
 
 @dataclass(frozen=True)
@@ -115,17 +126,17 @@ def _split_points(n_points: int, eval_fraction: float):
     return n_train
 
 
-def _score_shape(path, weights, shape, n_train, triplet, policy):
-    """Held-out directional accuracy and information criterion of one grOU shape."""
-    context = BenchmarkContext(weights=weights, shape=shape, triplet=triplet, policy=policy)
-    (model,), (report,) = fit_and_evaluate(path, n_train, context, kinds=("GROU",))
-    return report.dir_acc, bic(model.detail)
-
-
 def _choose(candidates, tolerance):
     best_acc = max(c.dir_acc for c in candidates)
     eligible = [c for c in candidates if c.dir_acc >= best_acc - tolerance]
     return min(eligible, key=lambda c: c.bic)
+
+
+def _shape_list(candidate_shapes):
+    shapes = [(int(l), tuple(int(r) for r in rs)) for l, rs in candidate_shapes]
+    if not shapes:
+        raise ValueError("candidate shape list is empty")
+    return shapes
 
 
 def select_model(
@@ -139,31 +150,46 @@ def select_model(
 ) -> SelectionOutcome:
     """Pick a model shape for a fixed network.
 
-    Every candidate shape goes through :func:`grou.benchmarks.fit_and_evaluate`:
-    a grOU fit on the head of the path (the last ``eval_fraction`` held
-    out), scored by directional accuracy of one-step forecasts over the
-    held-out tail at the training section's fine mesh.  Among candidates
-    within ``tolerance`` of the best accuracy the lowest information
-    criterion is chosen.  The noise triplet is estimated once from the
-    head (under ``policy``) and shared by every shape; every drift fit takes
-    the automatic ridge.  Candidates whose fit fails are skipped with a
-    warning.
+    ``path`` holds one column per edge of ``graph``, in edge order.  Every
+    candidate shape is scored as :func:`grou.benchmarks.fit_and_evaluate`
+    scores a grOU fit: fitted on the head of the path (the last
+    ``eval_fraction`` held out), then scored by directional accuracy of
+    one-step forecasts over the held-out tail at the training section's
+    fine mesh.  Among candidates within ``tolerance`` of the best accuracy
+    the lowest information criterion is chosen.  The noise triplet is
+    estimated once from the head (under ``policy``) and shared by every
+    shape; every drift fit takes the automatic ridge.  The shapes run as
+    the joint search's finalists do, as stacks of one graph, with the same
+    results as one fit at a time.  Candidates whose fit fails are skipped
+    with a warning.
     """
-    shapes = [(int(l), tuple(int(r) for r in rs)) for l, rs in candidate_shapes]
-    if not shapes:
-        raise ValueError("candidate shape list is empty")
-    max_stage = max((max(rs, default=0) for _, rs in shapes), default=0)
-    weights = weight_matrices(graph, max(max_stage, 1))
+    shapes = _shape_list(candidate_shapes)
+    if path.n_edges != graph.n_edges:
+        raise ValueError(f"path has {path.n_edges} columns; graph has {graph.n_edges} edges")
     n_train = _split_points(path.n_points, eval_fraction)
-    triplet = estimate_triplet(path.section(0, n_train), policy)
+    irregular, (scored,) = _score_graphs(
+        path, [graph], [range(graph.n_edges)], shapes, n_train, policy
+    )
+    return _outcome(graph, graph_ref, shapes, scored, irregular, tolerance)
+
+
+def _outcome(graph, graph_ref, shapes, scored, irregular, tolerance):
+    """The :class:`SelectionOutcome` of one graph from its entry of :func:`_score_graphs`.
+
+    Warns for each shape whose fit failed, in shape order (and, on irregular
+    grids, for each fit, as every fit does); raises the graph's own error,
+    or :class:`GrouError` when no shape fitted.
+    """
+    if isinstance(scored, Exception):
+        raise scored
     scores = []
-    for shape in shapes:
-        try:
-            acc, crit = _score_shape(path, weights, shape, n_train, triplet, policy)
-        except (GrouError, np.linalg.LinAlgError) as exc:
-            warnings.warn(f"shape {shape} skipped: {exc}", stacklevel=2)
+    for shape, score in zip(shapes, scored):
+        if isinstance(score, Exception):
+            warnings.warn(f"shape {shape} skipped: {score}", stacklevel=3)
             continue
-        scores.append(CandidateScore(graph_ref=graph_ref, shape=shape, dir_acc=acc, bic=crit))
+        if irregular:
+            warnings.warn(_IRREGULAR, stacklevel=3)
+        scores.append(CandidateScore(graph_ref=graph_ref, shape=shape, dir_acc=score[0], bic=score[1]))
     if not scores:
         raise GrouError("every candidate shape failed to fit")
     return SelectionOutcome(
@@ -180,15 +206,44 @@ def _columns_for(graph: EdgeGraph, n_vertices: int):
     return [order[edge] for edge in graph.edges]
 
 
-# Cells (edges x rows) per candidate batch of the screen.  A batch holds a
-# few copies of its candidates' held-out rows and regressors; the bound keeps
-# each copy to 4 MiB however many candidates share an edge count.
+# Cells (edges x rows) per stack of graphs.  A stack holds a few copies of
+# its graphs' held-out rows and regressors; the bound keeps each copy to
+# 4 MiB however many graphs share an edge count.
 _BATCH_CELLS = 1 << 19
+
+
+def _batches(members, cells):
+    """``members`` in stacks of at most ``_BATCH_CELLS`` cells, ``cells`` per member."""
+    size = max(1, _BATCH_CELLS // cells)
+    for start in range(0, len(members), size):
+        yield members[start : start + size]
 
 
 def _by_candidate(columns, cols):
     """``columns[..., cols]`` with the candidate axis first: ``(..., N)`` to ``(G, ..., K)``."""
     return np.ascontiguousarray(np.moveaxis(columns[..., cols], -2, 0))
+
+
+def _heldout(path, n_train):
+    """Held-out rows: the previous values and the signs of the realized moves."""
+    previous = path.values[n_train - 1 : -1]
+    return previous, np.sign(path.values[n_train:] - previous).astype(np.int8)
+
+
+def _sign_hits(previous, realized, gain, const, cols):
+    """Held-out directional accuracy of a stack of one-step maps ``(gain, const)``.
+
+    ``cols`` ``(G, K)`` picks each map's columns of the held-out rows.  A
+    forecast counts when the sign of its move matches the realized one (a
+    NaN never does), as :func:`grou.benchmarks.evaluate` counts it.
+    """
+    prev = _by_candidate(previous, cols)
+    with np.errstate(invalid="ignore"):
+        moves = prev @ gain.transpose(0, 2, 1)
+        moves += const[:, None, :]
+        moves -= prev
+    hits = np.count_nonzero(np.sign(moves) == _by_candidate(realized, cols), axis=(1, 2))
+    return hits / prev[0].size
 
 
 def _one_step_maps(theta, matrices, shape, mean_rate, h):
@@ -243,16 +298,13 @@ def _screen(path, graphs, n_vertices, shape, n_train, policy):
         increments = _truncate(raw, spacings, b_hat, policy).values
     except GrouError as exc:
         fit_error = exc
-    # held-out rows: previous values and the signs of the realized moves
-    previous = path.values[n_train - 1 : -1]
-    realized = np.sign(path.values[n_train:] - previous).astype(np.int8)
+    previous, realized = _heldout(path, n_train)
     column = np.zeros((n_vertices, n_vertices), dtype=int)
     column[np.triu_indices(n_vertices, 1)] = np.arange(path.n_edges)
     n_stages = max(max(stages, default=0), 1)
     for K, members in sorted(by_size.items()):
-        size = max(1, _BATCH_CELLS // (K * (previous.shape[0] + lags * corrected.shape[0])))
-        for start in range(0, len(members), size):
-            ids = np.array(members[start : start + size])
+        for batch in _batches(members, K * (previous.shape[0] + lags * corrected.shape[0])):
+            ids = np.array(batch)
             ends = np.array([graphs[i].edges for i in ids])
             # the triplet: Brownian covariance of the rows below every cutoff
             joint = small[:, column[ends[..., 0], ends[..., 1]]].all(axis=-1).T
@@ -285,14 +337,129 @@ def _screen(path, graphs, n_vertices, shape, n_train, policy):
                 theta[solved], [m[solved] for m in matrices], shape, b_hat[cols],
                 train.grid.mesh_fine,
             )
-            prev = _by_candidate(previous, cols)
-            with np.errstate(invalid="ignore"):
-                moves = prev @ gain.transpose(0, 2, 1)
-                moves += const[:, None, :]
-                moves -= prev
-            hits = np.count_nonzero(np.sign(moves) == _by_candidate(realized, cols), axis=(1, 2))
-            accuracies.update(zip(ids.tolist(), (hits / prev[0].size).tolist()))
+            accuracies.update(
+                zip(ids.tolist(), _sign_hits(previous, realized, gain, const, cols).tolist())
+            )
     return accuracies, failures
+
+
+def _score_graphs(path, graphs, columns, shapes, n_train, policy):
+    """Held-out scores of every graph under every shape, one stack per shape and edge count.
+
+    This is :func:`select_model`'s scoring for many graphs at once.
+    ``columns[j]`` lists the columns of ``path`` that hold graph ``j``'s
+    edges, in edge order.  Each graph gets the noise triplet of its own
+    training head and that triplet's precision.  What depends on the path
+    alone (the derivatives and coarse increments of each lag count, the
+    held-out rows) is computed once for all columns.  Per shape, graphs
+    with equal edge counts share one stack for the aggregates, the drift
+    statistics, the one-step maps and the sign hits; each fit keeps its own
+    ridge solve and information criterion.  Every score is therefore bit
+    for bit what :func:`grou.benchmarks.fit_and_evaluate` gives the fit on
+    its own.
+
+    Returns ``(irregular, scored)``: whether the training grids are
+    irregular, and per graph either the error its triplet raised or a list
+    holding, per shape, ``(dir_acc, bic)`` or the error of that fit.
+    """
+    policy = ThresholdPolicy() if policy is None else policy
+    train = path.section(0, n_train)
+    scored, by_size = [], {}
+    for j, cols in enumerate(columns):
+        cols = list(cols)
+        try:
+            triplet = estimate_triplet(train.select_columns(cols), policy)
+        except GrouError as exc:
+            scored.append(exc)
+            continue
+        try:
+            prec = _precision(triplet)
+        except np.linalg.LinAlgError as exc:
+            # every shape that gets as far as the precision fails with it
+            scored.append([exc] * len(shapes))
+            continue
+        scored.append([None] * len(shapes))
+        by_size.setdefault(len(cols), []).append((j, cols, triplet.mean_rate, prec))
+    # per shape: the derivatives, raw coarse increments and spacings, or the
+    # error every fit of the shape raises before it reaches a graph's data
+    by_lags, steps = {}, []
+    for s, (lags, stages) in enumerate(shapes):
+        try:
+            _check_shape(lags, stages)
+            if lags not in by_lags:
+                by_lags[lags] = (_derivatives(train, lags), *_coarse_increments(train, lags)[2:])
+        except GrouError as exc:
+            steps.append(exc)
+            for entry in scored:
+                if isinstance(entry, list):
+                    entry[s] = exc
+            continue
+        steps.append(by_lags[lags])
+    previous, realized = _heldout(path, n_train)
+    h = train.grid.mesh_fine
+    n_vertices = max(g.n_vertices for g in graphs)
+    n_stages = max(max(max(rs, default=0) for _, rs in shapes), 1)
+    cells = previous.shape[0] + max(l for l, _ in shapes) * train.grid.coarse_idx.size
+    for K, fits in sorted(by_size.items()):
+        for batch in _batches(fits, K * cells):
+            js, cols, mean_rate, prec = zip(*batch)
+            cols, mean_rate, prec = np.array(cols), np.array(mean_rate), np.array(prec)
+            matrices = _weight_stack(
+                np.array([_edge_ends(graphs[j]) for j in js]), n_vertices, n_stages
+            )
+            for s, (shape, step) in enumerate(zip(shapes, steps)):
+                if isinstance(step, Exception):
+                    continue
+                stages = shape[1]
+                derivs, raw, spacings = step
+                d = _by_candidate(derivs, cols)
+                increments = _truncate(_by_candidate(raw, cols), spacings, mean_rate, policy)
+                info, score = _drift_statistics(
+                    d, _aggregates(d, matrices, stages), stages, increments.values, spacings, prec
+                )
+                solved, thetas, crits = [], [], []
+                for g, j in enumerate(js):
+                    info_g = 0.5 * (info[g] + info[g].T)
+                    try:
+                        theta, _ = _solve_with_ridge(info_g, score[g], None)
+                    except SingularityError as exc:
+                        scored[j][s] = exc
+                        continue
+                    solved.append(g)
+                    thetas.append(theta)
+                    crits.append(_checked_bic(theta, info_g, spacings.size))
+                if not solved:
+                    continue
+                gain, const = _one_step_maps(
+                    np.array(thetas), [m[solved] for m in matrices], shape, mean_rate[solved], h
+                )
+                accs = _sign_hits(previous, realized, gain, const, cols[solved])
+                for g, acc, crit in zip(solved, accs.tolist(), crits):
+                    scored[js[g]][s] = (acc, crit)
+    return _irregular(train.grid, train.grid.uniformity_fine), scored
+
+
+def _finalists(path, graphs, ids, n_vertices, shapes, n_train, tolerance, policy):
+    """The shape selection of the candidates ``ids``, run as stacks.
+
+    Warns graph by graph as :func:`select_model` on each would, then for
+    each candidate that yields no outcome.  Returns every candidate's
+    scores and the ``(chosen, graph, index)`` of each that yields one.
+    """
+    irregular, scored = _score_graphs(
+        path, [graphs[i] for i in ids], [_columns_for(graphs[i], n_vertices) for i in ids],
+        shapes, n_train, policy,
+    )
+    all_scores, finalists = [], []
+    for i, entry in zip(ids, scored):
+        try:
+            outcome = _outcome(graphs[i], i, shapes, entry, irregular, tolerance)
+        except GrouError as exc:
+            warnings.warn(f"candidate {i} skipped in selection: {exc}", stacklevel=3)
+            continue
+        all_scores.extend(outcome.candidates)
+        finalists.append((outcome.chosen, graphs[i], i))
+    return all_scores, finalists
 
 
 def joint_network_model_search(
@@ -316,10 +483,12 @@ def joint_network_model_search(
     held-out scoring as :func:`select_model`, its noise triplet estimated
     from its own training head; the best ``retain`` graphs get the full
     shape selection, and the pair with the best accuracy wins (ties by the
-    information criterion, then by candidate index).  The whole search, the
-    finalists' shape selection included, runs on one BLAS thread; the screen
-    is one array program, candidates batched by edge count.  A candidate
-    whose fit fails is skipped with a warning giving the reason.
+    information criterion, then by candidate index).  The whole search runs
+    on one BLAS thread.  The screen is one array program, candidates batched
+    by edge count.  The finalists' shape selection runs one stack per shape
+    and edge count, with the scores :func:`select_model` gives each
+    finalist.  A candidate whose fit fails is skipped with a warning giving
+    the reason.
     """
     n_pairs = n_vertices * (n_vertices - 1) // 2
     if path.n_edges != n_pairs:
@@ -327,9 +496,9 @@ def joint_network_model_search(
             f"path has {path.n_edges} columns; expected {n_pairs} pair series "
             f"for {n_vertices} vertices"
         )
+    shapes = _shape_list(shapes)
     lags, stages = int(screen_shape[0]), tuple(int(r) for r in screen_shape[1])
-    if len(stages) != lags:
-        raise ConfigurationError(f"shape mismatch: {lags} lags but {len(stages)} stage counts")
+    _check_shape(lags, stages)
     n_train = _split_points(path.n_points, eval_fraction)
 
     graphs = [
@@ -342,27 +511,9 @@ def joint_network_model_search(
         if not accuracies:
             raise GrouError("no candidate network survived screening")
         kept = sorted(accuracies.items(), key=lambda s: (-s[1], s[0]))[: int(retain)]
-
-        all_scores = []
-        finalists = []
-        for i, _ in kept:
-            g = graphs[i]
-            sub = path.select_columns(_columns_for(g, n_vertices))
-            try:
-                outcome = select_model(
-                    sub,
-                    g,
-                    shapes,
-                    tolerance=tolerance,
-                    eval_fraction=eval_fraction,
-                    policy=policy,
-                    graph_ref=i,
-                )
-            except GrouError as exc:
-                warnings.warn(f"candidate {i} skipped in selection: {exc}", stacklevel=2)
-                continue
-            all_scores.extend(outcome.candidates)
-            finalists.append((outcome.chosen, g, i))
+        all_scores, finalists = _finalists(
+            path, graphs, [i for i, _ in kept], n_vertices, shapes, n_train, tolerance, policy
+        )
     if not finalists:
         raise GrouError("no candidate pair survived model selection")
     finalists.sort(key=lambda f: (-f[0].dir_acc, f[0].bic, f[2]))

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -7,15 +8,15 @@ import pytest
 from scipy.linalg import expm
 
 from grou._blas import openblas_controls
-from grou.benchmarks import directional_accuracy
-from grou.estimate import _regressors, estimate_drift
+from grou.benchmarks import BenchmarkContext, directional_accuracy, fit_and_evaluate
+from grou.estimate import _regressors, estimate_drift, estimate_triplet
 from grou.forecast import rolling_forecast
 from grou.graphs import random_er_graph, weight_matrices
 from grou.errors import GrouError, IngestionError
 from grou.model import GrouParams, build_companion, cov_integral, drift_integral, is_hurwitz
 from grou.mrc import PriceMatrix
 from grou.noise import SymmetricGammaJumps, psd_factor
-from grou.selection import _columns_for, _score_shape
+from grou.selection import CandidateScore, _choose, _columns_for, bic
 
 
 def draw_hurwitz_system(rng, max_edges=5, max_lags=3):
@@ -245,15 +246,27 @@ def heldout_scores(path, weights, shape, n_train, triplet):
     return directional_accuracy(path.values[idx], preds, path.values[idx - 1]), fitted
 
 
+def score_shape_loop(path, weights, shape, n_train, triplet, policy):
+    """Held-out directional accuracy and information criterion of one grOU shape.
+
+    One fit through ``grou.benchmarks.fit_and_evaluate``: the scoring that
+    ``grou.selection`` runs as stacks, kept as its oracle.  ``triplet`` None
+    estimates the noise from the training head.  Returns ``(dir_acc, bic)``.
+    """
+    context = BenchmarkContext(weights=weights, shape=shape, triplet=triplet, policy=policy)
+    (model,), (report,) = fit_and_evaluate(path, n_train, context, kinds=("GROU",))
+    return report.dir_acc, bic(model.detail)
+
+
 def screen_loop(path, graphs, n_vertices, shape, n_train, policy=None):
     """Held-out directional accuracy of each candidate graph, one fit at a time.
 
     The per-candidate screen that ``grou.selection._screen`` replaces with
     batched array programs, kept as its oracle: each non-empty candidate's
-    pair columns go through ``select_model``'s scoring route, the noise
-    triplet estimated from the candidate's own training head.  Returns
-    ``(accuracies, messages)``: accuracies by candidate index and the skip
-    warnings of the joint search, in order.
+    pair columns go through ``score_shape_loop``, the noise triplet estimated
+    from the candidate's own training head.  Returns ``(accuracies,
+    messages)``: accuracies by candidate index and the skip warnings of the
+    joint search, in order.
     """
     accuracies, messages = {}, []
     for i, g in enumerate(graphs):
@@ -262,12 +275,48 @@ def screen_loop(path, graphs, n_vertices, shape, n_train, policy=None):
         sub = path.select_columns(_columns_for(g, n_vertices))
         try:
             weights = weight_matrices(g, max(max(shape[1], default=0), 1))
-            acc, _ = _score_shape(sub, weights, shape, n_train, None, policy)
+            acc, _ = score_shape_loop(sub, weights, shape, n_train, None, policy)
         except (GrouError, np.linalg.LinAlgError) as exc:
             messages.append(f"candidate {i} skipped in screening: {exc}")
             continue
         accuracies[i] = acc
     return accuracies, messages
+
+
+def select_loop(path, graphs, n_vertices, shapes, n_train, tolerance=1e-2, policy=None):
+    """Shape selection of each candidate graph, one fit at a time.
+
+    The per-graph ``select_model`` loop that ``grou.selection._finalists``
+    replaces with stacks, kept as its oracle.  Each graph's pair columns get
+    one noise triplet from the training head, then every shape goes through
+    ``score_shape_loop``; among shapes within ``tolerance`` of the best
+    accuracy the lowest information criterion wins.  Issues the joint
+    search's skip warnings, in order among the fits' own warnings, and
+    returns the ``(candidates, chosen)`` of each graph by index.
+    """
+    max_stage = max(max((max(rs, default=0) for _, rs in shapes)), 1)
+    outcomes = {}
+    for i, g in enumerate(graphs):
+        sub = path.select_columns(_columns_for(g, n_vertices))
+        weights = weight_matrices(g, max_stage)
+        try:
+            triplet = estimate_triplet(sub.section(0, n_train), policy)
+        except GrouError as exc:
+            warnings.warn(f"candidate {i} skipped in selection: {exc}")
+            continue
+        scores = []
+        for shape in shapes:
+            try:
+                acc, crit = score_shape_loop(sub, weights, shape, n_train, triplet, policy)
+            except (GrouError, np.linalg.LinAlgError) as exc:
+                warnings.warn(f"shape {shape} skipped: {exc}")
+                continue
+            scores.append(CandidateScore(graph_ref=i, shape=shape, dir_acc=acc, bic=crit))
+        if not scores:
+            warnings.warn(f"candidate {i} skipped in selection: every candidate shape failed to fit")
+            continue
+        outcomes[i] = (tuple(scores), _choose(scores, tolerance))
+    return outcomes
 
 
 def _loop_timestamp(token):

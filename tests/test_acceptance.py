@@ -26,6 +26,7 @@ import time
 import numpy as np
 import pytest
 
+from grou._blas import one_blas_thread
 from grou.benchmarks import monte_carlo_study, predictive_study_config
 from grou.cli import run as cli_run
 from grou.estimate import ThresholdPolicy, estimate_drift
@@ -245,32 +246,34 @@ def horizon8_pairs():
     burn_times = np.linspace(0.0, relax, int(np.ceil(relax / 2.0**-10)) + 1)
     start = time.perf_counter()
     tables = {}
-    for regime, spec in NOISE_REGIMES.items():
-        policy = ThresholdPolicy.for_noise(spec)
-        moments = stationary_moments(system, spec)
-        factor = psd_factor(moments.state_cov)
-        library = np.empty((200, params.n_params))
-        reference = np.empty((200, params.n_params))
-        for rep in range(200):
-            seed = np.random.SeedSequence(entropy=777, spawn_key=(rep,))
-            x0 = moments.state_mean + factor @ stream_rng(seed, 0).standard_normal(system.dim)
-            burnt, _ = simulate_full_state(system, spec, burn_times, x0, stream_rng(seed, 2))
-            states, jump_sums = simulate_full_state(
-                system, spec, times, burnt[-1], stream_rng(seed, 1)
-            )
-            fit = estimate_drift(
-                SampledPath(grid, states[:, : system.n_edges]),
-                weights,
-                (lags, params.stages),
-                spec,
-                policy,
-            )
-            assert fit.n_coarse == points.size - 1
-            library[rep] = fit.theta_hat
-            reference[rep] = exact_state_estimate(
-                states, jump_sums, points, times, spec, params, weights
-            )
-        tables[regime] = {"library": library, "reference": reference}
+    # many small fits and simulations: the second BLAS thread only spins here
+    with one_blas_thread():
+        for regime, spec in NOISE_REGIMES.items():
+            policy = ThresholdPolicy.for_noise(spec)
+            moments = stationary_moments(system, spec)
+            factor = psd_factor(moments.state_cov)
+            library = np.empty((200, params.n_params))
+            reference = np.empty((200, params.n_params))
+            for rep in range(200):
+                seed = np.random.SeedSequence(entropy=777, spawn_key=(rep,))
+                x0 = moments.state_mean + factor @ stream_rng(seed, 0).standard_normal(system.dim)
+                burnt, _ = simulate_full_state(system, spec, burn_times, x0, stream_rng(seed, 2))
+                states, jump_sums = simulate_full_state(
+                    system, spec, times, burnt[-1], stream_rng(seed, 1)
+                )
+                fit = estimate_drift(
+                    SampledPath(grid, states[:, : system.n_edges]),
+                    weights,
+                    (lags, params.stages),
+                    spec,
+                    policy,
+                )
+                assert fit.n_coarse == points.size - 1
+                library[rep] = fit.theta_hat
+                reference[rep] = exact_state_estimate(
+                    states, jump_sums, points, times, spec, params, weights
+                )
+            tables[regime] = {"library": library, "reference": reference}
     elapsed = time.perf_counter() - start
     assert elapsed <= 300.0, f"horizon-8 pairing took {elapsed:.0f}s (budget 300 s)"
     return tables, params.flatten(), elapsed

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import ingest_prices_loop, set_blas_threads
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from grou.errors import IngestionError
@@ -548,7 +548,8 @@ def _edge_case_file():
     return "\r\n".join(["# leading comment", "timestamp,A0,A1", *rows]) + "\r\n", 2
 
 
-@settings(max_examples=100, deadline=None)
+# shrinking files through both ingesters takes minutes; a failure reports the example as drawn
+@settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(
     file_and_chunk=price_files(),
     frequency=st.sampled_from([1.0, 0.5, 7.0]),

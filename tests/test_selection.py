@@ -6,22 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grou.estimate import _ALL_EXCEED, ThresholdPolicy, estimate_drift, estimate_triplet
+from grou.estimate import _ALL_EXCEED, _IRREGULAR, ThresholdPolicy, estimate_drift, estimate_triplet
 from grou.graphs import EdgeGraph, pair_order, path_graph, random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion
 from grou.noise import LevySpec, stream_rng
 from grou.selection import (
     CandidateScore,
     _choose,
+    _finalists,
     _screen,
     _split_points,
     bic,
     joint_network_model_search,
     select_model,
 )
-from grou.simulate import SampledPath, make_uniform_grids, simulate_path
+from grou.simulate import SampledPath, grid_from_times, make_uniform_grids, simulate_path
 
-from conftest import blas_counts, heldout_scores, screen_loop
+from conftest import blas_counts, heldout_scores, screen_loop, select_loop
 
 selection_module = importlib.import_module("grou.selection")
 
@@ -148,6 +149,11 @@ class TestSelectModel:
         with pytest.raises(ValueError):
             select_model(path, graph, [])
 
+    def test_path_must_match_the_graph(self):
+        graph, path = self.make_path(seed=4, t_end=10.0)
+        with pytest.raises(ValueError, match="columns; graph has"):
+            select_model(path.drop_columns([0]), graph, [(1, (1,))])
+
 
 class TestJointSearch:
     def make_pair_panel(self, seed=0, n_vertices=5, t_end=24.0):
@@ -208,16 +214,17 @@ class TestJointSearch:
     def test_finalists_run_on_one_blas_thread(self, blas_at_two, monkeypatch):
         path, n_vertices = self.make_pair_panel()
         counts = []
+        score_graphs = selection_module._score_graphs
 
         def spy(*args, **kwargs):
             counts.append(blas_counts(blas_at_two))
-            return select_model(*args, **kwargs)
+            return score_graphs(*args, **kwargs)
 
-        monkeypatch.setattr(selection_module, "select_model", spy)
+        monkeypatch.setattr(selection_module, "_score_graphs", spy)
         joint_network_model_search(
             path, n_vertices, shapes=[(1, (1,))], n_candidates=8, retain=3, rng_seed=13
         )
-        assert counts == [[1] * len(blas_at_two)] * 3
+        assert counts == [[1] * len(blas_at_two)]
         assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
 
     def test_degenerate_single_candidate(self):
@@ -302,3 +309,75 @@ class TestScreen:
         retained = sorted(expected, key=lambda i: (-expected[i], i))[:3]
         assert sorted({c.graph_ref for c in outcome.candidates}) == sorted(retained)
 
+
+
+# the shapes of the stacked finalists, then one whose lag count leaves fewer
+# than two usable coarse points on screen_panel's training head and one
+# whose stage counts do not match its lags
+FINAL_SHAPES = [(1, (1,)), (1, (2,)), (2, (1, 1)), (3, (1, 1, 1)), (240, (0,) * 240), (2, (1,))]
+
+
+class TestFinalists:
+    """The stacked shape selection against the per-graph loop it replaced (``conftest.select_loop``)."""
+
+    def assert_equal_to_the_loop(self, path, graphs, n_vertices, shapes):
+        n_train = _split_points(path.n_points, 0.2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expected = select_loop(path, graphs, n_vertices, shapes, n_train)
+        messages = [str(w.message) for w in caught]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scores, finalists = _finalists(
+                path, graphs, list(range(len(graphs))), n_vertices, shapes, n_train, 1e-2, None
+            )
+        assert [str(w.message) for w in caught] == messages
+        assert [(c.graph_ref, c.shape, c.dir_acc, c.bic) for c in scores] == [
+            (c.graph_ref, c.shape, c.dir_acc, c.bic)
+            for i in sorted(expected)
+            for c in expected[i][0]
+        ]
+        assert {i: chosen for chosen, _, i in finalists} == {
+            i: chosen for i, (_, chosen) in expected.items()
+        }
+        assert [g for _, g, _ in finalists] == [graphs[i] for i in sorted(expected)]
+        return messages
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=5),
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from([1, 2]),
+        st.booleans(),
+        st.lists(
+            st.integers(min_value=0, max_value=len(FINAL_SHAPES) - 1),
+            min_size=1, max_size=5, unique=True,
+        ),
+        st.lists(st.integers(min_value=0, max_value=2**10), max_size=4),
+    )
+    def test_scores_and_warnings_equal_the_loop(
+        self, n_vertices, seed, ratio, jumpy, shape_ids, masks
+    ):
+        path = screen_panel(n_vertices, seed, ratio, jumpy)
+        pairs = pair_order(n_vertices)
+        # one edge and the full graph, then random non-empty edge sets
+        edge_sets = [[pairs[seed % len(pairs)]], pairs]
+        edge_sets += [
+            [p for k, p in enumerate(pairs) if (mask % (2 ** len(pairs) - 1) + 1) >> k & 1]
+            for mask in masks
+        ]
+        graphs = [EdgeGraph(n_vertices, edges) for edges in edge_sets]
+        shapes = [FINAL_SHAPES[k] for k in shape_ids]
+        messages = self.assert_equal_to_the_loop(path, graphs, n_vertices, shapes)
+        if jumpy:
+            # the full graph holds the jumping pair
+            assert f"candidate 1 skipped in selection: {_ALL_EXCEED}" in messages
+
+    def test_irregular_grids_warn_for_every_fit_like_the_loop(self):
+        panel = screen_panel(4, 3, 2, jumpy=False)
+        times = panel.grid.fine + 0.004 * np.random.default_rng(3).random(panel.n_points)
+        path = SampledPath(grid=grid_from_times(times, ratio=2), values=panel.values)
+        graphs = [path_graph(4), random_er_graph(4, 0.5, 9)]
+        shapes = [(1, (1,)), FINAL_SHAPES[4], (2, (1, 1))]
+        messages = self.assert_equal_to_the_loop(path, graphs, 4, shapes)
+        assert messages.count(_IRREGULAR) == 4

@@ -3,10 +3,21 @@
 numpy and scipy each bundle an OpenBLAS that starts one thread per core.
 The Monte Carlo study and the joint network search make many small fits
 on matrices of tens of rows, where those threads cost more in hand-off
-than they compute.  Inside :func:`one_blas_thread` every bundled OpenBLAS
+than they compute.  Inside :class:`one_blas_thread` every bundled OpenBLAS
 that exposes a thread-count control is set to one thread; the previous
 count is restored when the last overlapping scope ends.  Where a library
-or symbol is missing, the pin does nothing.
+cannot be loaded or a symbol is missing, the pin does nothing.
+
+Measured on a 2-core machine with scipy 1.17.1: every ``scipy.linalg.expm``
+call, even of one 2x2 matrix, wakes the worker thread of scipy's OpenBLAS,
+which then spins for ~0.1-0.2 s, and a pin entered afterwards does not
+stop it.  numpy's ``linalg``, ``cho_factor``/``cho_solve``,
+``solve_continuous_lyapunov`` and ``eigh`` do not wake it.  So
+:func:`grou.model.expm` enters this scope around each exponential, and
+entering it must be cheap: it is a class rather than a generator-based
+context manager (~5 us to enter and leave, ~1 us when nested), and
+:func:`grou.simulate.simulate_path` holds one scope over each path so that
+its per-step exponentials nest.
 """
 
 from __future__ import annotations
@@ -17,7 +28,6 @@ import glob
 import importlib
 import os
 import threading
-from contextlib import contextmanager
 
 # (package, getter, setter) of each bundled OpenBLAS; numpy's is the 64-bit-integer build
 _OPENBLAS_SYMBOLS = (
@@ -39,7 +49,10 @@ def _openblas_control(package, getter, setter):
     module = importlib.import_module(package)
     libdir = os.path.join(os.path.dirname(module.__file__), os.pardir, f"{package}.libs")
     for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         get, put = getattr(lib, getter, None), getattr(lib, setter, None)
         if get is not None and put is not None:
             get.argtypes, get.restype = [], ctypes.c_int
@@ -54,22 +67,24 @@ def openblas_controls() -> list:
     return [control for control in found if control is not None]
 
 
-@contextmanager
-def one_blas_thread():
+class one_blas_thread:
     """Hold every bundled OpenBLAS at one thread; restore the previous counts on exit."""
-    global _depth, _saved
-    with _lock:
-        if _depth == 0:
-            _saved = [(put, get()) for get, put in openblas_controls()]
-            for put, _ in _saved:
-                put(1)
-        _depth += 1
-    try:
-        yield
-    finally:
+
+    __slots__ = ()
+
+    def __enter__(self):
+        global _depth, _saved
+        with _lock:
+            if _depth == 0:
+                _saved = [(put, get()) for get, put in openblas_controls()]
+                for put, _ in _saved:
+                    put(1)
+            _depth += 1
+
+    def __exit__(self, *exc_info):
+        global _depth
         with _lock:
             _depth -= 1
             if _depth == 0:
                 for put, count in _saved:
                     put(count)
-

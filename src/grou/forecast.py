@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .model import CompanionSystem, build_companion, drift_integral
+from .model import CompanionSystem, build_companion, drift_integral, expm
 from .simulate import SampledPath
 
 __all__ = [

@@ -16,6 +16,9 @@ moments use augmented matrix exponentials: the propagator and variance from
 ``cov_integral``, the mean as the affine map
 ``observation @ (expm(h*T) @ x + drift_integral(T, E @ mu, h))``.  No
 quadrature is involved anywhere.
+
+Every matrix exponential in the library goes through :func:`expm`, which
+runs scipy's at one BLAS thread (see :func:`expm` for why).
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import expm as _scipy_expm
+from scipy.linalg import solve_continuous_lyapunov
 
+from ._blas import one_blas_thread
 from .errors import ConfigurationError, SingularityError, StationarityError
 from .graphs import WeightMatrices
 
@@ -44,6 +49,22 @@ __all__ = [
 ]
 
 HURWITZ_MARGIN = 1e-10
+
+
+def expm(matrix: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm`` of one matrix or a stack, run at one BLAS thread.
+
+    Every scipy exponential, even of one 2x2 matrix, wakes the worker thread
+    of scipy's bundled OpenBLAS, which then spins for ~0.1-0.2 s, and a pin
+    entered afterwards does not stop it (measured on a 2-core machine with
+    scipy 1.17.1).  A simulated path takes at least four exponentials, so
+    unpinned they kept a second core busy behind every path; that is why the
+    pin sits here, at the exponential.  It is held while scipy runs (~25 us
+    for a small matrix), and a concurrent user thread's BLAS runs at one
+    thread for that long too.
+    """
+    with one_blas_thread():
+        return _scipy_expm(matrix)
 
 
 @dataclass(frozen=True)

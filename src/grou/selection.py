@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._blas import one_blas_thread
 from .errors import EstimationError, GrouError, SingularityError
@@ -55,7 +54,7 @@ from .estimate import (
     estimate_triplet,
 )
 from .graphs import EdgeGraph, _edge_ends, _weight_stack, pair_order, random_er_graph
-from .model import _companion_transition, _lag_matrix, drift_integral
+from .model import _companion_transition, _lag_matrix, drift_integral, expm
 from .noise import _psd_spectrum, stream_rng
 from .simulate import SampledPath
 

@@ -278,8 +278,18 @@ def _poisson_arrivals(jumps: CompoundPoissonJumps, times, K, rng):
 
 
 def _gamma_differences(jumps: SymmetricGammaJumps, dt, K, rng):
-    """``(n, K)`` symmetric Gamma-difference increments over spacings ``dt``."""
-    shape = np.repeat(jumps.shape * dt, K).reshape(dt.size, K)
-    diff = rng.gamma(shape, jumps.scale)
-    diff -= rng.gamma(shape, jumps.scale)
+    """``(n, K)`` symmetric Gamma-difference increments over spacings ``dt``.
+
+    Bit for bit the difference of two draws of
+    ``rng.gamma(np.repeat(shape * dt, K).reshape(n, K), scale)``: numpy's
+    ``gamma`` is ``scale`` times ``standard_gamma`` element by element in C
+    order, and on equal spacings one scalar shape skips the per-element
+    shape array.
+    """
+    if np.all(dt == dt[0]):
+        shape, size = jumps.shape * dt[0], (dt.size, K)
+    else:
+        shape, size = np.repeat(jumps.shape * dt, K).reshape(dt.size, K), None
+    diff = rng.standard_gamma(shape, size) * jumps.scale
+    diff -= rng.standard_gamma(shape, size) * jumps.scale
     return diff

@@ -13,10 +13,11 @@ only its higher moments are approximate.
 
 The fine-grid spacings are split into maximal runs of equal spacing (within
 a relative 1e-9 of the run's first spacing), each run gets one set of step
-operators, and each run is solved by an in-place doubling scan over a single
-state buffer, so a uniform grid costs one set of operators and ``log2(n)``
-batched products.  A fully irregular grid gives runs of length one, i.e.
-plain stepping.
+operators, and each run is solved in place over a single state buffer.  A
+long run is folded in blocks of four rows, so a uniform grid costs one set
+of operators and work linear in ``n``; short runs, such as the burn-in's,
+take ``log2(n)`` rounds of a doubling scan.  A fully irregular grid gives
+runs of length one, i.e. plain stepping.
 """
 
 from __future__ import annotations
@@ -296,8 +297,13 @@ def simulate_path(
 # Spacings within this relative distance of their run's first spacing share
 # that run's step operators.
 _SPACING_RTOL = 1e-9
-# Rows per block update of the scan; bounds every temporary it allocates.
+# Rows (blocks, in the fold) per batched product of the scan and the jump
+# kernel; bounds every temporary they allocate but the fold's block ends.
 _SCAN_ROWS = 4096
+# The scan folds runs of at least _FOLD_BLOCKS blocks of _BLOCK rows; shorter
+# runs, such as the burn-in's, are faster in doubling rounds.
+_BLOCK = 4
+_FOLD_BLOCKS = 256
 
 
 def _runs(dt):
@@ -322,25 +328,72 @@ def _runs(dt):
 
 
 def _scan(rows, prop):
-    """In place, ``rows[j] = prop @ rows[j-1] + rows[j]`` for ``j >= 1``.
+    """In place, ``rows[j] = prop @ rows[j-1] + rows[j]`` for ``j >= 1``; returns ``rows``.
 
-    Doubling scan: after the round with span ``s`` each row holds the sum of
-    its last ``2s`` inputs, each propagated to that row, so ``log2(n)`` rounds
-    of batched products replace the ``n``-step recurrence.  Each round updates
-    blocks of rows from the last to the first, so the rows a block reads are
-    still those of the previous round.
+    A run of at least ``_FOLD_BLOCKS`` blocks of ``_BLOCK`` rows is first
+    folded in linear work by :func:`_fold`, up to a tail of fewer than
+    ``_BLOCK`` rows.  Shorter runs and the tail take a doubling scan: after
+    the round with span ``s`` each row holds the sum of its last ``2s``
+    inputs, each propagated to that row, so ``log2(n)`` rounds of batched
+    products replace the ``n``-step recurrence.  Each round updates blocks
+    of rows from the last to the first, so the rows a block reads are still
+    those of the previous round.
     """
-    n = rows.shape[0]
-    tmp = np.empty((min(n, _SCAN_ROWS), rows.shape[1]))
+    m = (rows.shape[0] - 1) // _BLOCK
+    tail = rows
+    # on a C-contiguous buffer the fold's blocks are a view of rows
+    if m >= _FOLD_BLOCKS and rows.flags.c_contiguous:
+        _fold(rows, prop, m)
+        tail = rows[m * _BLOCK :]
+    n = tail.shape[0]
+    tmp = np.empty((min(n, _SCAN_ROWS), tail.shape[1]))
     power, span = prop.T, 1
     while span < n:
         for hi in range(n, span, -_SCAN_ROWS):
             lo = max(span, hi - _SCAN_ROWS)
             out = tmp[: hi - lo]
-            np.matmul(rows[lo - span : hi - span], power, out=out)
-            rows[lo:hi] += out
+            np.matmul(tail[lo - span : hi - span], power, out=out)
+            tail[lo:hi] += out
         power, span = power @ power, 2 * span
     return rows
+
+
+def _fold(rows, prop, m):
+    """:func:`_scan` on rows ``0 .. m*B``, in blocks of ``B = _BLOCK`` rows.
+
+    Each block is scanned from a zero state by one block-lower-triangular
+    Toeplitz product of ``prop^0 .. prop^(B-1)``.  The block ends are then
+    scanned by :func:`_scan` with ``prop^B``, and row ``j`` of each block
+    adds ``prop^(j+1)`` times the state before the block.  Products run in
+    chunks of ``_SCAN_ROWS`` blocks.
+    """
+    dim = rows.shape[1]
+    blocks = rows[1 : 1 + m * _BLOCK].reshape(m, _BLOCK * dim)
+    # updated in place, so the blocks must be rows themselves
+    assert np.shares_memory(blocks, rows)
+    powers = [np.eye(dim)]
+    for _ in range(_BLOCK):
+        powers.append(prop @ powers[-1])
+    # row-vector form: part k of a block gathers prop^(k-i) @ x_i over i <= k
+    toeplitz = np.zeros((_BLOCK * dim, _BLOCK * dim))
+    for i in range(_BLOCK):
+        for k in range(i, _BLOCK):
+            toeplitz[i * dim : (i + 1) * dim, k * dim : (k + 1) * dim] = powers[k - i].T
+    carry = np.hstack([p.T for p in powers[1:]])
+    tmp = np.empty((min(m, _SCAN_ROWS), _BLOCK * dim))
+    for lo in range(0, m, _SCAN_ROWS):
+        hi = min(m, lo + _SCAN_ROWS)
+        np.matmul(blocks[lo:hi], toeplitz, out=tmp[: hi - lo])
+        blocks[lo:hi] = tmp[: hi - lo]
+    # the state before each block: row 0, then the block ends
+    ends = np.empty((m + 1, dim))
+    ends[0] = rows[0]
+    ends[1:] = blocks[:, -dim:]
+    _scan(ends, powers[_BLOCK])
+    for lo in range(0, m, _SCAN_ROWS):
+        hi = min(m, lo + _SCAN_ROWS)
+        np.matmul(ends[lo:hi], carry, out=tmp[: hi - lo])
+        blocks[lo:hi] += tmp[: hi - lo]
 
 
 def _state_path(system, noise, times, x0, rng):

@@ -129,6 +129,18 @@ def linear_scan(prop, first, shocks):
     return out
 
 
+def gamma_differences_repeat(jumps, dt, K, rng):
+    """``(n, K)`` symmetric Gamma-difference increments, one shape per element.
+
+    Two ``rng.gamma`` arrays over the per-element shapes ``jumps.shape * dt``
+    repeated ``K`` times, the first minus the second: the draws that
+    ``grou.noise._gamma_differences`` takes with one scalar shape on equal
+    spacings, kept as its oracle.
+    """
+    shape = np.repeat(jumps.shape * dt, K).reshape(dt.size, K)
+    return rng.gamma(shape, jumps.scale) - rng.gamma(shape, jumps.scale)
+
+
 def gamma_arrivals(jumps, times, K, rng):
     """Symmetric-Gamma increments and their arrival times, in the library's draw order.
 
@@ -136,8 +148,7 @@ def gamma_arrivals(jumps, times, K, rng):
     of each step), then one uniform arrival time per step.  Returns
     ``(sizes, arrivals)``.
     """
-    shape = np.repeat(jumps.shape * np.diff(times), K).reshape(-1, K)
-    sizes = rng.gamma(shape, jumps.scale) - rng.gamma(shape, jumps.scale)
+    sizes = gamma_differences_repeat(jumps, np.diff(times), K, rng)
     return sizes, rng.uniform(times[:-1], times[1:])
 
 
@@ -188,7 +199,8 @@ def simulate_full_state(system, spec, times, x0, rng):
 def stepwise_path(system, spec, times, x0, rng, steps=None):
     """Every companion state of the step-by-step simulation recursion.
 
-    The plain loop that ``grou.simulate`` replaces with a doubling scan, kept
+    The plain loop that ``grou.simulate`` replaces with a scan (folded in
+    blocks of four rows on long runs, doubling rounds on short ones), kept
     as its oracle.  Takes the draws in the library's order: the Gaussian
     block, then for compound-Poisson noise the Poisson counts, the jump sizes
     and the arrival uniforms, and for symmetric-Gamma noise the two Gamma

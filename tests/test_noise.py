@@ -7,11 +7,15 @@ from grou.noise import (
     CompoundPoissonJumps,
     LevySpec,
     SymmetricGammaJumps,
+    _gamma_differences,
     _poisson_arrivals,
     psd_factor,
     sample_increments,
     stream_rng,
 )
+from grou.simulate import make_uniform_grids
+
+from conftest import gamma_differences_repeat
 
 
 class TestTripletMoments:
@@ -172,6 +176,30 @@ class TestPoissonArrivals:
         np.testing.assert_array_equal(arrivals, np.concatenate(want))
         np.testing.assert_array_equal(sizes, want_sizes)
         np.testing.assert_array_equal(owner, np.repeat(np.arange(counts.size), counts))
+
+
+class TestGammaDifferences:
+    """The sampler against one ``rng.gamma`` shape per element, bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.3])
+    @pytest.mark.parametrize("kind", ["dyadic", "mesh_0.01", "irregular"])
+    def test_matches_per_element_shapes(self, kind, scale):
+        if kind == "dyadic":
+            dt = np.diff(make_uniform_grids(2.0, 2.0**-8, 4).fine)
+        elif kind == "mesh_0.01":
+            dt = np.diff(make_uniform_grids(2.0, 0.01, 4).fine)
+        else:
+            dt = np.random.default_rng(4).uniform(0.001, 0.05, 400)
+        # equal spacings take one scalar shape, the others a shape per element
+        assert np.all(dt == dt[0]) == (kind == "dyadic")
+        jumps = SymmetricGammaJumps(0.7, scale)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = _gamma_differences(jumps, dt, 3, got_rng)
+        want = gamma_differences_repeat(jumps, dt, 3, want_rng)
+        assert got.shape == (dt.size, 3)
+        assert np.array_equal(got, want)
+        # both consumed the same draws
+        assert got_rng.random() == want_rng.random()
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

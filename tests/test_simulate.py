@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import ks_2samp
 
@@ -348,15 +350,25 @@ def random_grid(seed=11, n=300):
 
 
 class TestScanKernel:
-    """The doubling-scan kernel against the step-by-step recursion it replaced."""
+    """The scan kernel against the step-by-step recursion it replaced.
+
+    Runs of at least ``_FOLD_BLOCKS`` blocks of ``_BLOCK`` rows are folded,
+    shorter runs and the tail take doubling rounds.
+    """
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
-    @pytest.mark.parametrize("kind", ["dyadic", "non_dyadic", "non_uniform"])
+    @pytest.mark.parametrize("kind", ["dyadic", "non_dyadic", "non_uniform", "dyadic_folded"])
     def test_matches_stepwise_reference(self, regime, kind):
         system = two_edge_system()
         spec = LevySpec(np.array([0.2, -0.1]), np.eye(2), REGIMES[regime])
         if kind == "dyadic":
             grid = make_uniform_grids(2.0, 1 / 256, 16)
+        elif kind == "dyadic_folded":
+            # 1,030 steps: 257 blocks of four and a two-row tail
+            grid = make_uniform_grids(2.01, 1 / 512, 1)
+            steps = grid.fine.size - 1
+            assert steps // grou.simulate._BLOCK >= grou.simulate._FOLD_BLOCKS
+            assert steps % grou.simulate._BLOCK == 2
         elif kind == "non_dyadic":
             grid = make_uniform_grids(2.0, 2 / 2186, 1)
         else:
@@ -441,6 +453,65 @@ class TestScanKernel:
         got = _scan(rows, prop)
         assert got is rows
         assert np.abs(got - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
+
+    @staticmethod
+    def _stepwise(rows, prop):
+        out = rows.copy()
+        for j in range(1, out.shape[0]):
+            out[j] = prop @ out[j - 1] + out[j]
+        return out
+
+    @staticmethod
+    def scan_transition(kind):
+        if kind == "two_edge":
+            return two_edge_system().transition
+        if kind == "jordan":
+            # one 4x4 Jordan block, as in TestJumpResponses: defective
+            return -2.0 * np.eye(4) + np.diag(np.ones(3), 1)
+        if kind == "dim_1":
+            return scalar_system().transition
+        if kind == "dim_2":
+            params = GrouParams(np.array([[3.0], [2.0]]), (np.empty(0), np.empty(0)))
+            return build_companion(params, None).transition
+        return k5_predictive_system().transition
+
+    # blocks of four rows: below and above the fold's floor of 256, above
+    # 1,024 (the block ends fold too) and about 4,096 (so do theirs)
+    @given(
+        kind=st.sampled_from(["dim_1", "dim_2", "two_edge", "jordan", "dim_10"]),
+        blocks=st.one_of(
+            st.integers(250, 262), st.integers(1020, 1030), st.integers(4090, 4100)
+        ),
+        tail=st.integers(0, 3),
+        h=st.sampled_from([2.0**-14, 0.01, 0.3]),
+        scan_rows=st.sampled_from([1, 3, 64, 4096]),
+    )
+    @example(kind="jordan", blocks=255, tail=3, h=0.01, scan_rows=1)
+    @example(kind="two_edge", blocks=256, tail=0, h=2.0**-14, scan_rows=1)
+    @example(kind="dim_10", blocks=4096, tail=1, h=0.01, scan_rows=1)
+    @example(kind="dim_1", blocks=4096, tail=2, h=0.3, scan_rows=3)
+    @settings(max_examples=30, deadline=None)
+    def test_fold_matches_stepwise_recurrence(self, kind, blocks, tail, h, scan_rows):
+        prop = expm(h * self.scan_transition(kind))
+        n = grou.simulate._BLOCK * blocks + 1 + tail
+        rows = np.random.default_rng(blocks + tail).normal(size=(n, prop.shape[0]))
+        expected = self._stepwise(rows, prop)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grou.simulate, "_SCAN_ROWS", scan_rows)
+            got = _scan(rows, prop)
+        assert got is rows
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_non_contiguous_rows_are_updated_in_place(self):
+        # the fold's blocks would be a copy of a Fortran-ordered buffer, so
+        # it takes the doubling rounds
+        prop = expm(0.05 * two_edge_system().transition)
+        n = grou.simulate._BLOCK * grou.simulate._FOLD_BLOCKS * 2 + 3
+        rows = np.asfortranarray(np.random.default_rng(8).normal(size=(n, 4)))
+        expected = self._stepwise(rows, prop)
+        got = _scan(rows, prop)
+        assert got is rows
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_runs_of_equal_spacing(self):
         assert _runs(np.diff(np.linspace(0.0, 3.7, 1001))) == [(0, 1000)]

@@ -7,6 +7,13 @@ shared neighborhood coefficients (GNAR), and three continuous-time fits
 drift estimator.  Every fitted model reduces to an affine one-step map, so
 evaluation is a single matrix product.
 
+The AR and GNAR fits never form a design matrix.  AR solves each edge's
+two-column regression in closed form from centred sums; GNAR solves the
+arrow-shaped normal equations built from lagged cross-products, in the
+way the drift estimator works from structured Gram sums.  Both give the
+minimum-norm least-squares answer of the dense design, rank-deficient
+designs included.
+
 Metrics follow the usual conventions: root mean squared error over all
 evaluation times and edges, and directional accuracy (the fraction of
 correctly signed predicted increments, with the naive model pinned at 1/2
@@ -43,6 +50,7 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("NA", "AR", "VAR", "GNAR", "OU", "MCAR", "GROU")
+_CONTINUOUS_KINDS = frozenset({"OU", "MCAR", "GROU"})
 
 
 @dataclass(frozen=True)
@@ -90,26 +98,33 @@ class MetricReport:
     predict_seconds: float
 
 
-def _ols(design, targets):
-    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    return coef
-
-
 def _fit_na(train, ctx):
     K = train.n_edges
     return np.zeros(K), np.eye(K), None
 
 
 def _fit_ar(train, ctx):
-    y = train.values
-    K = train.n_edges
-    const = np.zeros(K)
-    gain = np.zeros((K, K))
-    for k in range(K):
-        design = np.column_stack([np.ones(y.shape[0] - 1), y[:-1, k]])
-        c, phi = _ols(design, y[1:, k])
-        const[k], gain[k, k] = c, phi
-    return const, gain, None
+    """Per-edge AR(1) with intercept: each edge's ``[1, y_{t-1}]`` least squares in closed form.
+
+    Slopes come from centred sums, all edges at once.  A column whose
+    design is rank one under lstsq's cutoff (a constant column ``c``) gets
+    lstsq's minimum-norm answer, ``const = mean(y_t) / (1 + c^2)`` and
+    ``phi = c * const``.
+    """
+    x, z = train.values[:-1], train.values[1:]
+    n = x.shape[0]
+    x_bar, z_bar = x.mean(axis=0), z.mean(axis=0)
+    dx = x - x_bar
+    sxx = np.einsum("tk,tk->k", dx, dx)
+    sxz = np.einsum("tk,tk->k", dx, z - z_bar)
+    # lstsq's rank test, sigma_min / sigma_max <= eps * n, on [1, x]: the Gram
+    # determinant is n * sxx = (sigma_min * sigma_max)^2 and sigma_max^2 <= its trace
+    trace = n + np.einsum("tk,tk->k", x, x)
+    flat = n * sxx <= (np.finfo(float).eps * n * trace) ** 2
+    phi = sxz / np.where(flat, 1.0, sxx)
+    const = np.where(flat, z_bar / (1.0 + x_bar**2), z_bar - phi * x_bar)
+    phi = np.where(flat, x_bar * const, phi)
+    return const, np.diag(phi), None
 
 
 # Shrinkage scale for the VAR fit.  At high observation frequencies the
@@ -133,19 +148,27 @@ def _fit_var(train, ctx):
 
 
 def _fit_gnar(train, ctx):
-    """Least squares with per-edge own-lag and one shared stage-1 neighborhood effect."""
+    """Least squares with per-edge own-lag and one shared stage-1 neighborhood effect.
+
+    The stacked design has a row per time and edge: edge k's own lag in
+    column k and its neighborhood aggregate ``a = y_{t-1} W1^T`` in the
+    last column.  The own-lag columns sit on disjoint rows, so the normal
+    equations are an arrow matrix of lagged cross-products (diagonal
+    ``sum_t y_{t-1,k}^2``, border ``sum_t y_{t-1,k} a_{t,k}``, corner
+    ``sum a^2``), built without the design.  lstsq on them gives the
+    design's minimum-norm answer, ``pinv(X^T X) X^T = pinv(X)``, so a
+    rank-deficient design (all stage-1 weights zero) is fitted as before.
+    """
     if ctx.weights is None:
         raise ValueError("GNAR needs neighborhood weight matrices")
-    y = train.values
-    T1, K = y.shape[0] - 1, train.n_edges
+    K = train.n_edges
+    lagged, target = train.values[:-1], train.values[1:]
     w1 = ctx.weights.stage(1)
-    lagged = y[:-1]
-    design = np.zeros((T1 * K, K + 1))
-    target = y[1:].reshape(-1)
-    for k in range(K):
-        design[k::K, k] = lagged[:, k]
-    design[:, K] = (lagged @ w1.T).reshape(-1)
-    coef = _ols(design, target)
+    agg = lagged @ w1.T
+    gram = np.diag(np.append(np.einsum("tk,tk->k", lagged, lagged), np.vdot(agg, agg)))
+    gram[:K, K] = gram[K, :K] = np.einsum("tk,tk->k", lagged, agg)
+    rhs = np.append(np.einsum("tk,tk->k", lagged, target), np.vdot(agg, target))
+    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     alphas, betas = coef[:K], coef[K:]
     gain = np.diag(alphas) + betas[0] * w1
     return np.zeros(K), gain, {"alpha": alphas, "beta": betas}
@@ -267,16 +290,19 @@ def fit_and_evaluate(
     """Fit models on the head of ``path`` and score them on its tail.
 
     Every kind is fitted on the first ``n_train`` points; when
-    ``context.triplet`` is None the driving noise is estimated once from
-    that section and shared by the continuous-time fits.  Returns
-    ``(models, reports)``, the reports scoring one-step forecasts over
-    indices ``n_train .. path.n_points - 1``.
+    ``context.triplet`` is None and ``kinds`` holds a continuous-time fit,
+    the driving noise is estimated once from that section and shared by
+    those fits.  Everything runs on one BLAS thread, so the figures do not
+    depend on the caller's thread count.  Returns ``(models, reports)``,
+    the reports scoring one-step forecasts over indices
+    ``n_train .. path.n_points - 1``.
     """
     train = path.section(0, n_train)
-    if context.triplet is None:
-        context = replace(context, triplet=estimate_triplet(train, context.policy))
-    models = [fit_benchmark(kind, train, context) for kind in kinds]
-    return models, evaluate(models, path, range(n_train, path.n_points))
+    with one_blas_thread():
+        if context.triplet is None and _CONTINUOUS_KINDS.intersection(k.upper() for k in kinds):
+            context = replace(context, triplet=estimate_triplet(train, context.policy))
+        models = [fit_benchmark(kind, train, context) for kind in kinds]
+        return models, evaluate(models, path, range(n_train, path.n_points))
 
 
 @dataclass(frozen=True)
@@ -302,6 +328,18 @@ class StudyConfig:
     models: tuple = MODEL_KINDS
     scenario: object = "correct"
     seed: int = 0
+
+    def __post_init__(self):
+        # checked before any path is simulated: these would give an empty or all-NaN table
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if isinstance(self.models, str) or not self.models:
+            raise ValueError(
+                f"models must be a non-empty list of model kinds, got {self.models!r}"
+            )
+        for kind in self.models:
+            if not isinstance(kind, str) or kind.upper() not in MODEL_KINDS:
+                raise ValueError(f"models: unknown kind {kind!r}; choose from {MODEL_KINDS}")
 
 
 def predictive_study_config(sigma2: float = 10.0, scenario="correct", **overrides) -> StudyConfig:

@@ -116,6 +116,7 @@ def _of_type(kind, expected):
 
 
 _text, _flag = _of_type(str, "a string"), _of_type(bool, "true or false")
+_list = _of_type(list, "a list")
 
 
 def _integer(value):
@@ -339,7 +340,7 @@ def _study_scenario(doc):
 def _study_from_config(doc, seed):
     common = _options(
         doc, n_paths=_integer, n_obs=_integer, t_end=float, ratio=_integer, test_size=_integer,
-        models=tuple,
+        models=lambda kinds: tuple(_list(kinds)),
     )
     design = doc.get("design")
     if design:

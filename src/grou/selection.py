@@ -131,6 +131,12 @@ def _choose(candidates, tolerance):
     return min(eligible, key=lambda c: c.bic)
 
 
+def _check_tolerance(tolerance):
+    # a negative tolerance leaves even the best candidate ineligible
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+
+
 def _shape_list(candidate_shapes):
     shapes = [(int(l), tuple(int(r) for r in rs)) for l, rs in candidate_shapes]
     if not shapes:
@@ -163,6 +169,7 @@ def select_model(
     with a warning.
     """
     shapes = _shape_list(candidate_shapes)
+    _check_tolerance(tolerance)
     if path.n_edges != graph.n_edges:
         raise ValueError(f"path has {path.n_edges} columns; graph has {graph.n_edges} edges")
     n_train = _split_points(path.n_points, eval_fraction)
@@ -496,6 +503,9 @@ def joint_network_model_search(
             f"for {n_vertices} vertices"
         )
     shapes = _shape_list(shapes)
+    _check_tolerance(tolerance)
+    if retain < 1:
+        raise ValueError(f"retain must be >= 1, got {retain}")
     lags, stages = int(screen_shape[0]), tuple(int(r) for r in screen_shape[1])
     _check_shape(lags, stages)
     n_train = _split_points(path.n_points, eval_fraction)

@@ -331,6 +331,31 @@ def select_loop(path, graphs, n_vertices, shapes, n_train, tolerance=1e-2, polic
     return outcomes
 
 
+def ols_benchmark_fits(train, weights):
+    """AR and GNAR one-step maps from dense-design least squares.
+
+    Per edge, lstsq on the ``[1, y_{t-1,k}]`` design; for GNAR, lstsq on the
+    stacked ``(T-1)K``-by-``(K+1)`` design of own lags (column k on edge k's
+    rows) and the stage-1 aggregate ``y_{t-1} W1^T`` in the last column.
+    The routes ``grou.benchmarks`` replaces with closed-form and arrow-matrix
+    sufficient statistics, kept as their oracle.  Returns ``{"AR": (const,
+    gain), "GNAR": (const, gain)}``.
+    """
+    y = train.values
+    T1, K = y.shape[0] - 1, train.n_edges
+    const, gain = np.zeros(K), np.zeros((K, K))
+    for k in range(K):
+        design = np.column_stack([np.ones(T1), y[:-1, k]])
+        (const[k], gain[k, k]), *_ = np.linalg.lstsq(design, y[1:, k], rcond=None)
+    w1 = weights.stage(1)
+    design = np.zeros((T1 * K, K + 1))
+    for k in range(K):
+        design[k::K, k] = y[:-1, k]
+    design[:, K] = (y[:-1] @ w1.T).reshape(-1)
+    coef, *_ = np.linalg.lstsq(design, y[1:].reshape(-1), rcond=None)
+    return {"AR": (const, gain), "GNAR": (np.zeros(K), np.diag(coef[:K]) + coef[K] * w1)}
+
+
 def _loop_timestamp(token):
     token = token.strip()
     try:

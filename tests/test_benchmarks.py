@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
-from conftest import set_blas_threads
+from conftest import ols_benchmark_fits, set_blas_threads
 
 from grou.benchmarks import (
     BenchmarkContext,
     MODEL_KINDS,
+    _study_one_path,
     directional_accuracy,
     evaluate,
+    fit_and_evaluate,
     fit_benchmark,
     monte_carlo_study,
     predictive_study_config,
 )
-from grou.graphs import complete_graph, path_graph, weight_matrices
+from grou.graphs import EdgeGraph, complete_graph, path_graph, random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion
 from grou.noise import CompoundPoissonJumps, LevySpec
 from grou.simulate import SampledPath, make_uniform_grids, simulate_path
@@ -97,6 +99,82 @@ class TestFitters:
             fit_benchmark("ARIMA", discrete_path(np.zeros((10, 1))), BenchmarkContext())
 
 
+class TestSufficientStatisticFits:
+    """AR and GNAR from lagged cross-products against dense-design lstsq."""
+
+    @staticmethod
+    def assert_matches_dense(path, weights):
+        """The AR and GNAR models of ``path``, checked against the dense oracle."""
+        models = {}
+        for kind, (const, gain) in ols_benchmark_fits(path, weights).items():
+            models[kind] = fit_benchmark(kind, path, BenchmarkContext(weights=weights))
+            for got, want in ((models[kind].const, const), (models[kind].gain, gain)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        return models
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_er_graph(int(rng.integers(3, 7)), 0.6, rng)
+        graph = graph if graph.n_edges else path_graph(3)
+        K = graph.n_edges
+        n = int(rng.integers(20, 400))
+        # persistent series around nonzero levels, so slopes and intercepts both matter
+        y = rng.normal(size=(n, K)).cumsum(axis=0) * 0.1 + rng.normal(scale=3.0, size=K)
+        self.assert_matches_dense(discrete_path(y), weight_matrices(graph, 1))
+
+    @pytest.mark.parametrize("level", [0.0, 0.1, 3.7])
+    def test_constant_column(self, level):
+        """A constant column's [1, c] design is rank one: lstsq's minimum-norm answer."""
+        y = np.random.default_rng(3).normal(size=(200, 3))
+        y[:, 1] = level
+        models = self.assert_matches_dense(discrete_path(y), weight_matrices(path_graph(4), 1))
+        const = y[1:, 1].mean() / (1 + level**2)
+        assert models["AR"].const[1] == pytest.approx(const, rel=1e-12, abs=1e-15)
+        assert models["AR"].gain[1, 1] == pytest.approx(level * const, rel=1e-12, abs=1e-15)
+        if level == 0.0:
+            assert models["AR"].gain[1, 1] == 0.0 and models["GNAR"].gain[1, 1] == 0.0
+
+    def test_zero_stage_one_weights(self):
+        """Two disjoint edges have no neighbors: the GNAR effect is the min-norm 0."""
+        graph = EdgeGraph(4, [(0, 1), (2, 3)])
+        weights = weight_matrices(graph, 1)
+        assert not weights.stage(1).any()
+        path = discrete_path(np.random.default_rng(4).normal(size=(200, 2)))
+        assert self.assert_matches_dense(path, weights)["GNAR"].detail["beta"][0] == 0.0
+
+
+class TestFitAndEvaluate:
+    def test_triplet_only_for_continuous_kinds(self, monkeypatch):
+        calls = []
+
+        def estimate_triplet(*args):
+            calls.append(args)
+            raise RuntimeError("triplet estimated")
+
+        monkeypatch.setattr("grou.benchmarks.estimate_triplet", estimate_triplet)
+        _, weights, path = simulated_k5_path(seed=6, n_obs=120)
+        ctx = BenchmarkContext(weights=weights)
+        _, reports = fit_and_evaluate(path, 100, ctx, kinds=("NA", "ar", "VAR", "GNAR"))
+        assert [r.kind for r in reports] == ["NA", "AR", "VAR", "GNAR"] and not calls
+        with pytest.raises(RuntimeError, match="triplet estimated"):
+            fit_and_evaluate(path, 100, ctx, kinds=("NA", "grou"))
+        assert len(calls) == 1
+
+    def test_thread_invariance(self, blas_at_two):
+        """Seed 0's path 5 on the full K=10 design: its GROU RMSE differs in the
+        last bit between one and two BLAS threads unless the fits hold one."""
+        config = predictive_study_config(n_paths=6, seed=0)
+        system = build_companion(config.params, weight_matrices(config.graph, 1))
+
+        def figures():
+            return [(r.kind, r.rmse, r.dir_acc) for r in _study_one_path(config, system, 5)]
+
+        at_two = figures()
+        set_blas_threads(blas_at_two, 1)
+        assert figures() == at_two
+
+
 class TestEvaluate:
     def test_perfect_and_naive(self):
         rng = np.random.default_rng(2)
@@ -170,6 +248,20 @@ class TestStudy:
         )
         rows = monte_carlo_study(config)
         assert np.isfinite(rows[1]["diracc_mean"])
+
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            ({"n_paths": 0}, "n_paths must be >= 1"),
+            ({"n_paths": -3}, "n_paths must be >= 1"),
+            ({"models": ()}, "non-empty list"),
+            ({"models": "GNAR"}, "non-empty list"),
+            ({"models": ("NA", "ARIMA")}, "unknown kind 'ARIMA'"),
+        ],
+    )
+    def test_config_rejects_empty_or_garbage_tables(self, overrides, needle):
+        with pytest.raises(ValueError, match=needle):
+            predictive_study_config(**overrides)
 
     def test_thread_invariance(self, blas_at_two):
         """The rows do not depend on the BLAS thread count the caller left.

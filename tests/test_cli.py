@@ -342,6 +342,23 @@ class TestBenchmark:
         na = lines[1].split(",")
         assert na[0] == "NA" and float(na[3]) == 0.5
 
+    def test_discrete_models_need_no_triplet(self, workdir):
+        """50 points leave too few coarse increments for the noise triplet,
+        which none of the discrete-time models uses."""
+        config = {
+            "design": {"sigma2": 1.0},
+            "n_paths": 2,
+            "n_obs": 50,
+            "test_size": 10,
+            "models": ["NA", "AR", "VAR", "GNAR"],
+        }
+        (workdir / "study.json").write_text(json.dumps(config))
+        argv = ["benchmark", "--config", str(workdir / "study.json")]
+        assert run([*argv, "--out", str(workdir / "t.csv")]) == 0
+        lines = (workdir / "t.csv").read_text().splitlines()
+        rows = [ln for ln in lines if not ln.startswith("#")]
+        assert [row.split(",")[0] for row in rows[1:]] == config["models"]
+
     def test_unknown_scenario_exit_1(self, workdir):
         config = {"design": {"scenario": "nonsense"}}
         (workdir / "study.json").write_text(json.dumps(config))
@@ -604,12 +621,35 @@ _WRONG_TYPES = {
 }
 
 
+# config entries of the right type that would give an empty or garbage result:
+# (subcommand, entries the config sets, text the error must hold)
+_OUT_OF_RANGE = {
+    "n_paths_zero": ("benchmark", {"n_paths": 0}, "n_paths must be >= 1, got 0"),
+    "n_paths_negative": ("benchmark", {"n_paths": -3}, "n_paths must be >= 1, got -3"),
+    "models_empty": ("benchmark", {"models": []}, "models must be a non-empty list"),
+    "models_string": ("benchmark", {"models": "GNAR"}, "config entry 'models'"),
+    "models_unknown": ("benchmark", {"models": ["NA", "ARIMA"]}, "unknown kind 'ARIMA'"),
+    "retain_negative": ("select", {"mode": "joint", "retain": -4}, "retain must be >= 1, got -4"),
+    "retain_zero": ("select", {"mode": "joint", "retain": 0}, "retain must be >= 1, got 0"),
+    "tolerance_joint": ("select", {"mode": "joint", "tolerance": -1}, "tolerance must be >= 0"),
+    "tolerance_shapes": ("select", {"tolerance": -1}, "tolerance must be >= 0, got -1.0"),
+}
+
+
+def _entries_fault(name):
+    """``(subcommand, entries, needle)`` of a faulty-entry case, or Nones."""
+    if name in _WRONG_TYPES:
+        subcommand, entries, key = _WRONG_TYPES[name]
+        return subcommand, entries, f"config entry '{key}'"
+    return _OUT_OF_RANGE.get(name, (None, None, None))
+
+
 def _config_fault(workdir, name):
     """Write one malformed config; return its argv and the text the error must name."""
-    if name in _WRONG_TYPES and _WRONG_TYPES[name][0] == "benchmark":
-        _, entries, key = _WRONG_TYPES[name]
+    subcommand, entries, needle = _entries_fault(name)
+    if subcommand == "benchmark":
         (workdir / "study.json").write_text(json.dumps({"design": {"sigma2": 1.0}, **entries}))
-        return ["benchmark", "--config", str(workdir / "study.json")], f"config entry '{key}'"
+        return ["benchmark", "--config", str(workdir / "study.json")], needle
     if name == "scenario":
         (workdir / "study.json").write_text(json.dumps({"design": {"scenario": 5}}))
         return ["benchmark", "--config", str(workdir / "study.json")], "5"
@@ -633,10 +673,8 @@ def _config_fault(workdir, name):
     config = {"edge_series": str(workdir / "edges.csv"), "mode": "shapes", "ratio": 1,
               "graph": str(workdir / "net.json"), "shapes": [[1, [1]]]}
     graph = {"n_vertices": 3, "edges": [[0, 1], [1, 2]]}
-    if name in _WRONG_TYPES:
-        _, entries, key = _WRONG_TYPES[name]
+    if entries is not None:
         config.update(entries)
-        needle = f"config entry '{key}'"
     elif name == "graph_vertex":
         graph = {"n_vertices": 4, "edges": [[0, 1], [0, 3]]}
         needle = "(0, 3)"
@@ -676,6 +714,20 @@ class TestUsage:
         ],
     )
     def test_config_fault_is_usage_error(self, workdir, name, capsys):
+        argv, needle = _config_fault(workdir, name)
+        assert run([*argv, "--out", str(workdir / "out")]) == 1
+        assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(_OUT_OF_RANGE))
+    def test_out_of_range_entry_is_usage_error(self, workdir, name, capsys, monkeypatch):
+        """Rejected before any path is simulated or candidate screened."""
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr("grou.benchmarks.simulate_path", not_reached)
+        monkeypatch.setattr("grou.selection._screen", not_reached)
+        monkeypatch.setattr("grou.selection._score_graphs", not_reached)
         argv, needle = _config_fault(workdir, name)
         assert run([*argv, "--out", str(workdir / "out")]) == 1
         assert needle in capsys.readouterr().err

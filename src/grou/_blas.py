@@ -11,8 +11,9 @@ cannot be loaded or a symbol is missing, the pin does nothing.
 Measured on a 2-core machine with scipy 1.17.1: every ``scipy.linalg.expm``
 call, even of one 2x2 matrix, wakes the worker thread of scipy's OpenBLAS,
 which then spins for ~0.1-0.2 s, and a pin entered afterwards does not
-stop it.  numpy's ``linalg``, ``cho_factor``/``cho_solve``,
-``solve_continuous_lyapunov`` and ``eigh`` do not wake it.  So
+stop it.  numpy's ``linalg``, ``cho_factor``/``cho_solve``, the batched
+``scipy.linalg.solve``, ``solve_continuous_lyapunov`` and ``eigh`` do not
+wake it.  So
 :func:`grou.model.expm` enters this scope around each exponential, and
 entering it must be cheap: it is a class rather than a generator-based
 context manager (~5 us to enter and leave, ~1 us when nested), and

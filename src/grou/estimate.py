@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve
 
 from .errors import ConfigurationError, EstimationError, SingularityError
 from .graphs import WeightMatrices
@@ -66,10 +66,14 @@ __all__ = [
 FINITE_BETA_DEFAULT = 0.2
 INFINITE_BETA_DEFAULT = 0.1
 
+# the fewest coarse increments a triplet estimate accepts, on any columns
+_MIN_INCREMENTS = 100
+
 _RIDGE_SCALE_DEFAULT = 1e-8
 _RIDGE_ESCALATIONS = 30
 _STAYED_SINGULAR = "information matrix stayed singular under ridge escalation"
 _ALL_EXCEED = "every coarse increment exceeds the threshold"
+_NO_PRECISION = "working covariance is not positive definite"
 _IRREGULAR = "observation grids are irregular; estimator uses actual spacings"
 
 
@@ -325,69 +329,63 @@ def _jittered(sigma, eigenvalues):
     return np.where(low[..., None, None], jittered, sigma)
 
 
-def _solve_with_ridge(info, score, ridge):
-    """Solve (info + ridge*I) theta = score, escalating an automatic ridge.
+def _solve_with_ridge(info, score, ridge=None):
+    """Solve ``(info[g] + ridge_g * I) theta[g] = score[g]`` for a stack of fits.
 
-    ``ridge=None`` starts from a trace-scaled value and multiplies by ten
-    until the regularized matrix admits a Cholesky factorization; an
-    explicit ridge is used as given and failure raises.
+    ``info`` is a ``(G, p, p)`` stack of symmetric matrices and ``score``
+    ``(G, p)``.  ``ridge=None`` starts each fit from a trace-scaled ridge and
+    multiplies it by ten until the regularized matrix admits a Cholesky
+    factorization; only the fits that fail escalate.  An explicit ridge is
+    used as given.  Returns ``(theta, ridges)``, with NaN in both for the
+    fits whose matrix never factorized.  Each fit gets the bits of
+    ``cho_solve(cho_factor(...))`` on its own matrix.
     """
-    p = info.shape[0]
-    eye = np.eye(p)
-    if ridge is not None:
-        try:
-            factor = cho_factor(info + float(ridge) * eye)
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError(
-                f"information matrix not positive definite at ridge={ridge}"
-            ) from exc
-        return cho_solve(factor, score), float(ridge)
-    base = _RIDGE_SCALE_DEFAULT * max(np.trace(info) / p, np.finfo(float).tiny)
-    value = base
-    for _ in range(_RIDGE_ESCALATIONS):
-        try:
-            factor = cho_factor(info + value * eye)
-            return cho_solve(factor, score), float(value)
-        except np.linalg.LinAlgError:
-            value *= 10.0
-    raise SingularityError(_STAYED_SINGULAR)
-
-
-def _solve_with_ridge_stack(info, score):
-    """The automatic ridge of :func:`_solve_with_ridge` over a stack of fits.
-
-    ``info`` is ``(G, p, p)`` and ``score`` ``(G, p)``.  Only the fits whose
-    regularized matrix fails to factorize escalate, tenfold per round.
-    Returns ``theta``, with NaN rows where every escalation failed.
-    """
-    p = info.shape[-1]
-    eye = np.eye(p)
-    value = _RIDGE_SCALE_DEFAULT * np.maximum(
-        np.trace(info, axis1=-2, axis2=-1) / p, np.finfo(float).tiny
-    )
-    theta = np.full(score.shape, np.nan)
-    todo = np.arange(info.shape[0])
-    for _ in range(_RIDGE_ESCALATIONS):
-        regularized = info[todo] + value[todo, None, None] * eye
-        ok = _factorable(regularized)
-        solved = todo[ok]
-        theta[solved] = np.linalg.solve(regularized[ok], score[solved, :, None])[..., 0]
+    # on other layouts the stacked trace sums the diagonals in another order
+    info = np.ascontiguousarray(info)
+    G, p = score.shape
+    if ridge is None:
+        tiny = np.finfo(float).tiny
+        ridges = _RIDGE_SCALE_DEFAULT * np.maximum(np.trace(info, axis1=1, axis2=2) / p, tiny)
+    else:
+        ridges = np.full(G, float(ridge))
+    theta = np.full((G, p), np.nan)
+    todo = np.arange(G)
+    for _ in range(_RIDGE_ESCALATIONS if ridge is None else 1):
+        solved, ok = _cholesky_solve(
+            info[todo] + ridges[todo, None, None] * np.eye(p), score[todo, :, None]
+        )
+        theta[todo[ok]] = solved[ok, :, 0]
         todo = todo[~ok]
         if todo.size == 0:
             break
-        value[todo] *= 10.0
-    return theta
+        ridges[todo] *= 10.0
+    ridges[todo] = np.nan
+    return theta, ridges
 
 
-def _factorable(stack) -> np.ndarray:
-    """Which matrices of a stack admit a Cholesky factorization."""
+def _cholesky_solve(matrices, rhs):
+    """``cho_solve(cho_factor(matrices[g]), rhs[g])`` for every slice of a stack, in one call.
+
+    ``matrices`` is ``(G, n, n)`` and ``rhs`` ``(G, n, m)``.  The batched
+    solve gives each slice the bits of its own factorization only on a
+    C-contiguous stack.  Where a slice fails, the whole call fails, so the
+    slices are then solved one by one.  Returns ``(x, ok)``: ``ok[g]`` is
+    False, and ``x[g]`` NaN, where ``matrices[g]`` admits no Cholesky
+    factorization.
+    """
+    matrices = np.ascontiguousarray(matrices)
+    G = matrices.shape[0]
+    if matrices.size == 1:
+        # scipy divides a lone 1-by-1 system instead of factorizing it
+        matrices = np.broadcast_to(matrices, (2, 1, 1))
+        rhs = np.broadcast_to(rhs, (2, 1, rhs.shape[2]))
     try:
-        np.linalg.cholesky(stack)
+        return solve(matrices, rhs, assume_a="pos")[:G], np.ones(G, dtype=bool)
     except np.linalg.LinAlgError:
-        if stack.shape[0] == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_factorable(stack[g : g + 1]) for g in range(stack.shape[0])])
-    return np.ones(stack.shape[0], dtype=bool)
+        if G == 1:
+            return np.full((1,) + rhs.shape[1:], np.nan), np.zeros(1, dtype=bool)
+    parts = [_cholesky_solve(matrices[g : g + 1], rhs[g : g + 1]) for g in range(G)]
+    return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
 def grid_diagnostics(grid) -> dict:
@@ -410,10 +408,21 @@ def grid_diagnostics(grid) -> dict:
     }
 
 
-def _precision(triplet: LevySpec) -> np.ndarray:
-    """Inverse of the working covariance from a single Cholesky factorization."""
-    sigma = _working_covariance(triplet)
-    return cho_solve(cho_factor(sigma), np.eye(sigma.shape[0]))
+def _precision(covariance):
+    """Inverses of a stack ``(G, K, K)`` of working covariances, one Cholesky factorization each.
+
+    Returns ``(prec, ok)`` as :func:`_cholesky_solve` does.
+    """
+    eye = np.broadcast_to(np.eye(covariance.shape[-1]), covariance.shape)
+    return _cholesky_solve(covariance, eye)
+
+
+def _triplet_precision(triplet: LevySpec) -> np.ndarray:
+    """The precision of ``triplet``'s working covariance."""
+    (prec,), (ok,) = _precision(_working_covariance(triplet)[None])
+    if not ok:
+        raise np.linalg.LinAlgError(_NO_PRECISION)
+    return prec
 
 
 def _drift_statistics(derivs, aggregates, stages, increments, spacings, prec):
@@ -492,9 +501,18 @@ def _irregular(grid, uniformity_fine) -> bool:
     return uniformity_fine < 0.99 or not coarse_uniform
 
 
+def _symmetrized(info):
+    """``(info + info^T) / 2``, C-contiguous, for one matrix or a stack."""
+    return np.ascontiguousarray(0.5 * (info + np.swapaxes(info, -1, -2)))
+
+
 def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
-    info = 0.5 * (info + info.T)
-    theta, ridge_used = _solve_with_ridge(info, score, ridge)
+    info = _symmetrized(info)
+    (theta,), (ridge_used,) = _solve_with_ridge(info[None], score[None], ridge)
+    if np.isnan(ridge_used):
+        if ridge is None:
+            raise SingularityError(_STAYED_SINGULAR)
+        raise SingularityError(f"information matrix not positive definite at ridge={ridge}")
     loglik = float(theta @ score - 0.5 * theta @ info @ theta)
     n_coarse = thresholded.spacings.size
     bic = _bic(theta, info, n_coarse) if n_coarse > 1 else float("nan")
@@ -509,7 +527,7 @@ def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
         loglik=loglik,
         bic=bic,
         n_coarse=n_coarse,
-        ridge_used=ridge_used,
+        ridge_used=float(ridge_used),
         triplet_used=triplet,
         structure=structure,
         shape=shape,
@@ -548,7 +566,7 @@ def estimate_drift(
     thresholded = threshold_increments(path, policy, triplet, lags=shape[0])
     (info,), (score,) = _drift_statistics(
         derivs[None], aggregates[None], shape[1], thresholded.values[None],
-        thresholded.spacings, _precision(triplet)[None],
+        thresholded.spacings, _triplet_precision(triplet)[None],
     )
     return _finish(info, score, thresholded, path, triplet, ridge, "grou", shape)
 
@@ -571,17 +589,14 @@ def estimate_mcar(
     values = _regressors(path, None, (1, (0,)))[0][0]
     thresholded = threshold_increments(path, policy, triplet, lags=1)
     info, score = _mcar_statistics(
-        values, thresholded.values, thresholded.spacings, _precision(triplet)
+        values, thresholded.values, thresholded.spacings, _triplet_precision(triplet)
     )
     ridge = None if ridge_scale is None else ridge_scale * np.trace(info) / info.shape[0]
     return _finish(info, score, thresholded, path, triplet, ridge, "mcar", None)
 
 
 def estimate_triplet(
-    path: SampledPath,
-    policy: ThresholdPolicy | None = None,
-    lags: int = 1,
-    min_increments: int = 100,
+    path: SampledPath, policy: ThresholdPolicy | None = None, lags: int = 1
 ) -> LevySpec:
     """Estimate the driving-noise triplet from thresholded coarse increments.
 
@@ -589,19 +604,17 @@ def estimate_triplet(
     (drift-corrected, sub-threshold in every component) increments scaled
     by total time; the drift is the per-unit-time mean of per-component
     small increments; exceedance increments contribute a compound-Poisson
-    second moment split into an arrival rate and a jump covariance.
+    second moment split into an arrival rate and a jump covariance.  The
+    path needs at least 100 coarse increments (``_MIN_INCREMENTS``).
 
     This stage intentionally reuses only quantities the thresholding rule
     already defines, so its fidelity is limited to second moments.
     """
     if policy is None:
         policy = ThresholdPolicy()
-    b_hat, corrected, small, total_time = _small_increments(path, policy, lags, min_increments)
-    joint_small = small.all(axis=1)
-    if not joint_small.any():
-        raise EstimationError(_ALL_EXCEED)
-    kept = corrected[joint_small]
-    sigma_hat = kept.T @ kept / total_time
+    raw, spacings = _triplet_increments(path, lags)
+    b_hat, corrected, small, total_time = _small_increments(raw, spacings, policy)
+    sigma_hat, joint_small = _brownian_cov(corrected, small, total_time)
 
     jumps = None
     exceed = ~joint_small
@@ -610,25 +623,48 @@ def estimate_triplet(
         second_moment = exceeding.T @ exceeding / total_time
         rate_hat = float(exceed.sum()) / total_time
         jumps = CompoundPoissonJumps(rate=rate_hat, jump_cov=second_moment / rate_hat)
-    return LevySpec(b_hat, 0.5 * (sigma_hat + sigma_hat.T), jumps)
+    return LevySpec(b_hat, sigma_hat, jumps)
 
 
-def _small_increments(path, policy, lags=1, min_increments=100):
-    """The column-by-column part of :func:`estimate_triplet`.
-
-    Returns ``(b_hat, corrected, small, total_time)``: the per-component
-    drift, the drift-corrected coarse increments, their sub-threshold mask
-    and the time they span.  No column's values depend on another's.
-    """
+def _triplet_increments(path, lags=1):
+    """Raw coarse increments and spacings of a triplet estimate, at least ``_MIN_INCREMENTS``."""
     _, _, raw, spacings = _coarse_increments(path, lags)
-    if raw.shape[0] < min_increments:
+    if raw.shape[0] < _MIN_INCREMENTS:
         raise EstimationError(
-            f"triplet estimation needs >= {min_increments} coarse increments, "
+            f"triplet estimation needs >= {_MIN_INCREMENTS} coarse increments, "
             f"have {raw.shape[0]}"
         )
-    cuts = policy.thresholds(spacings, path.n_edges)
+    return raw, spacings
+
+
+def _small_increments(raw, spacings, policy):
+    """The column-by-column part of :func:`estimate_triplet`.
+
+    ``raw`` holds the coarse increments of one set of columns, C-contiguous
+    ``(M, K)``, or of a stack of sets, ``(G, M, K)``; the columns of a wider
+    panel could sum in another order.  Returns ``(b_hat, corrected, small, total_time)``: the per-component
+    drift, the drift-corrected increments, their sub-threshold mask and
+    the time they span.
+    """
+    cuts = policy.thresholds(spacings, raw.shape[-1])
     total_time = float(spacings.sum())
     small0 = np.abs(raw) <= cuts
-    b_hat = (raw * small0).sum(axis=0) / total_time
-    corrected = raw - b_hat[None, :] * spacings[:, None]
+    b_hat = (raw * small0).sum(axis=-2) / total_time
+    corrected = raw - b_hat[..., None, :] * spacings[:, None]
     return b_hat, corrected, np.abs(corrected) <= cuts, total_time
+
+
+def _brownian_cov(corrected, small, total_time):
+    """The joint part of :func:`estimate_triplet`, on one ``(M, K)`` set of columns.
+
+    ``corrected`` (C-contiguous) and ``small`` come from
+    :func:`_small_increments`.  Returns the symmetrized covariance of the
+    rows below every cutoff and the mask of those rows.
+    """
+    joint_small = small.all(axis=1)
+    if not joint_small.any():
+        raise EstimationError(_ALL_EXCEED)
+    # one copy, so that kept.T @ kept takes numpy's symmetric product
+    kept = corrected[joint_small]
+    sigma_hat = kept.T @ kept / total_time
+    return 0.5 * (sigma_hat + sigma_hat.T), joint_small

@@ -11,17 +11,19 @@ a large random candidate set with a cheap fixed shape, keeps the most
 promising graphs, and then runs the full shape selection on each survivor.
 The whole search, screen and survivors alike, runs on one BLAS thread.
 
-Screen and shape selection are both array programs: the work that depends
-on the path alone is done once for every pair column, and graphs with equal
-edge counts run as stacks.  The screen's stacks solve together; in the
-shape selection each graph keeps its own noise triplet and precision, and
-each fit its own ridge solve, so a stack scores every shape exactly as a
-fit on its own would (:func:`select_model` on one graph is a stack of one).
+The screen and the shape selection run through one scorer, an array
+program: the work that depends on the path alone is done once for every
+pair column, and graphs with equal edge counts run as stacks.  Each graph
+keeps its own noise triplet and precision, and each fit its own ridge, so
+a stack scores every shape exactly as a fit on its own would; the screen's
+scores are those of :func:`select_model` on each candidate under the
+screen shape (:func:`select_model` on one graph is a stack of one).
 A candidate whose fit fails is skipped with a warning that gives the reason.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -29,16 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import EstimationError, GrouError, SingularityError
+from .errors import GrouError, SingularityError
 # estimate_drift is unused here but stays bound: perfbench's tracer test checks this import site
 from .estimate import (
-    _ALL_EXCEED,
     _IRREGULAR,
+    _NO_PRECISION,
     _STAYED_SINGULAR,
     EstimationResult,
     ThresholdPolicy,
     _aggregates,
     _bic,
+    _brownian_cov,
     _check_shape,
     _coarse_increments,
     _derivatives,
@@ -48,10 +51,10 @@ from .estimate import (
     _precision,
     _small_increments,
     _solve_with_ridge,
-    _solve_with_ridge_stack,
+    _symmetrized,
+    _triplet_increments,
     _truncate,
     estimate_drift,
-    estimate_triplet,
 )
 from .graphs import EdgeGraph, _edge_ends, _weight_stack, pair_order, random_er_graph
 from .model import _companion_transition, _lag_matrix, drift_integral, expm
@@ -203,9 +206,15 @@ def _outcome(graph, graph_ref, shapes, scored, irregular, tolerance):
     )
 
 
+@functools.cache
+def _pair_columns(n_vertices: int):
+    """Column of each vertex pair in a canonical pair panel; read only."""
+    return {pair: k for k, pair in enumerate(pair_order(n_vertices))}
+
+
 def _columns_for(graph: EdgeGraph, n_vertices: int):
     """Pair-series columns of the graph's edges in a canonical pair panel."""
-    order = {pair: k for k, pair in enumerate(pair_order(n_vertices))}
+    order = _pair_columns(n_vertices)
     for edge in graph.edges:
         if edge not in order:
             raise ValueError(f"edge {edge} has no pair series among {n_vertices} vertices")
@@ -273,82 +282,6 @@ def _one_step_maps(theta, matrices, shape, mean_rate, h):
     return expm(h * transition)[:, :K, :K], drift_integral(transition, drift, h)[:, :K]
 
 
-def _screen(path, graphs, n_vertices, shape, n_train, policy):
-    """Held-out directional accuracy of every non-empty candidate graph under one shape.
-
-    This is the scoring of :func:`select_model` run as array programs: a
-    noise triplet from the training head, a drift fit with the automatic
-    ridge, then one-step forecasts at the fine mesh over the held-out tail.
-    What depends on the path alone (the coarse increments, their drift and
-    sub-threshold masks, the regressors, the held-out rows) is computed once
-    for all pair columns; candidates with equal edge counts run as stacks.
-    Returns ``(accuracies, failures)``, both keyed by candidate index; a
-    failure is the error the candidate's own fit raises.
-    """
-    lags, stages = shape
-    policy = ThresholdPolicy() if policy is None else policy
-    train = path.section(0, n_train)
-    by_size = {}
-    for i, g in enumerate(graphs):
-        if g.n_edges:
-            by_size.setdefault(g.n_edges, []).append(i)
-    accuracies, failures = {}, {}
-    try:
-        b_hat, corrected, small, total_time = _small_increments(train, policy)
-    except GrouError as exc:
-        return accuracies, {i: exc for members in by_size.values() for i in members}
-    fit_error = None
-    try:
-        derivs = _derivatives(train, lags)
-        _, _, raw, spacings = _coarse_increments(train, lags)
-        increments = _truncate(raw, spacings, b_hat, policy).values
-    except GrouError as exc:
-        fit_error = exc
-    previous, realized = _heldout(path, n_train)
-    column = np.zeros((n_vertices, n_vertices), dtype=int)
-    column[np.triu_indices(n_vertices, 1)] = np.arange(path.n_edges)
-    n_stages = max(max(stages, default=0), 1)
-    for K, members in sorted(by_size.items()):
-        for batch in _batches(members, K * (previous.shape[0] + lags * corrected.shape[0])):
-            ids = np.array(batch)
-            ends = np.array([graphs[i].edges for i in ids])
-            # the triplet: Brownian covariance of the rows below every cutoff
-            joint = small[:, column[ends[..., 0], ends[..., 1]]].all(axis=-1).T
-            live = joint.any(axis=1)
-            failures.update((i, EstimationError(_ALL_EXCEED)) for i in ids[~live].tolist())
-            if fit_error is not None:
-                failures.update((i, fit_error) for i in ids[live].tolist())
-                continue
-            if not live.any():
-                continue
-            ids, ends, joint = ids[live], ends[live], joint[live]
-            cols = column[ends[..., 0], ends[..., 1]]
-            kept = np.where(joint[..., None], _by_candidate(corrected, cols), 0.0)
-            sigma = kept.transpose(0, 2, 1) @ kept / total_time
-            sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
-            prec = np.linalg.inv(_jittered(sigma, _psd_spectrum(sigma, "brownian_cov")))
-            # the drift fit
-            matrices = _weight_stack(ends, n_vertices, n_stages)
-            d = _by_candidate(derivs, cols)
-            info, score = _drift_statistics(
-                d, _aggregates(d, matrices, stages), stages,
-                _by_candidate(increments, cols), spacings, prec,
-            )
-            theta = _solve_with_ridge_stack(0.5 * (info + info.transpose(0, 2, 1)), score)
-            solved = ~np.isnan(theta).any(axis=1)
-            failures.update((i, SingularityError(_STAYED_SINGULAR)) for i in ids[~solved].tolist())
-            ids, cols = ids[solved], cols[solved]
-            # one-step forecasts over the held-out rows
-            gain, const = _one_step_maps(
-                theta[solved], [m[solved] for m in matrices], shape, b_hat[cols],
-                train.grid.mesh_fine,
-            )
-            accuracies.update(
-                zip(ids.tolist(), _sign_hits(previous, realized, gain, const, cols).tolist())
-            )
-    return accuracies, failures
-
-
 def _score_graphs(path, graphs, columns, shapes, n_train, policy):
     """Held-out scores of every graph under every shape, one stack per shape and edge count.
 
@@ -356,13 +289,13 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
     ``columns[j]`` lists the columns of ``path`` that hold graph ``j``'s
     edges, in edge order.  Each graph gets the noise triplet of its own
     training head and that triplet's precision.  What depends on the path
-    alone (the derivatives and coarse increments of each lag count, the
-    held-out rows) is computed once for all columns.  Per shape, graphs
-    with equal edge counts share one stack for the aggregates, the drift
-    statistics, the one-step maps and the sign hits; each fit keeps its own
-    ridge solve and information criterion.  Every score is therefore bit
-    for bit what :func:`grou.benchmarks.fit_and_evaluate` gives the fit on
-    its own.
+    alone (the lag-1 coarse increments behind every triplet, the
+    derivatives and coarse increments of each lag count, the held-out rows)
+    is computed once for all columns.  Graphs with equal edge counts share
+    one stack for the precisions and, per shape, for the aggregates, the
+    drift statistics, the ridge solves, the one-step maps and the sign
+    hits.  Every score is therefore bit for bit what
+    :func:`grou.benchmarks.fit_and_evaluate` gives the fit on its own.
 
     Returns ``(irregular, scored)``: whether the training grids are
     irregular, and per graph either the error its triplet raised or a list
@@ -370,35 +303,23 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
     """
     policy = ThresholdPolicy() if policy is None else policy
     train = path.section(0, n_train)
-    scored, by_size = [], {}
-    for j, cols in enumerate(columns):
-        cols = list(cols)
-        try:
-            triplet = estimate_triplet(train.select_columns(cols), policy)
-        except GrouError as exc:
-            scored.append(exc)
-            continue
-        try:
-            prec = _precision(triplet)
-        except np.linalg.LinAlgError as exc:
-            # every shape that gets as far as the precision fails with it
-            scored.append([exc] * len(shapes))
-            continue
-        scored.append([None] * len(shapes))
-        by_size.setdefault(len(cols), []).append((j, cols, triplet.mean_rate, prec))
+    irregular = _irregular(train.grid, train.grid.uniformity_fine)
+    try:
+        raw_lag1, spacings_lag1 = _triplet_increments(train)
+    except GrouError as exc:
+        return irregular, [exc] * len(graphs)
     # per shape: the derivatives, raw coarse increments and spacings, or the
     # error every fit of the shape raises before it reaches a graph's data
     by_lags, steps = {}, []
-    for s, (lags, stages) in enumerate(shapes):
+    for lags, stages in shapes:
         try:
             _check_shape(lags, stages)
             if lags not in by_lags:
-                by_lags[lags] = (_derivatives(train, lags), *_coarse_increments(train, lags)[2:])
+                # lag 1 takes the triplet's increments
+                coarse = _coarse_increments(train, lags)[2:] if lags > 1 else (raw_lag1, spacings_lag1)
+                by_lags[lags] = (_derivatives(train, lags), *coarse)
         except GrouError as exc:
             steps.append(exc)
-            for entry in scored:
-                if isinstance(entry, list):
-                    entry[s] = exc
             continue
         steps.append(by_lags[lags])
     previous, realized = _heldout(path, n_train)
@@ -406,10 +327,40 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
     n_vertices = max(g.n_vertices for g in graphs)
     n_stages = max(max(max(rs, default=0) for _, rs in shapes), 1)
     cells = previous.shape[0] + max(l for l, _ in shapes) * train.grid.coarse_idx.size
-    for K, fits in sorted(by_size.items()):
-        for batch in _batches(fits, K * cells):
-            js, cols, mean_rate, prec = zip(*batch)
-            cols, mean_rate, prec = np.array(cols), np.array(mean_rate), np.array(prec)
+    scored, by_size = [None] * len(graphs), {}
+    for j, cols in enumerate(columns):
+        by_size.setdefault(len(cols), []).append(j)
+    for K, members in sorted(by_size.items()):
+        for batch in _batches(members, K * cells):
+            # each graph's triplet: the drift and Brownian covariance of its columns
+            batch = np.array(batch)
+            cols = np.array([columns[j] for j in batch], dtype=int).reshape(batch.size, K)
+            b_hat, corrected, small, total_time = _small_increments(
+                _by_candidate(raw_lag1, cols), spacings_lag1, policy
+            )
+            sigma = []
+            for g, j in enumerate(batch):
+                try:
+                    sigma.append(_brownian_cov(corrected[g], small[g], total_time)[0])
+                except GrouError as exc:
+                    scored[j] = exc
+            live = np.array([scored[j] is None for j in batch])
+            if not live.any():
+                continue
+            sigma = np.array(sigma)
+            prec, factored = _precision(_jittered(sigma, _psd_spectrum(sigma, "brownian_cov")))
+            for j, ok in zip(batch[live].tolist(), factored):
+                # every shape that gets as far as the precision fails with it
+                fault = None if ok else np.linalg.LinAlgError(_NO_PRECISION)
+                scored[j] = [step if isinstance(step, Exception) else fault for step in steps]
+            live[live] = factored
+            if not live.any():
+                continue
+            js, cols, mean_rate = batch[live].tolist(), cols[live], b_hat[live]
+            prec = prec[factored]
+            # lag-1 shapes truncate with the triplet's own drift correction
+            # and sub-threshold mask, so their increments are at hand
+            lag1 = np.where(small[live], corrected[live], 0.0) if 1 in by_lags else None
             matrices = _weight_stack(
                 np.array([_edge_ends(graphs[j]) for j in js]), n_vertices, n_stages
             )
@@ -419,30 +370,52 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
                 stages = shape[1]
                 derivs, raw, spacings = step
                 d = _by_candidate(derivs, cols)
-                increments = _truncate(_by_candidate(raw, cols), spacings, mean_rate, policy)
+                if shape[0] == 1:
+                    increments = lag1
+                else:
+                    raw = _by_candidate(raw, cols)
+                    increments = _truncate(raw, spacings, mean_rate, policy).values
                 info, score = _drift_statistics(
-                    d, _aggregates(d, matrices, stages), stages, increments.values, spacings, prec
+                    d, _aggregates(d, matrices, stages), stages, increments, spacings, prec
                 )
-                solved, thetas, crits = [], [], []
-                for g, j in enumerate(js):
-                    info_g = 0.5 * (info[g] + info[g].T)
-                    try:
-                        theta, _ = _solve_with_ridge(info_g, score[g], None)
-                    except SingularityError as exc:
-                        scored[j][s] = exc
-                        continue
-                    solved.append(g)
-                    thetas.append(theta)
-                    crits.append(_checked_bic(theta, info_g, spacings.size))
-                if not solved:
+                info = _symmetrized(info)
+                theta, ridges = _solve_with_ridge(info, score)
+                solved = np.flatnonzero(~np.isnan(ridges))
+                for g in np.flatnonzero(np.isnan(ridges)).tolist():
+                    scored[js[g]][s] = SingularityError(_STAYED_SINGULAR)
+                if not solved.size:
                     continue
                 gain, const = _one_step_maps(
-                    np.array(thetas), [m[solved] for m in matrices], shape, mean_rate[solved], h
+                    theta[solved], [m[solved] for m in matrices], shape, mean_rate[solved], h
                 )
                 accs = _sign_hits(previous, realized, gain, const, cols[solved])
-                for g, acc, crit in zip(solved, accs.tolist(), crits):
-                    scored[js[g]][s] = (acc, crit)
-    return _irregular(train.grid, train.grid.uniformity_fine), scored
+                for g, acc in zip(solved.tolist(), accs.tolist()):
+                    scored[js[g]][s] = (acc, _checked_bic(theta[g], info[g], spacings.size))
+    return irregular, scored
+
+
+def _screen(path, graphs, n_vertices, shape, n_train, policy):
+    """Held-out directional accuracy of every non-empty candidate graph under one shape.
+
+    Returns ``(accuracies, messages)``: the accuracies by candidate index,
+    and the skip warning of each candidate whose fit failed, in order.
+    """
+    screened = [i for i, g in enumerate(graphs) if g.n_edges]
+    if not screened:
+        return {}, []
+    _, scored = _score_graphs(
+        path, [graphs[i] for i in screened],
+        [_columns_for(graphs[i], n_vertices) for i in screened],
+        [shape], n_train, policy,
+    )
+    accuracies, messages = {}, []
+    for i, entry in zip(screened, scored):
+        score = entry if isinstance(entry, Exception) else entry[0]
+        if isinstance(score, Exception):
+            messages.append(f"candidate {i} skipped in screening: {score}")
+        else:
+            accuracies[i] = score[0]
+    return accuracies, messages
 
 
 def _finalists(path, graphs, ids, n_vertices, shapes, n_train, tolerance, policy):
@@ -504,6 +477,8 @@ def joint_network_model_search(
         )
     shapes = _shape_list(shapes)
     _check_tolerance(tolerance)
+    if n_candidates < 1:
+        raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
     if retain < 1:
         raise ValueError(f"retain must be >= 1, got {retain}")
     lags, stages = int(screen_shape[0]), tuple(int(r) for r in screen_shape[1])
@@ -514,9 +489,9 @@ def joint_network_model_search(
         random_er_graph(n_vertices, edge_prob, stream_rng(rng_seed, i)) for i in range(n_candidates)
     ]
     with one_blas_thread():
-        accuracies, failures = _screen(path, graphs, n_vertices, (lags, stages), n_train, policy)
-        for i, exc in sorted(failures.items()):
-            warnings.warn(f"candidate {i} skipped in screening: {exc}", stacklevel=2)
+        accuracies, messages = _screen(path, graphs, n_vertices, (lags, stages), n_train, policy)
+        for message in messages:
+            warnings.warn(message, stacklevel=2)
         if not accuracies:
             raise GrouError("no candidate network survived screening")
         kept = sorted(accuracies.items(), key=lambda s: (-s[1], s[0]))[: int(retain)]

@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import cho_factor, cho_solve, expm
 
 from grou._blas import openblas_controls
 from grou.benchmarks import BenchmarkContext, directional_accuracy, fit_and_evaluate
@@ -270,15 +270,40 @@ def score_shape_loop(path, weights, shape, n_train, triplet, policy):
     return report.dir_acc, bic(model.detail)
 
 
+def ridge_solve_loop(info, score, ridge=None):
+    """Ridge-regularized drift solves of a stack of fits, one ``cho_factor`` at a time.
+
+    The per-fit route that ``grou.estimate._solve_with_ridge`` replaces with
+    one batched Cholesky solve per escalation round, kept as its oracle.
+    ``ridge=None`` starts from ``1e-8`` times the mean diagonal and
+    multiplies by ten, up to thirty tries, until ``info[g] + ridge * I``
+    factorizes; a given ridge gets one try.  Returns ``(theta, ridges)``,
+    NaN where a fit never factorized.
+    """
+    G, p = score.shape
+    theta, ridges = np.full((G, p), np.nan), np.full(G, np.nan)
+    for g in range(G):
+        value = 1e-8 * max(np.trace(info[g]) / p, np.finfo(float).tiny) if ridge is None else ridge
+        for _ in range(30 if ridge is None else 1):
+            try:
+                factor = cho_factor(info[g] + value * np.eye(p))
+            except np.linalg.LinAlgError:
+                value *= 10.0
+                continue
+            theta[g], ridges[g] = cho_solve(factor, score[g]), value
+            break
+    return theta, ridges
+
+
 def screen_loop(path, graphs, n_vertices, shape, n_train, policy=None):
     """Held-out directional accuracy of each candidate graph, one fit at a time.
 
-    The per-candidate screen that ``grou.selection._screen`` replaces with
-    batched array programs, kept as its oracle: each non-empty candidate's
-    pair columns go through ``score_shape_loop``, the noise triplet estimated
-    from the candidate's own training head.  Returns ``(accuracies,
-    messages)``: accuracies by candidate index and the skip warnings of the
-    joint search, in order.
+    The per-candidate screen that the joint search runs as
+    ``grou.selection._screen``, kept as its oracle: each non-empty
+    candidate's pair columns go through ``score_shape_loop``, the noise
+    triplet estimated from the candidate's own training head.  Returns
+    ``(accuracies, messages)``: accuracies by candidate index and the skip
+    warnings of the joint search, in order.
     """
     accuracies, messages = {}, []
     for i, g in enumerate(graphs):

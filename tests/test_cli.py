@@ -631,6 +631,10 @@ _OUT_OF_RANGE = {
     "models_unknown": ("benchmark", {"models": ["NA", "ARIMA"]}, "unknown kind 'ARIMA'"),
     "retain_negative": ("select", {"mode": "joint", "retain": -4}, "retain must be >= 1, got -4"),
     "retain_zero": ("select", {"mode": "joint", "retain": 0}, "retain must be >= 1, got 0"),
+    "n_candidates_zero": ("select", {"mode": "joint", "n_candidates": 0}, "n_candidates must be >= 1, got 0"),
+    "n_candidates_negative": (
+        "select", {"mode": "joint", "n_candidates": -3}, "n_candidates must be >= 1, got -3"
+    ),
     "tolerance_joint": ("select", {"mode": "joint", "tolerance": -1}, "tolerance must be >= 0"),
     "tolerance_shapes": ("select", {"tolerance": -1}, "tolerance must be >= 0, got -1.0"),
 }
@@ -726,7 +730,6 @@ class TestUsage:
             raise AssertionError("work started before the config was checked")
 
         monkeypatch.setattr("grou.benchmarks.simulate_path", not_reached)
-        monkeypatch.setattr("grou.selection._screen", not_reached)
         monkeypatch.setattr("grou.selection._score_graphs", not_reached)
         argv, needle = _config_fault(workdir, name)
         assert run([*argv, "--out", str(workdir / "out")]) == 1

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
+import grou.estimate as estimate_module
 from grou.benchmarks import predictive_study_config
 from grou.errors import ConfigurationError, EstimationError, SingularityError
 from grou.estimate import (
@@ -19,8 +21,8 @@ from grou.estimate import (
     threshold_increments,
     _coarse_increments,
     _drift_statistics,
+    _precision,
     _solve_with_ridge,
-    _solve_with_ridge_stack,
     _working_covariance,
 )
 from grou.graphs import EdgeGraph, complete_graph, path_graph, weight_matrices
@@ -28,7 +30,7 @@ from grou.model import GrouParams, build_companion
 from grou.noise import CompoundPoissonJumps, LevySpec
 from grou.simulate import SampledPath, grid_from_times, make_uniform_grids, simulate_path
 
-from conftest import build_h_matrix, dense_statistics, mcar_h_matrix
+from conftest import build_h_matrix, dense_statistics, mcar_h_matrix, ridge_solve_loop
 
 
 def scalar_system(rate=2.0):
@@ -242,14 +244,12 @@ class TestStructuredStatistics:
     def test_stacked_ridge_escalates_only_the_failing_fits(self):
         infos = np.array([np.eye(2), np.diag([1.0, -1e-6]), np.diag([1.0, -1e30])])
         scores = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        theta = _solve_with_ridge_stack(infos, scores)
-        for g in range(2):
-            single, _ = _solve_with_ridge(infos[g], scores[g], None)
-            np.testing.assert_allclose(theta[g], single, rtol=1e-12)
-        assert _solve_with_ridge(infos[1], scores[1], None)[1] > 1e-6  # escalated
-        assert np.isnan(theta[2]).all()
-        with pytest.raises(SingularityError):
-            _solve_with_ridge(infos[2], scores[2], None)
+        theta, ridges = _solve_with_ridge(infos, scores)
+        expected, expected_ridges = ridge_solve_loop(infos, scores)
+        np.testing.assert_array_equal(theta, expected)
+        np.testing.assert_array_equal(ridges, expected_ridges)
+        assert ridges[0] == 1e-8 and ridges[1] > 1e-6  # only the second escalated
+        assert np.isnan(theta[2]).all() and np.isnan(ridges[2])
 
     def test_mcar_fit_forms_no_dense_regressors(self):
         # training section of one K=10 predictive-study path: M = 1,785
@@ -270,6 +270,87 @@ class TestStructuredStatistics:
         assert fit.n_coarse == 1785
         dense_bytes = fit.n_coarse * K * K * K * 8
         assert peak < 4e6 < dense_bytes / 3
+
+
+def spd_stack(rng, G, p, interleaved):
+    """``G`` symmetric positive definite ``p``-by-``p`` matrices, optionally interleaved in memory."""
+    root = rng.normal(size=(G, p, p))
+    info = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(p)
+    info = 0.5 * (info + info.transpose(0, 2, 1))
+    if interleaved:
+        # the layout _drift_statistics returns: matrix g's entries G apart
+        info = np.ascontiguousarray(info.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return info
+
+
+class TestRidgeSolve:
+    """The stacked ridge solve against the per-fit ``cho_factor`` route it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=30),
+        st.booleans(),
+        st.sampled_from([None, 1e-3]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_equals_the_per_fit_loop_bit_for_bit(self, G, p, interleaved, ridge, seed):
+        rng = np.random.default_rng(seed)
+        info = spd_stack(rng, G, p, interleaved)
+        # some fits lose definiteness: a negative direction the automatic
+        # ridge escalates past, or one that no ridge in reach overcomes
+        for g in np.flatnonzero(rng.random(G) < 0.4):
+            info[g, 0, 0] = -rng.choice([1e-6, 1e-3, 1e30])
+        score = rng.normal(size=(G, p))
+        theta, ridges = _solve_with_ridge(info, score, ridge)
+        expected, expected_ridges = ridge_solve_loop(info, score, ridge)
+        np.testing.assert_array_equal(theta, expected)
+        np.testing.assert_array_equal(ridges, expected_ridges)
+
+    def test_never_factorizing_fits_are_marked(self):
+        info = np.array([np.eye(3), -np.eye(3), np.eye(3)])
+        theta, ridges = _solve_with_ridge(info, np.ones((3, 3)))
+        assert np.isnan(ridges).tolist() == [False, True, False]
+        assert np.isnan(theta[1]).all()
+        np.testing.assert_allclose(theta[[0, 2]], 1.0, rtol=1e-7)
+
+    def test_given_ridge_is_not_escalated(self):
+        info = np.array([np.diag([1.0, -0.5]), np.diag([1.0, -2.0])])
+        theta, ridges = _solve_with_ridge(info, np.ones((2, 2)), ridge=1.0)
+        assert ridges[0] == 1.0 and np.isnan(ridges[1])
+        np.testing.assert_allclose(theta[0], [0.5, 2.0], rtol=1e-15)
+        assert np.isnan(theta[1]).all()
+
+    def test_lone_one_by_one_fit_is_factorized(self):
+        # scipy's solve divides a lone 1x1 system without factorizing it
+        info, score = np.array([[[-4.0]]]), np.array([[1.0]])
+        assert np.isnan(_solve_with_ridge(info, score, ridge=0.0)[1][0])
+        rng = np.random.default_rng(3)
+        for value, b in zip(rng.uniform(0.01, 100.0, 50), rng.normal(size=50)):
+            args = np.array([[[value]]]), np.array([[b]])
+            assert _solve_with_ridge(*args, ridge=0.0)[0][0, 0] == ridge_solve_loop(*args, 0.0)[0][0, 0]
+
+    def test_non_finite_information_raises(self):
+        info = np.array([np.eye(2), np.full((2, 2), np.nan)])
+        with pytest.raises(ValueError):
+            _solve_with_ridge(info, np.ones((2, 2)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=25),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_stacked_precision_equals_each_triplets(self, G, K, seed):
+        rng = np.random.default_rng(seed)
+        covs = spd_stack(rng, G, K, interleaved=False)
+        covs[0] *= 1e-12  # jittered
+        triplets = [LevySpec(np.zeros(K), cov) for cov in covs]
+        working = np.array([_working_covariance(t) for t in triplets])
+        prec, ok = _precision(working)
+        assert ok.all()
+        for g, cov in enumerate(working):
+            np.testing.assert_array_equal(prec[g], cho_solve(cho_factor(cov), np.eye(K)))
 
 
 class TestThresholdPolicy:
@@ -374,6 +455,17 @@ class TestEstimateDrift:
         spec = LevySpec(np.zeros(2), np.eye(2))
         with pytest.raises(SingularityError):
             estimate_drift(path, None, (1, [0]), spec, ridge=0.0)
+
+    def test_automatic_ridge_that_never_factorizes_raises(self, monkeypatch):
+        # no ridge in reach of the escalation lifts a -1e30 direction
+        def statistics(*args):
+            return np.diag([1.0, -1e30])[None], np.array([[1.0, 2.0]])
+
+        monkeypatch.setattr(estimate_module, "_drift_statistics", statistics)
+        path = path_from_values(np.random.default_rng(0).normal(size=(9, 2)))
+        spec = LevySpec(np.zeros(2), np.eye(2))
+        with pytest.raises(SingularityError, match="stayed singular"):
+            estimate_drift(path, None, (1, [0]), spec)
 
     def test_loglik_quadratic_identity(self):
         weights, params, system = two_edge_setup()
@@ -545,7 +637,7 @@ class TestEstimateTriplet:
         values = np.cumsum(np.full((150, 1), 50.0), axis=0)
         path = path_from_values(values, mesh=0.01, ratio=1)
         with pytest.raises(EstimationError):
-            estimate_triplet(path, min_increments=50)
+            estimate_triplet(path)
 
 
 class TestDiagnostics:

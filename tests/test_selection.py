@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grou.errors import GrouError
 from grou.estimate import _ALL_EXCEED, _IRREGULAR, ThresholdPolicy, estimate_drift, estimate_triplet
 from grou.graphs import EdgeGraph, pair_order, path_graph, random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion
@@ -224,7 +225,8 @@ class TestJointSearch:
         joint_network_model_search(
             path, n_vertices, shapes=[(1, (1,))], n_candidates=8, retain=3, rng_seed=13
         )
-        assert counts == [[1] * len(blas_at_two)]
+        # the screen and the finalists
+        assert counts == [[1] * len(blas_at_two)] * 2
         assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
 
     def test_degenerate_single_candidate(self):
@@ -233,6 +235,18 @@ class TestJointSearch:
             path, n_vertices, shapes=[(1, (1,))], n_candidates=1, retain=1, rng_seed=2
         )
         assert outcome.chosen_graph is not None
+
+    def test_only_empty_candidates_are_not_scored(self, monkeypatch):
+        path, n_vertices = self.make_pair_panel()
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("empty candidates reached the scorer")
+
+        monkeypatch.setattr(selection_module, "_score_graphs", not_reached)
+        with pytest.raises(GrouError, match="no candidate network survived screening"):
+            joint_network_model_search(
+                path, n_vertices, shapes=[(1, (1,))], n_candidates=4, edge_prob=0.0
+            )
 
 
 SCREEN_SHAPES = [(1, (1,)), (1, (2,)), (2, (1, 1))]
@@ -260,7 +274,7 @@ def screen_panel(n_vertices, seed, ratio, jumpy):
 
 
 class TestScreen:
-    """The batched screen against the per-candidate loop it replaced (``conftest.screen_loop``)."""
+    """The joint search's screen (``_screen``) against the per-candidate loop (``conftest.screen_loop``)."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -283,9 +297,8 @@ class TestScreen:
         n_train = _split_points(path.n_points, 0.2)
         policy = ThresholdPolicy()
         expected, messages = screen_loop(path, graphs, n_vertices, shape, n_train, policy)
-        accuracies, failures = _screen(path, graphs, n_vertices, shape, n_train, policy)
+        accuracies, got = _screen(path, graphs, n_vertices, shape, n_train, policy)
         assert accuracies == expected
-        got = [f"candidate {i} skipped in screening: {exc}" for i, exc in sorted(failures.items())]
         assert got == messages
         if jumpy:
             # the full graph holds the jumping pair

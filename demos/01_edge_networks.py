@@ -9,19 +9,24 @@ operators on edge vectors.
 
 import numpy as np
 
-from grou import complete_graph, edge_neighbors, path_graph, random_er_graph, weight_matrices
+from grou import complete_graph, path_graph, random_er_graph, weight_matrices
+
+
+def stages_of(graph, edge, max_stage):
+    """Stages 0 .. max_stage of ``edge``: row ``edge`` of W_r is non-zero exactly on stage r."""
+    W = weight_matrices(graph, max_stage)
+    return [[edge]] + [np.flatnonzero(W.stage(r)[edge]).tolist() for r in range(1, max_stage + 1)]
+
 
 # A path on three vertices has two edges; each is the other's only neighbor.
 path = path_graph(3)
 print("path graph edges:", path.edges)
-stages = edge_neighbors(path, 0, max_stage=2)
-print("neighborhood stages of edge 0:", [sorted(s) for s in stages.stages])
+print("neighborhood stages of edge 0:", stages_of(path, 0, max_stage=2))
 
 # On the complete graph K5 every edge has six stage-1 and three stage-2
 # neighbors: the three edges it shares no vertex with.
 k5 = complete_graph(5)
-stages = edge_neighbors(k5, 0, max_stage=3)
-print("\nK5 stage sizes for edge 0:", [len(s) for s in stages.stages])
+print("\nK5 stage sizes for edge 0:", [len(s) for s in stages_of(k5, 0, max_stage=3)])
 
 W = weight_matrices(k5, max_stage=2)
 print("K5 stage-1 row sums:", np.unique(W.stage(1).sum(axis=1)))

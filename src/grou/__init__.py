@@ -42,10 +42,8 @@ from .estimate import (
 from .forecast import ForecastState, init_state, rolling_forecast
 from .graphs import (
     EdgeGraph,
-    NeighborStages,
     WeightMatrices,
     complete_graph,
-    edge_neighbors,
     pair_order,
     path_graph,
     random_er_graph,
@@ -70,7 +68,7 @@ from .noise import (
     sample_increments,
     stream_rng,
 )
-from .selection import SelectionOutcome, bic, joint_network_model_search, select_model
+from .selection import SelectionOutcome, joint_network_model_search, select_model
 from .simulate import (
     SampledPath,
     TwoScaleGrid,

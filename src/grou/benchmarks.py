@@ -72,18 +72,13 @@ class BenchmarkContext:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Kind plus the affine one-step map ``prediction = const + gain @ last``."""
+    """Kind plus the affine one-step map ``prediction = previous @ gain.T + const``."""
 
     kind: str
     const: np.ndarray
     gain: np.ndarray
     fit_seconds: float
     detail: object = None
-
-    def predict_one_step(self, history) -> np.ndarray:
-        history = np.asarray(history, dtype=float)
-        last = history[-1] if history.ndim == 2 else history
-        return self.const + self.gain @ last
 
     def predict_matrix(self, previous) -> np.ndarray:
         return np.asarray(previous) @ self.gain.T + self.const

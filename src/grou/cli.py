@@ -36,7 +36,9 @@ from .forecast import one_step_map, rolling_forecast, system_from_fit, write_for
 from .graphs import EdgeGraph, weight_matrices
 from .model import GrouParams, build_companion, cov_integral
 from .noise import LevySpec
-from .selection import _columns_for, _split_points, joint_network_model_search, select_model
+from .selection import (
+    _check_fraction, _columns_for, _split_points, joint_network_model_search, select_model,
+)
 from .simulate import SampledPath, make_uniform_grids, read_path_csv, simulate_path, write_path_csv
 from .mrc import (
     MrcConfig,
@@ -384,6 +386,7 @@ def _cmd_select(args):
     local = {"test_fraction": 0.2, "demean": True, **_options(
         doc, test_fraction=float, demean=_flag, n_vertices=_integer, graph=_text, table_out=_text
     )}
+    _check_fraction("test_fraction", local["test_fraction"])
     policy = ThresholdPolicy(**_options(doc, activity=_text))
     mode = doc.get("mode", "shapes")
     if mode not in ("shapes", "joint"):

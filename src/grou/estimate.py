@@ -484,6 +484,9 @@ def _mcar_statistics(values, increments, spacings, prec):
 
 
 def _bic(theta, info, n_coarse) -> float:
+    """Information criterion of a fitted drift (lower is better); NaN for ``n_coarse <= 1``."""
+    if n_coarse <= 1:
+        return float("nan")
     return float(-theta @ info @ theta + theta.size * np.log(n_coarse))
 
 
@@ -515,7 +518,6 @@ def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
         raise SingularityError(f"information matrix not positive definite at ridge={ridge}")
     loglik = float(theta @ score - 0.5 * theta @ info @ theta)
     n_coarse = thresholded.spacings.size
-    bic = _bic(theta, info, n_coarse) if n_coarse > 1 else float("nan")
     diag = grid_diagnostics(path.grid)
     diag["kept_fraction"] = thresholded.kept_fraction
     if _irregular(path.grid, diag["uniformity_fine"]):
@@ -525,7 +527,7 @@ def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
         score=score,
         info=info,
         loglik=loglik,
-        bic=bic,
+        bic=_bic(theta, info, n_coarse),
         n_coarse=n_coarse,
         ridge_used=float(ridge_used),
         triplet_used=triplet,
@@ -534,6 +536,12 @@ def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
         n_edges=path.n_edges,
         diagnostics=diag,
     )
+
+
+def _check_ridge(name, value):
+    """Reject a given ridge that is negative or not finite; None is the automatic one."""
+    if value is not None and not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def estimate_drift(
@@ -556,8 +564,10 @@ def estimate_drift(
         the increments.
     ridge : float or None
         None selects a trace-scaled ridge and escalates it tenfold until
-        the regularized information matrix is positive definite.
+        the regularized information matrix is positive definite.  A given
+        ridge must be finite and >= 0.
     """
+    _check_ridge("ridge", ridge)
     if policy is None:
         policy = ThresholdPolicy.for_noise(triplet)
     lags, stages = shape
@@ -582,8 +592,9 @@ def estimate_mcar(
     ``ridge_scale`` fixes the ridge as a fraction of the mean
     information-diagonal (None takes the automatic one); the unrestricted
     fit has K*K free parameters and usually wants more shrinkage than the
-    structured one.
+    structured one.  A given ``ridge_scale`` must be finite and >= 0.
     """
+    _check_ridge("ridge_scale", ridge_scale)
     if policy is None:
         policy = ThresholdPolicy.for_noise(triplet)
     values = _regressors(path, None, (1, (0,)))[0][0]

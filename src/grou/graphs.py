@@ -1,9 +1,9 @@
 """Edge-indexed network structure.
 
 A process lives on the *edges* of a graph, so the basic objects here are an
-edge list with a stable ordering ``e_1 .. e_K``, stage-r edge neighborhoods
-(edges at line-graph distance r), and the row-normalized weight matrices that
-encode those neighborhoods.
+edge list with a stable ordering ``e_1 .. e_K`` and the row-normalized weight
+matrices of its stage-r edge neighborhoods (edges at line-graph distance r):
+row ``a`` of ``W_r`` is non-zero exactly on the stage-r neighbors of ``e_a``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import numpy as np
 
 __all__ = [
     "EdgeGraph",
-    "NeighborStages",
     "WeightMatrices",
-    "edge_neighbors",
     "weight_matrices",
     "random_er_graph",
     "complete_graph",
@@ -105,21 +103,6 @@ class EdgeGraph:
 
 
 @dataclass(frozen=True)
-class NeighborStages:
-    """Stage-r neighborhoods of one reference edge.
-
-    ``stages[r]`` is the set of edge indices at stage ``r``; stage 0 is the
-    reference edge itself.  Stages are pairwise disjoint by construction.
-    """
-
-    reference_edge: int
-    stages: tuple[frozenset, ...]
-
-    def stage(self, r: int) -> frozenset:
-        return self.stages[r]
-
-
-@dataclass(frozen=True)
 class WeightMatrices:
     """Uniform-weight neighborhood matrices, one K-by-K matrix per stage.
 
@@ -171,27 +154,6 @@ def _stage_masks(ends: np.ndarray, n_vertices: int, max_stage: int) -> list[np.n
 
 def _edge_ends(graph: EdgeGraph) -> np.ndarray:
     return np.array(graph.edges, dtype=int).reshape(-1, 2)
-
-
-def edge_neighbors(graph: EdgeGraph, edge: int, max_stage: int) -> NeighborStages:
-    """Stage-wise edge neighborhoods of ``edge`` up to ``max_stage``.
-
-    Stage 1 collects the edges incident to either endpoint of the reference
-    edge; stage r collects the stage-1 neighbors of stage-(r-1) edges that
-    have not appeared in any earlier stage.
-
-    Raises
-    ------
-    IndexError
-        If ``edge`` is not a valid edge index.
-    """
-    if not 0 <= edge < graph.n_edges:
-        raise IndexError(f"edge index {edge} out of range (K={graph.n_edges})")
-    if max_stage < 0:
-        raise ValueError("max_stage must be >= 0")
-    masks = _stage_masks(_edge_ends(graph), graph.n_vertices, max_stage)
-    stages = tuple(frozenset(int(b) for b in np.flatnonzero(m[edge])) for m in masks)
-    return NeighborStages(reference_edge=edge, stages=stages)
 
 
 def weight_matrices(graph: EdgeGraph, max_stage: int) -> WeightMatrices:

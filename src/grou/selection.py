@@ -23,7 +23,6 @@ A candidate whose fit fails is skipped with a warning that gives the reason.
 
 from __future__ import annotations
 
-import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ from .estimate import (
     _IRREGULAR,
     _NO_PRECISION,
     _STAYED_SINGULAR,
-    EstimationResult,
     ThresholdPolicy,
     _aggregates,
     _bic,
@@ -56,7 +54,7 @@ from .estimate import (
     _truncate,
     estimate_drift,
 )
-from .graphs import EdgeGraph, _edge_ends, _weight_stack, pair_order, random_er_graph
+from .graphs import EdgeGraph, _edge_ends, _weight_stack, random_er_graph
 from .model import _companion_transition, _lag_matrix, drift_integral, expm
 from .noise import _psd_spectrum, stream_rng
 from .simulate import SampledPath
@@ -64,25 +62,9 @@ from .simulate import SampledPath
 __all__ = [
     "CandidateScore",
     "SelectionOutcome",
-    "bic",
     "select_model",
     "joint_network_model_search",
 ]
-
-
-def bic(result: EstimationResult) -> float:
-    """Information criterion of a fitted drift; lower is better.
-
-    ``n_coarse`` counts the coarse-grid increments that entered the fit,
-    not raw timestamps.
-    """
-    return _checked_bic(result.theta_hat, result.info, result.n_coarse)
-
-
-def _checked_bic(theta, info, n):
-    if n <= 1:
-        raise ValueError(f"need more than one coarse increment, have {n}")
-    return _bic(theta, info, n)
 
 
 @dataclass(frozen=True)
@@ -108,16 +90,14 @@ class SelectionOutcome:
 
     candidates: tuple[CandidateScore, ...]
     chosen: CandidateScore
-    chosen_graph: EdgeGraph | None = None
+    chosen_graph: EdgeGraph
 
     def to_json_dict(self):
-        doc = {
+        return {
             "candidates": [c.to_json_dict() for c in self.candidates],
             "chosen": self.chosen.to_json_dict(),
+            "chosen_graph": json.loads(self.chosen_graph.to_json()),
         }
-        if self.chosen_graph is not None:
-            doc["chosen_graph"] = json.loads(self.chosen_graph.to_json())
-        return doc
 
 
 def _split_points(n_points: int, eval_fraction: float):
@@ -140,6 +120,12 @@ def _check_tolerance(tolerance):
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
 
 
+def _check_fraction(name, fraction):
+    """Reject a held-out fraction outside (0, 1)."""
+    if not 0 < fraction < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {fraction}")
+
+
 def _shape_list(candidate_shapes):
     shapes = [(int(l), tuple(int(r) for r in rs)) for l, rs in candidate_shapes]
     if not shapes:
@@ -154,16 +140,15 @@ def select_model(
     tolerance: float = 1e-2,
     eval_fraction: float = 0.2,
     policy: ThresholdPolicy | None = None,
-    graph_ref="given",
 ) -> SelectionOutcome:
     """Pick a model shape for a fixed network.
 
     ``path`` holds one column per edge of ``graph``, in edge order.  Every
     candidate shape is scored as :func:`grou.benchmarks.fit_and_evaluate`
     scores a grOU fit: fitted on the head of the path (the last
-    ``eval_fraction`` held out), then scored by directional accuracy of
-    one-step forecasts over the held-out tail at the training section's
-    fine mesh.  Among candidates within ``tolerance`` of the best accuracy
+    ``eval_fraction``, in (0, 1), held out), then scored by directional
+    accuracy of one-step forecasts over the held-out tail at the training
+    section's fine mesh.  Among candidates within ``tolerance`` of the best accuracy
     the lowest information criterion is chosen.  The noise triplet is
     estimated once from the head (under ``policy``) and shared by every
     shape; every drift fit takes the automatic ridge.  The shapes run as
@@ -173,13 +158,14 @@ def select_model(
     """
     shapes = _shape_list(candidate_shapes)
     _check_tolerance(tolerance)
+    _check_fraction("eval_fraction", eval_fraction)
     if path.n_edges != graph.n_edges:
         raise ValueError(f"path has {path.n_edges} columns; graph has {graph.n_edges} edges")
     n_train = _split_points(path.n_points, eval_fraction)
     irregular, (scored,) = _score_graphs(
         path, [graph], [range(graph.n_edges)], shapes, n_train, policy
     )
-    return _outcome(graph, graph_ref, shapes, scored, irregular, tolerance)
+    return _outcome(graph, "given", shapes, scored, irregular, tolerance)
 
 
 def _outcome(graph, graph_ref, shapes, scored, irregular, tolerance):
@@ -206,19 +192,16 @@ def _outcome(graph, graph_ref, shapes, scored, irregular, tolerance):
     )
 
 
-@functools.cache
-def _pair_columns(n_vertices: int):
-    """Column of each vertex pair in a canonical pair panel; read only."""
-    return {pair: k for k, pair in enumerate(pair_order(n_vertices))}
-
-
 def _columns_for(graph: EdgeGraph, n_vertices: int):
-    """Pair-series columns of the graph's edges in a canonical pair panel."""
-    order = _pair_columns(n_vertices)
-    for edge in graph.edges:
-        if edge not in order:
-            raise ValueError(f"edge {edge} has no pair series among {n_vertices} vertices")
-    return [order[edge] for edge in graph.edges]
+    """Pair-series columns of the graph's edges in a canonical pair panel.
+
+    Pair ``(i, j)``, ``i < j < n``, is column ``pair_order(n).index((i, j))``.
+    """
+    n = n_vertices
+    for i, j in graph.edges:
+        if not 0 <= i < j < n:
+            raise ValueError(f"edge {(i, j)} has no pair series among {n} vertices")
+    return [i * (2 * n - i - 1) // 2 + j - i - 1 for i, j in graph.edges]
 
 
 # Cells (edges x rows) per stack of graphs.  A stack holds a few copies of
@@ -390,7 +373,7 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
                 )
                 accs = _sign_hits(previous, realized, gain, const, cols[solved])
                 for g, acc in zip(solved.tolist(), accs.tolist()):
-                    scored[js[g]][s] = (acc, _checked_bic(theta[g], info[g], spacings.size))
+                    scored[js[g]][s] = (acc, _bic(theta[g], info[g], spacings.size))
     return irregular, scored
 
 
@@ -477,6 +460,7 @@ def joint_network_model_search(
         )
     shapes = _shape_list(shapes)
     _check_tolerance(tolerance)
+    _check_fraction("eval_fraction", eval_fraction)
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
     if retain < 1:

@@ -16,7 +16,7 @@ from grou.errors import GrouError, IngestionError
 from grou.model import GrouParams, build_companion, cov_integral, drift_integral, is_hurwitz
 from grou.mrc import PriceMatrix
 from grou.noise import SymmetricGammaJumps, psd_factor
-from grou.selection import CandidateScore, _choose, _columns_for, bic
+from grou.selection import CandidateScore, _choose, _columns_for
 
 
 def draw_hurwitz_system(rng, max_edges=5, max_lags=3):
@@ -267,7 +267,7 @@ def score_shape_loop(path, weights, shape, n_train, triplet, policy):
     """
     context = BenchmarkContext(weights=weights, shape=shape, triplet=triplet, policy=policy)
     (model,), (report,) = fit_and_evaluate(path, n_train, context, kinds=("GROU",))
-    return report.dir_acc, bic(model.detail)
+    return report.dir_acc, model.detail.bic
 
 
 def ridge_solve_loop(info, score, ridge=None):

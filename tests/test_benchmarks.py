@@ -46,7 +46,7 @@ class TestFitters:
         rng = np.random.default_rng(0)
         path = discrete_path(rng.normal(size=(50, 3)))
         model = fit_benchmark("NA", path, BenchmarkContext())
-        np.testing.assert_array_equal(model.predict_one_step(path.values), path.values[-1])
+        np.testing.assert_array_equal(model.predict_matrix(path.values), path.values)
 
     def test_ar_recovers_autoregression(self):
         # y_t = 0.5 y_{t-1} + eps; OLS slope lands within a few standard

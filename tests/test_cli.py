@@ -283,6 +283,14 @@ class TestEstimateForecast:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_ridge_exit_1(self, workdir, ridge, capsys):
+        run(simulate_args(workdir))
+        argv = ["estimate", "--path", str(workdir / "path.csv"), "--stages", "0", "--ridge", ridge]
+        assert run([*argv, "--out", str(workdir / "r.json")]) == 1
+        assert f"ridge must be finite and >= 0, got {float(ridge)}" in capsys.readouterr().err
+        assert not (workdir / "r.json").exists()
+
     def test_singular_fit_exit_2(self, workdir, monkeypatch, capsys):
         # numpy's LinAlgError subclasses ValueError, but is a numerical error
         def singular_fit(*args, **kwargs):
@@ -637,6 +645,22 @@ _OUT_OF_RANGE = {
     ),
     "tolerance_joint": ("select", {"mode": "joint", "tolerance": -1}, "tolerance must be >= 0"),
     "tolerance_shapes": ("select", {"tolerance": -1}, "tolerance must be >= 0, got -1.0"),
+    "eval_fraction_negative": ("select", {"eval_fraction": -0.5}, "eval_fraction must be in (0, 1), got -0.5"),
+    "eval_fraction_zero": ("select", {"eval_fraction": 0}, "eval_fraction must be in (0, 1), got 0.0"),
+    "eval_fraction_joint": (
+        "select", {"mode": "joint", "eval_fraction": 0}, "eval_fraction must be in (0, 1), got 0.0"
+    ),
+    "eval_fraction_one_joint": (
+        "select", {"mode": "joint", "eval_fraction": 1}, "eval_fraction must be in (0, 1), got 1.0"
+    ),
+    "test_fraction_negative": ("select", {"test_fraction": -1}, "test_fraction must be in (0, 1), got -1.0"),
+    "test_fraction_zero": ("select", {"test_fraction": 0}, "test_fraction must be in (0, 1), got 0.0"),
+    "test_fraction_joint": (
+        "select", {"mode": "joint", "test_fraction": -1}, "test_fraction must be in (0, 1), got -1.0"
+    ),
+    "test_fraction_above_one_joint": (
+        "select", {"mode": "joint", "test_fraction": 1.5}, "test_fraction must be in (0, 1), got 1.5"
+    ),
 }
 
 

@@ -456,6 +456,17 @@ class TestEstimateDrift:
         with pytest.raises(SingularityError):
             estimate_drift(path, None, (1, [0]), spec, ridge=0.0)
 
+    @pytest.mark.parametrize("ridge", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_negative_or_non_finite_ridge_rejected(self, ridge, monkeypatch):
+        # rejected before any statistic is formed
+        monkeypatch.setattr(estimate_module, "threshold_increments", None)
+        path = path_from_values(np.random.default_rng(0).normal(size=(9, 2)))
+        spec = LevySpec(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=f"ridge must be finite and >= 0, got {ridge}"):
+            estimate_drift(path, None, (1, [0]), spec, ridge=ridge)
+        with pytest.raises(ValueError, match=f"ridge_scale must be finite and >= 0, got {ridge}"):
+            estimate_mcar(path, spec, ridge_scale=ridge)
+
     def test_automatic_ridge_that_never_factorizes_raises(self, monkeypatch):
         # no ridge in reach of the escalation lifts a -1e30 direction
         def statistics(*args):

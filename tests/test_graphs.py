@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 
 from grou.graphs import (
     EdgeGraph,
+    _edge_ends,
+    _stage_masks,
     complete_graph,
-    edge_neighbors,
     pair_order,
     path_graph,
     random_er_graph,
     weight_matrices,
 )
+
+
+def stage_sets(graph, edge, max_stage):
+    """Stages ``0 .. max_stage`` of ``edge`` as sets: the rows of ``_stage_masks``."""
+    masks = _stage_masks(_edge_ends(graph), graph.n_vertices, max_stage)
+    return [frozenset(np.flatnonzero(m[edge]).tolist()) for m in masks]
 
 
 def line_graph_bfs_stages(graph, edge, max_stage):
@@ -98,19 +105,21 @@ class TestEdgeGraph:
 
 
 class TestEdgeNeighbors:
+    """Stage-r neighborhoods N_r(e) as ``_stage_masks`` defines them for ``weight_matrices``."""
+
     def test_path_graph_stage_one(self):
         # three vertices, two edges: each edge is the other's sole neighbor
         g = path_graph(3)
-        st1 = edge_neighbors(g, 0, 1)
-        assert st1.stage(0) == frozenset([0])
-        assert st1.stage(1) == frozenset([1])
+        st1 = stage_sets(g, 0, 1)
+        assert st1[0] == frozenset([0])
+        assert st1[1] == frozenset([1])
 
     def test_single_edge_graph_empty_stages(self):
         g = EdgeGraph(2, [(0, 1)])
-        stages = edge_neighbors(g, 0, 3)
-        assert stages.stage(1) == frozenset()
-        assert stages.stage(2) == frozenset()
-        assert stages.stage(3) == frozenset()
+        stages = stage_sets(g, 0, 3)
+        assert stages[1] == frozenset()
+        assert stages[2] == frozenset()
+        assert stages[3] == frozenset()
 
     def test_complete_graph_k5_stage_sizes(self):
         # K5 has 10 edges; an edge {a,b} shares an endpoint with 2*3 = 6
@@ -118,17 +127,10 @@ class TestEdgeNeighbors:
         # adjacent to its neighbors, hence stage 2.
         g = complete_graph(5)
         for e in range(10):
-            stages = edge_neighbors(g, e, 3)
-            assert len(stages.stage(1)) == 6
-            assert len(stages.stage(2)) == 3
-            assert len(stages.stage(3)) == 0
-
-    def test_invalid_edge_index(self):
-        g = path_graph(3)
-        with pytest.raises(IndexError):
-            edge_neighbors(g, 2, 1)
-        with pytest.raises(IndexError):
-            edge_neighbors(g, -1, 1)
+            stages = stage_sets(g, e, 3)
+            assert len(stages[1]) == 6
+            assert len(stages[2]) == 3
+            assert len(stages[3]) == 0
 
     def test_matches_bfs_oracle_exhaustive_small(self):
         # every undirected graph on up to 5 vertices
@@ -139,9 +141,9 @@ class TestEdgeNeighbors:
                 g = EdgeGraph(n, edges)
                 R = g.n_edges
                 for e in range(g.n_edges):
-                    got = edge_neighbors(g, e, R).stages
+                    got = stage_sets(g, e, R)
                     want = line_graph_bfs_stages(g, e, R)
-                    assert list(got) == want
+                    assert got == want
 
     def test_matches_bfs_oracle_random_six_vertices(self):
         rng = np.random.default_rng(20240817)
@@ -153,9 +155,9 @@ class TestEdgeNeighbors:
                 continue
             g = EdgeGraph(6, edges)
             e = int(rng.integers(g.n_edges))
-            got = edge_neighbors(g, e, 6).stages
+            got = stage_sets(g, e, 6)
             want = line_graph_bfs_stages(g, e, 6)
-            assert list(got) == want
+            assert got == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=7), st.data())
@@ -167,19 +169,19 @@ class TestEdgeNeighbors:
             return
         g = EdgeGraph(n, edges)
         e = data.draw(st.integers(min_value=0, max_value=g.n_edges - 1))
-        stages = edge_neighbors(g, e, g.n_edges).stages
+        stages = stage_sets(g, e, g.n_edges)
         for r, s in itertools.combinations(range(len(stages)), 2):
             assert not (stages[r] & stages[s])
 
     def test_stage_one_symmetry_undirected(self):
         g = random_er_graph(7, 0.5, rng_seed=7)
         for a in range(g.n_edges):
-            for b in edge_neighbors(g, a, 1).stage(1):
-                assert a in edge_neighbors(g, b, 1).stage(1)
+            for b in stage_sets(g, a, 1)[1]:
+                assert a in stage_sets(g, b, 1)[1]
 
     def test_union_of_stages_covers_reachable(self):
         g = path_graph(6)
-        stages = edge_neighbors(g, 0, g.n_edges).stages
+        stages = stage_sets(g, 0, g.n_edges)
         assert set().union(*stages) == set(range(g.n_edges))
 
 
@@ -214,7 +216,7 @@ class TestWeightMatrices:
         W = weight_matrices(g, 2)
         for r in (1, 2):
             for a in range(g.n_edges):
-                members = edge_neighbors(g, a, r).stage(r)
+                members = line_graph_bfs_stages(g, a, r)[r]
                 nz = set(np.nonzero(W.stage(r)[a])[0])
                 assert nz == set(members)
 

@@ -7,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grou.errors import GrouError
-from grou.estimate import _ALL_EXCEED, _IRREGULAR, ThresholdPolicy, estimate_drift, estimate_triplet
+from grou.estimate import (
+    _ALL_EXCEED, _IRREGULAR, ThresholdPolicy, _bic, estimate_drift, estimate_triplet,
+)
 from grou.graphs import EdgeGraph, pair_order, path_graph, random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion
 from grou.noise import LevySpec, stream_rng
 from grou.selection import (
     CandidateScore,
     _choose,
+    _columns_for,
     _finalists,
     _screen,
     _split_points,
-    bic,
     joint_network_model_search,
     select_model,
 )
@@ -39,40 +41,35 @@ def fitted_result(seed=0):
 
 
 class TestBic:
+    """The criterion the selection ranks by: ``estimate._bic``, stored as ``EstimationResult.bic``."""
+
     def test_zero_theta_is_pure_penalty(self):
         result = fitted_result()
-        from dataclasses import replace
-
-        zeroed = replace(result, theta_hat=np.zeros_like(result.theta_hat))
         p = result.theta_hat.size
-        assert bic(zeroed) == pytest.approx(p * np.log(result.n_coarse))
+        zero = np.zeros_like(result.theta_hat)
+        assert _bic(zero, result.info, result.n_coarse) == pytest.approx(p * np.log(result.n_coarse))
 
     def test_doubling_n_adds_p_log_two(self):
         result = fitted_result()
-        from dataclasses import replace
-
-        doubled = replace(result, n_coarse=2 * result.n_coarse)
         p = result.theta_hat.size
-        assert bic(doubled) - bic(result) == pytest.approx(p * np.log(2.0))
+        doubled = _bic(result.theta_hat, result.info, 2 * result.n_coarse)
+        assert doubled - result.bic == pytest.approx(p * np.log(2.0))
 
     def test_first_term_is_quadratic_form_not_twice_loglik(self):
         result = fitted_result()
         theta, info = result.theta_hat, result.info
         quad = float(theta @ info @ theta)
-        assert bic(result) == pytest.approx(-quad + theta.size * np.log(result.n_coarse))
-        # matches the stored result fields up to the ridge perturbation
-        assert bic(result) == pytest.approx(result.bic, rel=1e-10)
+        assert result.bic == pytest.approx(-quad + theta.size * np.log(result.n_coarse))
 
     def test_matches_the_fit_exactly(self):
+        # the stored criterion is the formula on the stored fit, bit for bit
         result = fitted_result()
-        assert bic(result) == result.bic
+        assert _bic(result.theta_hat, result.info, result.n_coarse) == result.bic
 
-    def test_tiny_n_rejected(self):
-        from dataclasses import replace
-
-        result = replace(fitted_result(), n_coarse=1)
-        with pytest.raises(ValueError):
-            bic(result)
+    def test_tiny_n_is_nan(self):
+        result = fitted_result()
+        for n in (1, 0):
+            assert np.isnan(_bic(result.theta_hat, result.info, n))
 
 
 class TestChoiceRule:
@@ -94,6 +91,27 @@ class TestChoiceRule:
     def test_single_candidate(self):
         a = self.mk(0.51, 0.0)
         assert _choose([a], 1e-2) is a
+
+
+class TestColumnsFor:
+    def test_matches_pair_order(self):
+        rng = np.random.default_rng(0)
+        for n in range(2, 13):
+            pairs = pair_order(n)
+            for m in range(2, n + 1):
+                # the pairs of a graph on the first m vertices, in shuffled edge order
+                edges = [pairs[k] for k in rng.permutation(len(pairs)) if pairs[k][1] < m]
+                graph = EdgeGraph(m, edges)
+                assert _columns_for(graph, n) == [pairs.index(e) for e in graph.edges]
+
+    def test_vertex_beyond_the_panel_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) has no pair series among 3 vertices"):
+            _columns_for(EdgeGraph(4, [(0, 1), (0, 3)]), 3)
+
+    def test_reversed_directed_edge_rejected(self):
+        graph = EdgeGraph(3, [(0, 1), (2, 1)], directed=True)
+        with pytest.raises(ValueError, match=r"edge \(2, 1\) has no pair series among 3 vertices"):
+            _columns_for(graph, 3)
 
 
 class TestSelectModel:
@@ -143,7 +161,7 @@ class TestSelectModel:
         for cand in outcome.candidates:
             acc, fitted = heldout_scores(path, weights, cand.shape, n_train, triplet)
             assert cand.dir_acc == acc
-            assert cand.bic == bic(fitted)
+            assert cand.bic == fitted.bic
 
     def test_empty_candidates_rejected(self):
         graph, path = self.make_path(seed=4, t_end=10.0)
@@ -154,6 +172,13 @@ class TestSelectModel:
         graph, path = self.make_path(seed=4, t_end=10.0)
         with pytest.raises(ValueError, match="columns; graph has"):
             select_model(path.drop_columns([0]), graph, [(1, (1,))])
+
+    @pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+    def test_eval_fraction_outside_unit_interval_rejected(self, fraction, monkeypatch):
+        graph, path = self.make_path(seed=4, t_end=10.0)
+        monkeypatch.setattr(selection_module, "_score_graphs", None)
+        with pytest.raises(ValueError, match=rf"eval_fraction must be in \(0, 1\), got {fraction}"):
+            select_model(path, graph, [(1, (1,))], eval_fraction=fraction)
 
 
 class TestJointSearch:
@@ -211,6 +236,13 @@ class TestJointSearch:
         path, _ = self.make_pair_panel()
         with pytest.raises(ValueError):
             joint_network_model_search(path, 4, shapes=[(1, (1,))], n_candidates=2)
+
+    @pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.0])
+    def test_eval_fraction_outside_unit_interval_rejected(self, fraction, monkeypatch):
+        path, n_vertices = self.make_pair_panel()
+        monkeypatch.setattr(selection_module, "random_er_graph", None)
+        with pytest.raises(ValueError, match=rf"eval_fraction must be in \(0, 1\), got {fraction}"):
+            joint_network_model_search(path, n_vertices, [(1, (1,))], eval_fraction=fraction)
 
     def test_finalists_run_on_one_blas_thread(self, blas_at_two, monkeypatch):
         path, n_vertices = self.make_pair_panel()

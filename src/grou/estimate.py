@@ -625,7 +625,9 @@ def estimate_triplet(
         policy = ThresholdPolicy()
     raw, spacings = _triplet_increments(path, lags)
     b_hat, corrected, small, total_time = _small_increments(raw, spacings, policy)
-    sigma_hat, joint_small = _brownian_cov(corrected, small, total_time)
+    (sigma_hat,), (joint_small,) = _brownian_cov(corrected[None], small[None], total_time)
+    if not joint_small.any():
+        raise EstimationError(_ALL_EXCEED)
 
     jumps = None
     exceed = ~joint_small
@@ -666,16 +668,24 @@ def _small_increments(raw, spacings, policy):
 
 
 def _brownian_cov(corrected, small, total_time):
-    """The joint part of :func:`estimate_triplet`, on one ``(M, K)`` set of columns.
+    """The joint part of :func:`estimate_triplet`, on a stack ``(G, M, K)`` of sets of columns.
 
     ``corrected`` (C-contiguous) and ``small`` come from
-    :func:`_small_increments`.  Returns the symmetrized covariance of the
-    rows below every cutoff and the mask of those rows.
+    :func:`_small_increments`.  Returns each set's symmetrized covariance of
+    the rows below every cutoff (zero for a set without one) and the masks
+    of those rows.  Only the sets whose rows all stay below share one
+    stacked product (every screened set did on the benchmark fixtures); a
+    set with rows above any cutoff (most single fits on jump paths) takes
+    its own product of a copy of its kept rows.  Either way a set gets the
+    bits of ``kept.T @ kept`` on its own.
     """
-    joint_small = small.all(axis=1)
-    if not joint_small.any():
-        raise EstimationError(_ALL_EXCEED)
-    # one copy, so that kept.T @ kept takes numpy's symmetric product
-    kept = corrected[joint_small]
-    sigma_hat = kept.T @ kept / total_time
-    return 0.5 * (sigma_hat + sigma_hat.T), joint_small
+    joint_small = small.all(axis=-1)
+    whole = joint_small.all(axis=-1)
+    clean = corrected if whole.all() else corrected[whole]
+    sigma_hat = np.empty(corrected.shape[:1] + corrected.shape[-1:] * 2)
+    sigma_hat[whole] = np.swapaxes(clean, -1, -2) @ clean
+    for g in np.flatnonzero(~whole).tolist():
+        kept = corrected[g][joint_small[g]]
+        sigma_hat[g] = kept.T @ kept
+    sigma_hat /= total_time
+    return 0.5 * (sigma_hat + np.swapaxes(sigma_hat, -1, -2)), joint_small

@@ -17,9 +17,11 @@ reproducible against a naive double-loop evaluation.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -144,11 +146,8 @@ def _preaveraged_cov(blocks: np.ndarray, cfg: MrcConfig) -> np.ndarray:
     # unnormalized pre-averaged sums via prefix sums; exact on integer input
     prefix = np.concatenate([np.zeros((n_blocks, 1, d)), np.cumsum(values, axis=1)], axis=1)
     pre = prefix[:, k : k + m] - 2.0 * prefix[:, half : half + m] + prefix[:, 0:m]
-    # each Gram on its own contiguous (m, d) block: a batched product would
-    # sum in another order and change the last bits
-    cov = np.empty((n_blocks, d, d))
-    for w, block in enumerate(pre):
-        cov[w] = block.T @ block
+    # one symmetric product per contiguous (m, d) block, as ``block.T @ block`` takes
+    cov = np.swapaxes(pre, 1, 2) @ pre
     cov *= (n - 1) / (n - k + 1) * 12.0 / k / (k * k)
     if cfg.is_corr:
         sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
@@ -290,18 +289,58 @@ def _cell(parse, token: str) -> float:
         return math.nan
 
 
+# ISO-8601 stamps that numpy's datetime64 reads as datetime.fromisoformat does:
+# date, then optional hour, minutes, seconds and fraction, no zone
+_ISO_STAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,9})?)?)?)?"
+)
+
+
+def _iso_stamps(tokens: list[str]) -> np.ndarray | None:
+    """Epoch seconds of a column of plain ISO-8601 stamps through ``datetime64[us]``, or None.
+
+    None unless every stamp has the form of ``_ISO_STAMP`` and numpy reads
+    it without a warning or an error, to a microsecond count that a float
+    holds exactly (within about 285 years of 1970), so that each value is
+    the one :func:`_parse_timestamp` gives.
+    """
+    if not all(map(_ISO_STAMP.fullmatch, tokens)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            micros = np.array(tokens).astype("datetime64[us]").astype(np.int64)
+    except (ValueError, Warning):
+        return None
+    if np.any(np.abs(micros) > 2**53):
+        return None
+    return micros / 1e6
+
+
 def _parse_cells(rows: list[list[str]]) -> np.ndarray:
     """``(len(rows), width)`` numbers of equal-width rows; NaN where a cell does not parse.
 
-    The bulk conversion calls ``float`` on every cell; a chunk holding any
-    cell it rejects (an ISO timestamp, a stray word) is parsed cell by cell.
+    The bulk conversion calls ``float`` on every cell.  In a chunk holding a
+    cell it rejects, the stamps go through ``float``, then through
+    :func:`_iso_stamps`, then cell by cell, and the prices through ``float``
+    or cell by cell.
     """
     try:
         return np.array([cell for row in rows for cell in row], dtype=float).reshape(len(rows), -1)
     except ValueError:
-        return np.array(
-            [[_cell(_parse_timestamp, row[0]), *(_cell(float, x) for x in row[1:])] for row in rows]
-        )
+        pass
+    stamps = [row[0] for row in rows]
+    try:
+        times = np.array(stamps, dtype=float)
+    except ValueError:
+        times = _iso_stamps(stamps)
+        if times is None:
+            times = np.array([_cell(_parse_timestamp, token) for token in stamps])
+    try:
+        quotes = np.array([row[1:] for row in rows], dtype=float)
+    except ValueError:
+        quotes = np.array([[_cell(float, token) for token in row[1:]] for row in rows])
+    return np.column_stack([times, quotes])
 
 
 def _second_of_day(epoch_seconds: np.ndarray) -> np.ndarray:
@@ -320,8 +359,30 @@ def _second_of_day(epoch_seconds: np.ndarray) -> np.ndarray:
 # regular session 09:30-16:00; trimming drops the first and last hour (minutes of the day)
 _SESSION = (9 * 60 + 30, 16 * 60)
 _TRIMMED = (10 * 60 + 30, 15 * 60)
-# lines parsed per chunk: bounds the lines and cells held at once
+# characters read per block: a block (completed to its line end) is what
+# numpy's reader parses at once, and bounds the text and cells held at once
+_BLOCK_CHARS = 1 << 20
+# lines per chunk of a block that numpy's reader cannot take whole
 _CHUNK_ROWS = 32_768
+# characters numpy's reader strips around a number, where float rejects it
+_READ_APART = "\x1c\x1d\x1e\x1f"
+# characters that send a block to the chunks: the line ends of
+# str.splitlines that file iteration keeps within a line, and a comment,
+# whose line the chunks drop and on which numpy's reader would fail anyway
+_SPLIT_APART = "#\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _block_cells(block: str, width: int) -> np.ndarray | None:
+    """A block's cells read whole by numpy's C reader, or None where it must go chunk by chunk.
+
+    ``block`` is whole lines of the file after its header.  Without any
+    character of ``_SPLIT_APART``, ``str.splitlines`` splits it into file
+    iteration's lines, and :func:`_fast_cells` takes them as it takes a
+    chunk's.
+    """
+    if any(char in block for char in _SPLIT_APART):
+        return None
+    return _fast_cells(block.splitlines(), width)
 
 
 def _fast_cells(lines: list[str], width: int) -> np.ndarray | None:
@@ -330,9 +391,13 @@ def _fast_cells(lines: list[str], width: int) -> np.ndarray | None:
     The result is used only where it is certain to equal ``csv``'s reading:
     one row of ``width`` numbers per line.  The last line must close its
     record (a quoted cell may run on into the next chunk), and a line that
-    numpy drops (a blank one) or a chunk of uniformly narrow rows shows as
-    a wrong shape.
+    numpy drops (a blank one), lines that a quoted cell joins into one row,
+    or a chunk of uniformly narrow rows shows as a wrong shape.  A chunk
+    holding a character of ``_READ_APART`` is left to ``float``.
     """
+    text = "".join(lines)
+    if any(char in text for char in _READ_APART):
+        return None
     try:
         if len(next(csv.reader(lines[-1:], strict=True))) != width:
             return None
@@ -342,6 +407,24 @@ def _fast_cells(lines: list[str], width: int) -> np.ndarray | None:
     except (ValueError, csv.Error):
         return None
     return cells if cells.shape == (len(lines), width) else None
+
+
+def _chunk_cells(lines: list[str], rest, width: int) -> tuple[np.ndarray, int]:
+    """A chunk's cells and the count of its records of the wrong width.
+
+    numpy's reader takes the chunk if it can (:func:`_fast_cells`), else
+    ``csv`` reads it record by record; a record that runs past the last
+    line reads on from ``rest``.
+    """
+    cells = _fast_cells(lines, width)
+    if cells is not None:
+        return cells, 0
+    reader = csv.reader(itertools.chain(lines, rest))
+    chunk = []
+    while reader.line_num < len(lines):
+        chunk.append(next(reader))
+    rows = [row for row in chunk if len(row) == width]
+    return (_parse_cells(rows) if rows else np.empty((0, width))), len(chunk) - len(rows)
 
 
 def ingest_prices(
@@ -359,16 +442,20 @@ def ingest_prices(
     log-transformed.  A row is skipped and counted when it has the wrong
     number of fields, a cell that does not parse, a non-finite timestamp, a
     non-finite or non-positive price, or (with ``market_hours`` or
-    ``trim_open_close``) a time outside the session.  An empty result, or
-    a time span too long to lay out on the grid, raises.
+    ``trim_open_close``) a time outside the session.  Lines starting with
+    ``#`` are dropped.  An empty result, or a time span too long to lay
+    out on the grid, raises.
 
-    The file is read in chunks of ``_CHUNK_ROWS`` lines.  numpy's C reader
-    parses a chunk first; a chunk it rejects (an ISO-8601 stamp, a cell it
-    does not read as a number, a row of the wrong width, a blank line, a
-    quoted cell that runs past the chunk's last line) goes through
-    ``csv`` record by record with the same grammar, so the result does not
-    depend on which reader took a chunk.  A rejected chunk pays for the
-    failed attempt too; an ISO-stamped file fails at its first cell.
+    The file is read in blocks of about ``_BLOCK_CHARS`` characters, each
+    completed to its line end.  numpy's C reader parses a block's lines
+    whole where it reads them as ``csv`` would (:func:`_block_cells`).
+    Any other block goes through the chunked route in chunks of
+    ``_CHUNK_ROWS`` lines: numpy's reader on the chunk's lines where it
+    reads them as ``csv`` would, else ``csv`` record by record with the
+    same grammar, stamps through ``float``, ``datetime64`` or
+    ``datetime.fromisoformat`` (:func:`_parse_cells`).  So the result does not depend on which reader
+    took a block or chunk.  A rejected block or chunk pays for the failed
+    attempt too.
     """
     if not frequency > 0:
         raise ValueError(f"frequency must be positive, got {frequency}")
@@ -386,32 +473,44 @@ def ingest_prices(
                 f"{file}: expected header 'timestamp,<asset>,...', got {header!r}"
             )
         asset_ids = tuple(h.strip() for h in header[1:])
-        while lines := list(itertools.islice(lines_in, _CHUNK_ROWS)):
-            cells = _fast_cells(lines, len(header))
-            if cells is None:
-                # csv's records of the chunk; one that runs past its last line reads on from the file
-                reader = csv.reader(itertools.chain(lines, lines_in))
-                chunk = []
-                while reader.line_num < len(lines):
-                    chunk.append(next(reader))
-                rows = [row for row in chunk if len(row) == len(header)]
-                skipped += len(chunk) - len(rows)
-                if not rows:
-                    continue
-                cells = _parse_cells(rows)
-            t = cells[:, 0]
-            cells[:, 0] = np.where(np.abs(t) > 1e14, t / 1e9, t)  # epoch nanoseconds
-            quotes = cells[:, 1:]
-            good = np.isfinite(cells[:, 0]) & np.all(np.isfinite(quotes) & (quotes > 0), axis=1)
-            if filter_hours:
-                second = _second_of_day(np.where(good, cells[:, 0], 0.0))
-                good &= (60 * wall_lo <= second) & (second < 60 * wall_hi)
-            skipped += len(cells) - int(good.sum())
-            kept.append(cells[good])
+        width = len(header)
+        while block := fh.read(_BLOCK_CHARS):
+            block += fh.readline()
+            parts = []
+            cells = _block_cells(block, width)
+            if cells is not None:
+                parts.append(cells)
+            else:
+                # file iteration's lines of the block, then of the rest of the file
+                block_lines = (
+                    line for line in io.StringIO(block, newline="") if not line.startswith("#")
+                )
+                rest = itertools.chain(block_lines, lines_in)
+                while lines := list(itertools.islice(block_lines, _CHUNK_ROWS)):
+                    cells, wrong_width = _chunk_cells(lines, rest, width)
+                    parts.append(cells)
+                    skipped += wrong_width
+            for cells in parts:
+                t = cells[:, 0]
+                cells[:, 0] = np.where(np.abs(t) > 1e14, t / 1e9, t)  # epoch nanoseconds
+                # a finite stamp, finite positive prices; whole-array passes, as
+                # reductions along the short rows are slow
+                ok = cells > 0
+                ok[:, 0] = True
+                ok &= np.isfinite(cells)
+                good = np.ones(len(cells), dtype=bool)
+                good[np.flatnonzero(~ok) // width] = False
+                if filter_hours:
+                    second = _second_of_day(np.where(good, cells[:, 0], 0.0))
+                    good &= (60 * wall_lo <= second) & (second < 60 * wall_hi)
+                n_good = int(good.sum())
+                skipped += len(cells) - n_good
+                kept.append(cells if n_good == len(cells) else cells[good])
     if not any(part.shape[0] for part in kept):
         raise IngestionError(f"{file}: no usable price rows")
-    cells = np.concatenate(kept)
-    cells = cells[np.argsort(cells[:, 0], kind="stable")]
+    cells = np.concatenate(kept) if len(kept) > 1 else kept[0]
+    if np.any(cells[1:, 0] < cells[:-1, 0]):
+        cells = cells[np.argsort(cells[:, 0], kind="stable")]
     times, quotes = cells[:, 0], cells[:, 1:]
 
     span = times[-1] - times[0]
@@ -426,13 +525,16 @@ def ingest_prices(
         raise IngestionError(f"{file}: fewer than two usable frequency bins")
     bins = np.floor((times - times[0]) / frequency).astype(int)
     try:
-        grid_prices = np.full((n_bins, quotes.shape[1]), np.nan)
-        grid_prices[bins] = quotes  # later rows overwrite: last observation wins
-        # forward fill empty bins
-        missing = np.isnan(grid_prices[:, 0])
-        if missing.any():
-            last = np.maximum.accumulate(np.where(~missing, np.arange(n_bins), 0))
-            grid_prices = grid_prices[last]
+        if bins.size == n_bins and np.all(bins[1:] - bins[:-1] == 1):
+            grid_prices = quotes  # one row in every bin
+        else:
+            grid_prices = np.full((n_bins, quotes.shape[1]), np.nan)
+            grid_prices[bins] = quotes  # later rows overwrite: last observation wins
+            # forward fill empty bins
+            missing = np.isnan(grid_prices[:, 0])
+            if missing.any():
+                last = np.maximum.accumulate(np.where(~missing, np.arange(n_bins), 0))
+                grid_prices = grid_prices[last]
         log_prices = np.log(grid_prices)
         grid_times = times[0] + frequency * np.arange(n_bins)
     except MemoryError:
@@ -453,35 +555,30 @@ def write_edge_series_csv(rolling: RollingMrc, file, header_lines=()) -> None:
 
     ``# assets: [...]`` (a JSON list) and ``# is_corr: true|false`` header
     lines carry what the pair labels cannot: asset ids may contain ``-``.
+    Each window's start is formatted once and copied into its rows.
     """
     starts = np.asarray(rolling.window_starts, dtype=float)
     values = np.asarray(rolling.values, dtype=float)
-    # one format string per window, filled from (start, value) pairs in row order
-    window_rows = "".join(
-        f"%.17g,{label.replace('%', '%%')},%.17g\n" for label in rolling.pair_labels
-    )
-    cells = np.empty(values.shape + (2,))
-    cells[..., 0] = starts[:, None]
+    # one format string per window, filled from (start text, value) pairs in row order
+    window_rows = "".join(f"%s,{label.replace('%', '%%')},%.17g\n" for label in rolling.pair_labels)
+    cells = np.empty(values.shape + (2,), dtype=object)
+    cells[..., 0] = np.array(["%.17g" % start for start in starts.tolist()], dtype=object)[:, None]
     cells[..., 1] = values
     with open(file, "w", encoding="utf-8") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"# assets: {json.dumps(list(rolling.asset_ids))}\n")
         fh.write(f"# is_corr: {json.dumps(bool(rolling.is_corr))}\n")
-        fh.write("window_start,pair,value\n")
+        fh.write(f"{_EDGE_HEADER}\n")
         fh.write((window_rows * starts.size) % tuple(cells.ravel().tolist()))
 
 
-def read_edge_series_csv(file) -> RollingMrc:
-    """Inverse of :func:`write_edge_series_csv`.
+_EDGE_HEADER = "window_start,pair,value"
 
-    Without an ``# assets:`` header line (files written by older versions)
-    the asset ids are recovered by splitting the pair labels on ``-``, and
-    ``is_corr`` defaults to False.
-    """
-    with open(file, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    meta: dict[str, object] = {}
+
+def _edge_meta(file, lines) -> dict:
+    """The ``# assets:`` and ``# is_corr:`` entries of an edge series' ``#`` lines; the last one wins."""
+    meta = {}
     for ln in lines:
         if ln.startswith("#"):
             key, sep, text = ln[1:].strip().partition(": ")
@@ -490,29 +587,108 @@ def read_edge_series_csv(file) -> RollingMrc:
                     meta[key] = json.loads(text)
                 except json.JSONDecodeError as exc:
                     raise IngestionError(f"{file}: malformed '# {key}:' header") from exc
-    body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
-    if not body or body[0].strip() != "window_start,pair,value":
-        raise IngestionError(f"{file}: expected 'window_start,pair,value' header")
-    rows = body[1:]
-    if any(ln.count(",") != 2 for ln in rows):
+    return meta
+
+
+def _edge_cells(file, skiprows: int, buf: np.ndarray, n_rows: int):
+    """The start and value columns of an edge series' rows, read by numpy's C reader from ``file``.
+
+    ``buf`` holds the rows' UTF-8 bytes and ``n_rows`` their count.  None
+    where the reader could read a cell apart from ``float``: it takes the
+    control characters ``\\x1c``-``\\x1f`` for spaces, and rejects ``1_0``
+    and non-ASCII digits.
+    """
+    if np.any((buf >= 0x1C) & (buf <= 0x1F)):
+        return None
+    try:
+        cells = np.loadtxt(
+            file, delimiter=",", usecols=(0, 2), comments=None, skiprows=skiprows, ndmin=2,
+            encoding="utf-8",
+        )
+    except ValueError:
+        return None
+    return (cells[:, 0], cells[:, 1]) if cells.shape[0] == n_rows else None
+
+
+def read_edge_series_csv(file) -> RollingMrc:
+    """Inverse of :func:`write_edge_series_csv`.
+
+    Without an ``# assets:`` header line (files written by older versions)
+    the asset ids are recovered by splitting the pair labels on ``-``, and
+    ``is_corr`` defaults to False.  Blank lines and ``#`` lines are skipped
+    wherever they stand.
+
+    The rows are checked as arrays over their bytes: two commas on every
+    line, then each row's label (the bytes between them) against the pair
+    order.  In a file of ``#`` lines, the header and plain rows, numpy's C
+    reader parses the starts and values, unless a cell could read apart
+    from ``float`` (see :func:`_edge_cells`).  A file with a blank or ``#``
+    line among its rows, a row that starts with a space or a non-ASCII
+    character, or spaces around its header, is split into lines in Python,
+    and its cells go through ``float``.
+    """
+    with open(file, encoding="utf-8") as fh:
+        text = fh.read()
+    head, sep, body = ("\n" + text).partition(f"\n{_EDGE_HEADER}\n")
+    lines = head.split("\n")[1:]
+    body = body.removesuffix("\n")
+    buf = np.frombuffer(body.encode(), np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate([[0], ends + 1])
+    plain = (
+        sep and starts[-1] < buf.size and all(ln.startswith("#") for ln in lines)
+        and not np.any((buf[starts] <= 32) | (buf[starts] == ord("#")) | (buf[starts] >= 128))
+    )
+    if not plain:
+        lines = text.split("\n")
+        rows = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
+    meta = _edge_meta(file, lines)
+    if not plain:
+        if not rows or rows[0].strip() != _EDGE_HEADER:
+            raise IngestionError(f"{file}: expected '{_EDGE_HEADER}' header")
+        body = "\n".join(rows[1:])
+        buf = np.frombuffer(body.encode(), np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+    n_rows = ends.size + 1 if buf.size else 0
+    # two commas on every line: the k-th pair of commas lies in the k-th line
+    commas = np.flatnonzero(buf == ord(","))
+    left, right = commas[0::2], commas[1::2]
+    if commas.size != 2 * n_rows or np.any(left <= np.concatenate([[-1], ends])) or np.any(
+        right >= np.concatenate([ends, [buf.size]])
+    ):
         raise IngestionError(f"{file}: expected three fields per row")
-    fields = ",".join(rows).split(",") if rows else []
+    fields = None
     if "assets" in meta:
         assets = tuple(str(a) for a in meta["assets"])
         labels = _pair_labels(assets)
     else:
+        fields = body.replace("\n", ",").split(",")
         labels = tuple(dict.fromkeys(fields[1::3]))
         assets = tuple(dict.fromkeys(a for lab in labels for a in lab.split("-")))
     P = len(labels)
-    n_windows = len(rows) // P if P else 0
-    if not n_windows or len(rows) != P * n_windows or fields[1::3] != list(labels) * n_windows:
-        raise IngestionError(f"{file}: expected one row per pair, in pair order, for every window")
-    stamps = np.array(fields[0::3], dtype=float).reshape(n_windows, P)
+    n_windows = n_rows // P if P else 0
+    order_error = IngestionError(f"{file}: expected one row per pair, in pair order, for every window")
+    if not n_windows or n_rows != P * n_windows:
+        raise order_error
+    # each row's label, the bytes between its commas, against the pair order
+    encoded = [label.encode() for label in labels]
+    widths = np.tile([len(e) for e in encoded], n_windows)
+    if not np.array_equal(right - left - 1, widths):
+        raise order_error
+    offsets = np.cumsum(widths) - widths
+    label_bytes = buf[np.arange(widths.sum()) + np.repeat(left + 1 - offsets, widths)]
+    if label_bytes.tobytes() != b"".join(encoded) * n_windows:
+        raise order_error
+    columns = _edge_cells(file, len(lines) + 1, buf, n_rows) if plain else None
+    if columns is None:
+        fields = body.replace("\n", ",").split(",") if fields is None else fields
+        columns = fields[0::3], fields[2::3]
+    stamps = np.asarray(columns[0], dtype=float).reshape(n_windows, P)
     if not np.all(stamps == stamps[:, :1]):
-        raise IngestionError(f"{file}: expected one row per pair, in pair order, for every window")
+        raise order_error
     return RollingMrc(
         window_starts=stamps[:, 0].copy(),
-        values=np.array(fields[2::3], dtype=float).reshape(n_windows, P),
+        values=np.ascontiguousarray(columns[1], dtype=float).reshape(n_windows, P),
         pair_labels=labels,
         asset_ids=assets,
         is_corr=bool(meta.get("is_corr", False)),

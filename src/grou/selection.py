@@ -13,12 +13,16 @@ The whole search, screen and survivors alike, runs on one BLAS thread.
 
 The screen and the shape selection run through one scorer, an array
 program: the work that depends on the path alone is done once for every
-pair column, and graphs with equal edge counts run as stacks.  Each graph
-keeps its own noise triplet and precision, and each fit its own ridge, so
-a stack scores every shape exactly as a fit on its own would; the screen's
-scores are those of :func:`select_model` on each candidate under the
-screen shape (:func:`select_model` on one graph is a stack of one).
-A candidate whose fit fails is skipped with a warning that gives the reason.
+pair column, and graphs with equal edge counts run as stacks, from their
+noise triplets to the held-out sign hits, which are counted over
+cache-sized tiles of the held-out rows.  Each graph keeps its own noise
+triplet and precision, and each fit its own ridge, so a stack scores every
+shape exactly as a fit on its own would; the screen's scores are those of
+:func:`select_model` on each candidate under the screen shape
+(:func:`select_model` on one graph is a stack of one).  Only the shape
+selection computes the information criterion; the screen ranks by accuracy
+alone.  A candidate whose fit fails is skipped with a warning that gives
+the reason.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import GrouError, SingularityError
+from .errors import EstimationError, GrouError, SingularityError
 # estimate_drift is unused here but stays bound: perfbench's tracer test checks this import site
 from .estimate import (
+    _ALL_EXCEED,
     _IRREGULAR,
     _NO_PRECISION,
     _STAYED_SINGULAR,
@@ -184,7 +189,9 @@ def _outcome(graph, graph_ref, shapes, scored, irregular, tolerance):
             continue
         if irregular:
             warnings.warn(_IRREGULAR, stacklevel=3)
-        scores.append(CandidateScore(graph_ref=graph_ref, shape=shape, dir_acc=score[0], bic=score[1]))
+        scores.append(
+            CandidateScore(graph_ref=graph_ref, shape=shape, dir_acc=score[0], bic=_bic(*score[1:]))
+        )
     if not scores:
         raise GrouError("every candidate shape failed to fit")
     return SelectionOutcome(
@@ -223,25 +230,44 @@ def _by_candidate(columns, cols):
 
 
 def _heldout(path, n_train):
-    """Held-out rows: the previous values and the signs of the realized moves."""
+    """Held-out columns ``(N, T)``: the previous values and the signs of the realized moves."""
     previous = path.values[n_train - 1 : -1]
-    return previous, np.sign(path.values[n_train:] - previous).astype(np.int8)
+    realized = np.sign(path.values[n_train:] - previous)
+    return np.ascontiguousarray(previous.T), np.ascontiguousarray(realized.T)
+
+
+# held-out rows scored at a time: a tile of a stack's gathered columns and
+# moves stays in cache, where gathering every row at once copies the stack
+# out to memory and back
+_TILE_ROWS = 128
 
 
 def _sign_hits(previous, realized, gain, const, cols):
     """Held-out directional accuracy of a stack of one-step maps ``(gain, const)``.
 
-    ``cols`` ``(G, K)`` picks each map's columns of the held-out rows.  A
-    forecast counts when the sign of its move matches the realized one (a
-    NaN never does), as :func:`grou.benchmarks.evaluate` counts it.
+    ``previous`` and ``realized`` are :func:`_heldout`'s ``(N, T)`` columns;
+    ``cols`` ``(G, K)`` picks each map's columns.  A forecast counts when
+    the sign of its move matches the realized one (a NaN never does), as
+    :func:`grou.benchmarks.evaluate` counts it: a move times a realized
+    sign of one is positive, and a realized sign of zero needs a move of
+    zero.  The rows go in tiles of ``_TILE_ROWS``: each map's columns of a
+    tile are gathered and moved by ``gain @ tile + const - tile``.
     """
-    prev = _by_candidate(previous, cols)
-    with np.errstate(invalid="ignore"):
-        moves = prev @ gain.transpose(0, 2, 1)
-        moves += const[:, None, :]
-        moves -= prev
-    hits = np.count_nonzero(np.sign(moves) == _by_candidate(realized, cols), axis=(1, 2))
-    return hits / prev[0].size
+    n_rows = previous.shape[1]
+    hits = np.zeros(cols.shape[0], dtype=np.intp)
+    ties = None if realized.all() else realized == 0
+    for start in range(0, n_rows, _TILE_ROWS):
+        rows = slice(start, start + _TILE_ROWS)
+        tile = previous[:, rows][cols]
+        with np.errstate(invalid="ignore"):
+            moves = gain @ tile
+            moves += const[:, :, None]
+            moves -= tile
+            if ties is not None:
+                hits += np.count_nonzero((moves == 0) & ties[:, rows][cols], axis=(1, 2))
+            moves *= realized[:, rows][cols]
+        hits += np.count_nonzero(moves > 0, axis=(1, 2))
+    return hits / (n_rows * cols.shape[1])
 
 
 def _one_step_maps(theta, matrices, shape, mean_rate, h):
@@ -282,7 +308,9 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
 
     Returns ``(irregular, scored)``: whether the training grids are
     irregular, and per graph either the error its triplet raised or a list
-    holding, per shape, ``(dir_acc, bic)`` or the error of that fit.
+    holding, per shape, the error of that fit or ``(dir_acc, theta, info,
+    n_coarse)``; the information criterion is left to the callers that
+    read it, which the screen does not.
     """
     policy = ThresholdPolicy() if policy is None else policy
     train = path.section(0, n_train)
@@ -309,7 +337,7 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
     h = train.grid.mesh_fine
     n_vertices = max(g.n_vertices for g in graphs)
     n_stages = max(max(max(rs, default=0) for _, rs in shapes), 1)
-    cells = previous.shape[0] + max(l for l, _ in shapes) * train.grid.coarse_idx.size
+    cells = previous.shape[1] + max(l for l, _ in shapes) * train.grid.coarse_idx.size
     scored, by_size = [None] * len(graphs), {}
     for j, cols in enumerate(columns):
         by_size.setdefault(len(cols), []).append(j)
@@ -321,16 +349,13 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
             b_hat, corrected, small, total_time = _small_increments(
                 _by_candidate(raw_lag1, cols), spacings_lag1, policy
             )
-            sigma = []
-            for g, j in enumerate(batch):
-                try:
-                    sigma.append(_brownian_cov(corrected[g], small[g], total_time)[0])
-                except GrouError as exc:
-                    scored[j] = exc
-            live = np.array([scored[j] is None for j in batch])
+            sigma, joint_small = _brownian_cov(corrected, small, total_time)
+            live = joint_small.any(axis=1)
+            for j in batch[~live].tolist():
+                scored[j] = EstimationError(_ALL_EXCEED)
             if not live.any():
                 continue
-            sigma = np.array(sigma)
+            sigma = sigma[live]
             prec, factored = _precision(_jittered(sigma, _psd_spectrum(sigma, "brownian_cov")))
             for j, ok in zip(batch[live].tolist(), factored):
                 # every shape that gets as far as the precision fails with it
@@ -373,7 +398,7 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
                 )
                 accs = _sign_hits(previous, realized, gain, const, cols[solved])
                 for g, acc in zip(solved.tolist(), accs.tolist()):
-                    scored[js[g]][s] = (acc, _bic(theta[g], info[g], spacings.size))
+                    scored[js[g]][s] = (acc, theta[g], info[g], spacings.size)
     return irregular, scored
 
 

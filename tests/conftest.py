@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import warnings
 from datetime import datetime, timezone
@@ -14,7 +15,7 @@ from grou.forecast import rolling_forecast
 from grou.graphs import random_er_graph, weight_matrices
 from grou.errors import GrouError, IngestionError
 from grou.model import GrouParams, build_companion, cov_integral, drift_integral, is_hurwitz
-from grou.mrc import PriceMatrix
+from grou.mrc import PriceMatrix, RollingMrc
 from grou.noise import SymmetricGammaJumps, psd_factor
 from grou.selection import CandidateScore, _choose, _columns_for
 
@@ -379,6 +380,98 @@ def ols_benchmark_fits(train, weights):
     design[:, K] = (y[:-1] @ w1.T).reshape(-1)
     coef, *_ = np.linalg.lstsq(design, y[1:].reshape(-1), rcond=None)
     return {"AR": (const, gain), "GNAR": (np.zeros(K), np.diag(coef[:K]) + coef[K] * w1)}
+
+
+def sign_hits_untiled(previous, realized, gain, const, cols):
+    """Held-out directional accuracy of a stack of one-step maps, all rows at once.
+
+    ``previous`` and ``realized`` are the ``(T, N)`` held-out rows (previous
+    values and signs of the realized moves); ``cols`` ``(G, K)`` picks each
+    map's columns, gathered into ``(G, T, K)`` stacks before one sign
+    comparison.  The route that ``grou.selection._sign_hits`` replaces with
+    cache-sized tiles of the transposed rows, kept as its oracle.
+    """
+    def by_candidate(columns):
+        return np.ascontiguousarray(np.moveaxis(columns[..., cols], -2, 0))
+
+    prev = by_candidate(previous)
+    with np.errstate(invalid="ignore"):
+        moves = prev @ gain.transpose(0, 2, 1)
+        moves += const[:, None, :]
+        moves -= prev
+    hits = np.count_nonzero(np.sign(moves) == by_candidate(realized), axis=(1, 2))
+    return hits / prev[0].size
+
+
+def write_edge_series_per_pair(rolling, file, header_lines=()):
+    """Edge-series CSV with every cell formatted in place, the start once per row.
+
+    The writer that ``grou.mrc.write_edge_series_csv`` replaces with one
+    formatted start per window, kept as its oracle.
+    """
+    starts = np.asarray(rolling.window_starts, dtype=float)
+    values = np.asarray(rolling.values, dtype=float)
+    window_rows = "".join(
+        f"%.17g,{label.replace('%', '%%')},%.17g\n" for label in rolling.pair_labels
+    )
+    cells = np.empty(values.shape + (2,))
+    cells[..., 0] = starts[:, None]
+    cells[..., 1] = values
+    with open(file, "w", encoding="utf-8") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(f"# assets: {json.dumps(list(rolling.asset_ids))}\n")
+        fh.write(f"# is_corr: {json.dumps(bool(rolling.is_corr))}\n")
+        fh.write("window_start,pair,value\n")
+        fh.write((window_rows * starts.size) % tuple(cells.ravel().tolist()))
+
+
+def read_edge_series_split(file):
+    """Edge-series CSV to a ``RollingMrc``, split into lines and fields in Python.
+
+    The reader that ``grou.mrc.read_edge_series_csv`` replaces with array
+    checks over the file's bytes and numpy's C reader, kept as its oracle:
+    ``#`` lines carry the header entries wherever they stand, blank lines
+    are skipped, every cell goes through ``float``.
+    """
+    with open(file, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    meta = {}
+    for ln in lines:
+        if ln.startswith("#"):
+            key, sep, text = ln[1:].strip().partition(": ")
+            if sep and key in ("assets", "is_corr"):
+                try:
+                    meta[key] = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise IngestionError(f"{file}: malformed '# {key}:' header") from exc
+    body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
+    if not body or body[0].strip() != "window_start,pair,value":
+        raise IngestionError(f"{file}: expected 'window_start,pair,value' header")
+    rows = body[1:]
+    if any(ln.count(",") != 2 for ln in rows):
+        raise IngestionError(f"{file}: expected three fields per row")
+    fields = ",".join(rows).split(",") if rows else []
+    if "assets" in meta:
+        assets = tuple(str(a) for a in meta["assets"])
+        labels = tuple(f"{a}-{b}" for i, a in enumerate(assets) for b in assets[i + 1 :])
+    else:
+        labels = tuple(dict.fromkeys(fields[1::3]))
+        assets = tuple(dict.fromkeys(a for lab in labels for a in lab.split("-")))
+    P = len(labels)
+    n_windows = len(rows) // P if P else 0
+    if not n_windows or len(rows) != P * n_windows or fields[1::3] != list(labels) * n_windows:
+        raise IngestionError(f"{file}: expected one row per pair, in pair order, for every window")
+    stamps = np.array(fields[0::3], dtype=float).reshape(n_windows, P)
+    if not np.all(stamps == stamps[:, :1]):
+        raise IngestionError(f"{file}: expected one row per pair, in pair order, for every window")
+    return RollingMrc(
+        window_starts=stamps[:, 0].copy(),
+        values=np.array(fields[2::3], dtype=float).reshape(n_windows, P),
+        pair_labels=labels,
+        asset_ids=assets,
+        is_corr=bool(meta.get("is_corr", False)),
+    )
 
 
 def _loop_timestamp(token):

@@ -669,3 +669,28 @@ class TestDiagnostics:
         spec = LevySpec(np.zeros(1), np.eye(1))
         with pytest.warns(UserWarning, match="irregular"):
             estimate_drift(path, None, (1, [0]), spec)
+
+
+@pytest.mark.parametrize("M, K", [(30, 1), (199, 3), (600, 10), (2000, 21)])
+@pytest.mark.parametrize(
+    "keep",
+    [
+        # sets with every row kept, a few rows above a cutoff, many, and none below
+        [1.0, 1.0, 0.999, 0.99, 0.9, 0.0],
+        [1.0] * 6,
+        [0.99] * 6,
+        [0.99],
+    ],
+)
+def test_stacked_brownian_cov_equals_each_set_on_its_own(M, K, keep):
+    """A stack's covariances are bit for bit ``kept.T @ kept`` on each set's own kept rows."""
+    rng = np.random.default_rng(M + K)
+    G = len(keep)
+    corrected = rng.standard_normal((G, M, K))
+    small = rng.random((G, M, K)) < np.array(keep)[:, None, None]
+    sigma, joint_small = estimate_module._brownian_cov(corrected, small, 2.7)
+    for g in range(G):
+        kept = corrected[g][small[g].all(axis=1)]
+        expected = kept.T @ kept / 2.7
+        assert (0.5 * (expected + expected.T)).tobytes() == sigma[g].tobytes()
+        np.testing.assert_array_equal(joint_small[g], small[g].all(axis=1))

@@ -5,7 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import ingest_prices_loop, set_blas_threads
+from conftest import (
+    ingest_prices_loop,
+    read_edge_series_split,
+    set_blas_threads,
+    write_edge_series_per_pair,
+)
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -344,6 +349,151 @@ def test_edge_series_round_trip_with_any_asset_labels(tmp_path_factory, assets, 
     np.testing.assert_array_equal(back.values, rolling.values)
 
 
+def edge_rolling(assets, is_corr, n_windows, seed):
+    """A rolling estimate over ``assets`` with values across the whole float range."""
+    rng = np.random.default_rng(seed)
+    n_pairs = len(assets) * (len(assets) - 1) // 2
+    values = rng.standard_normal((n_windows, n_pairs)) * 10.0 ** rng.uniform(-300, 300, (n_windows, n_pairs))
+    return RollingMrc(
+        window_starts=1.7e9 + np.cumsum(rng.uniform(0.1, 60.0, n_windows)),
+        values=values,
+        pair_labels=tuple(f"{a}-{b}" for i, a in enumerate(assets) for b in assets[i + 1 :]),
+        asset_ids=tuple(assets),
+        is_corr=is_corr,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(assets=asset_ids, is_corr=st.booleans(), n_windows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(assets=["a%s", "b%%", "c"], is_corr=False, n_windows=2, seed=0)
+def test_edge_series_writer_matches_per_pair_formatting(tmp_path_factory, assets, is_corr, n_windows, seed):
+    rolling = edge_rolling(assets, is_corr, n_windows, seed)
+    folder = tmp_path_factory.mktemp("edges")
+    write_edge_series_csv(rolling, folder / "new.csv", header_lines=["config: {}"])
+    write_edge_series_per_pair(rolling, folder / "old.csv", header_lines=["config: {}"])
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+def read_both(file):
+    """What the reader and its oracle make of ``file``: the result's bytes, or the error."""
+    outcomes = []
+    for read in (read_edge_series_csv, read_edge_series_split):
+        try:
+            r = read(file)
+        except (IngestionError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(
+                (r.window_starts.tobytes(), r.values.tobytes(), r.pair_labels, r.asset_ids, r.is_corr)
+            )
+    return outcomes
+
+
+_EDGE_HEAD = '# config: {}\n# assets: ["A", "B", "C"]\n# is_corr: false\nwindow_start,pair,value\n'
+_EDGE_ROWS = ["0,A-B,1", "0,A-C,2", "0,B-C,3", "5,A-B,4", "5,A-C,5", "5,B-C,6"]
+
+
+def edge_file(rows, head=_EDGE_HEAD, newline="\n"):
+    return (head + "\n".join(rows) + "\n").replace("\n", newline)
+
+
+_MALFORMED_EDGES = {
+    "plain": edge_file(_EDGE_ROWS),
+    "crlf": edge_file(_EDGE_ROWS, newline="\r\n"),
+    "bare_cr": edge_file(_EDGE_ROWS, newline="\r"),
+    "no_trailing_newline": edge_file(_EDGE_ROWS).rstrip("\n"),
+    "two_fields": edge_file(_EDGE_ROWS[:2] + ["0,B-C"] + _EDGE_ROWS[3:]),
+    "four_fields": edge_file(_EDGE_ROWS[:4] + ["5,A-C,5,7"] + _EDGE_ROWS[5:]),
+    "commas_shifted": edge_file(["0,A-B,1,0", "A-C,2"] + _EDGE_ROWS[2:]),
+    "out_of_order": edge_file(_EDGE_ROWS[:3] + [_EDGE_ROWS[4], _EDGE_ROWS[3], _EDGE_ROWS[5]]),
+    "missing_row": edge_file(_EDGE_ROWS[:-1]),
+    "label_prefix": edge_file(_EDGE_ROWS[:3] + ["5,A-BB,4"] + _EDGE_ROWS[4:]),
+    "unequal_stamps": edge_file(_EDGE_ROWS[:4] + ["6,A-C,5"] + _EDGE_ROWS[5:]),
+    "nan_stamp": edge_file(["nan,A-B,1", "nan,A-C,2", "nan,B-C,3"]),
+    "blank_and_comment_lines": edge_file(_EDGE_ROWS[:2] + ["", "# a comment", " \t "] + _EDGE_ROWS[2:] + [""]),
+    "comment_sets_meta": edge_file(_EDGE_ROWS[:3] + ["# is_corr: true"] + _EDGE_ROWS[3:]),
+    "comment_bad_meta": edge_file(_EDGE_ROWS[:3] + ["# assets: [oops"] + _EDGE_ROWS[3:]),
+    "header_with_spaces": edge_file(_EDGE_ROWS, head=_EDGE_HEAD.replace("window_start,pair,value", " window_start,pair,value ")),
+    "no_header": '# assets: ["A", "B", "C"]\n' + "\n".join(_EDGE_ROWS) + "\n",
+    "header_only": _EDGE_HEAD,
+    "empty": "",
+    "leading_space_row": edge_file([" 0,A-B,1"] + _EDGE_ROWS[1:]),
+    "no_assets_line": edge_file(_EDGE_ROWS, head="window_start,pair,value\n"),
+    "no_assets_unequal": edge_file(["0,A-B,1", "0,A-C,2", "1,A-B,1"], head="window_start,pair,value\n"),
+    "odd_labels": edge_file(
+        ['0,a#1-b "2",1', "0,a#1-c d,2", '0,b "2"-c d,3'],
+        head='# assets: ["a#1", "b \\"2", "c d"]\nwindow_start,pair,value\n',
+    ),
+    "values_underscore": edge_file(_EDGE_ROWS[:1] + ["0,A-C,1_0"] + _EDGE_ROWS[2:]),
+    "values_nan_inf": edge_file(["0,A-B,nan", "0,A-C,inf", "0,B-C,-Infinity"]),
+    "values_spaces": edge_file(["0, A-B,1", "0,A-C, 2 ", "0,B-C,\t3"]),
+    "values_arabic_digits": edge_file(["0,A-B,١٠", "0,A-C,2", "0,B-C,3"]),
+    "values_unit_separator": edge_file(["0,A-B,1\x1f", "0,A-C,2", "0,B-C,3"]),
+    "values_vertical_tab": edge_file(["0,A-B,1\x0b", "0,A-C,2\x0c", "0,B-C,3\x85"]),
+    "values_bad": edge_file(["0,A-B,1x", "0,A-C,2", "0,B-C,3"]),
+    "bad_value_and_unequal_stamps": edge_file(["0,A-B,1x", "1,A-C,2", "0,B-C,3"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED_EDGES))
+def test_edge_series_reader_matches_the_split_reader(tmp_path, name):
+    file = tmp_path / "edges.csv"
+    file.write_bytes(_MALFORMED_EDGES[name].encode())
+    new, old = read_both(file)
+    assert new == old
+
+
+@st.composite
+def edited_edge_files(draw):
+    """A written edge series, then a few lines inserted, replaced or swapped."""
+    lines = edge_file(_EDGE_ROWS).splitlines()
+    edits = st.sampled_from(["", "# note", "# is_corr: true", " ", "0,A-B", "0,A-B,1,2", "5,A-B,1_0",
+                             "5,A-C,nan", "6,B-C,6", "0,A-B,1\x1c", "window_start,pair,value"])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["insert", "replace", "swap"]))
+        if action == "insert" or not lines:
+            lines.insert(at, draw(edits))
+        elif action == "replace":
+            lines[min(at, len(lines) - 1)] = draw(edits)
+        else:
+            other = draw(st.integers(0, len(lines) - 1))
+            at = min(at, len(lines) - 1)
+            lines[at], lines[other] = lines[other], lines[at]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=edited_edge_files())
+def test_edited_edge_series_read_like_the_split_reader(tmp_path_factory, text):
+    file = tmp_path_factory.mktemp("edges") / "edges.csv"
+    file.write_bytes(text.encode())
+    new, old = read_both(file)
+    assert new == old
+
+
+def test_written_edge_series_takes_the_fast_read(tmp_path):
+    """A file the writer made goes to numpy's reader whole; its rows are never split in Python."""
+    file = tmp_path / "edges.csv"
+    rolling = edge_rolling(["A0", "A1", "A2", "A3"], False, 50, 3)
+    write_edge_series_csv(rolling, file, header_lines=["config: {}"])
+    edge_cells, reads = mrc_module._edge_cells, []
+
+    def spy(*args):
+        reads.append(edge_cells(*args))
+        return reads[-1]
+
+    with mock.patch.object(mrc_module, "_edge_cells", spy), mock.patch.object(
+        mrc_module, "_edge_meta", wraps=mrc_module._edge_meta
+    ) as meta:
+        back = read_edge_series_csv(file)
+    assert len(reads) == 1 and reads[0] is not None
+    # the entries were looked for in the lines above the header only
+    assert meta.call_args.args[1] == ["# config: {}", '# assets: ["A0", "A1", "A2", "A3"]', "# is_corr: false"]
+    assert back.values.tobytes() == rolling.values.tobytes()
+    assert back.window_starts.tobytes() == rolling.window_starts.tobytes()
+
+
 class TestIngest:
     def write(self, tmp_path, text):
         file = tmp_path / "prices.csv"
@@ -471,6 +621,12 @@ def price_files(draw):
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     # numeric stamps only, so that whole chunks reach numpy's reader
     numeric = draw(st.booleans())
+    if draw(st.integers(0, 5)) == 0:  # bare carriage returns
+        newline = "\r"
+    # plain ISO-8601 stamps only, so that whole chunks of them reach datetime64
+    iso_only = not numeric and draw(st.integers(0, 3)) == 0
+    # all of them in one year before 1970; the last two lie beyond what a float holds to the microsecond
+    era = draw(st.sampled_from(["", "", "1969", "1900", "1601", "0001"])) if iso_only else ""
 
     def stamp():
         offset = draw(st.one_of(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0]), st.integers(-90, 90)))
@@ -479,13 +635,29 @@ def price_files(draw):
         style = draw(st.sampled_from(["seconds", "seconds", "nanoseconds", "iso", "iso_naive"]))
         if numeric and style.startswith("iso"):
             style = "seconds"
+        if iso_only:
+            style = "iso_naive"
         if style == "seconds":
             return f"{second}{fraction}"
         if style == "nanoseconds":
             return str(second * 10**9 + int((fraction or ".0")[1:].ljust(9, "0")[:9]))
         text = datetime.fromtimestamp(second, tz=timezone.utc).isoformat()
         text = text[:19] + fraction + text[19:]
-        return text[:-6] if style == "iso_naive" else text
+        text = era + text[len(era) :]
+        text = text[:-6] if style == "iso_naive" else text
+        # forms that datetime64 and datetime.fromisoformat may read apart
+        form = draw(st.sampled_from(["as_is"] * 4 + ["space", "digits", "zulu", "offset", "compact", "nat"]))
+        if form == "space":
+            text = text.replace("T", " ")
+        elif form == "digits":  # none (a bare point) to nine fractional digits
+            text = text[:19] + "." + "".join(draw(st.sampled_from("0123456789")) for _ in range(draw(st.integers(0, 9))))
+        elif form in ("zulu", "offset"):
+            text = text[:19] + {"zulu": "Z", "offset": "+01:00"}[form]
+        elif form == "compact":
+            text = text[:19].replace("-", "").replace(":", "")
+        elif form == "nat":
+            text = "NaT"
+        return text
 
     def price():
         value = draw(st.sampled_from(["100", "101.5", "99.25", " 100.125 ", "1_00", "1e2", "0.5"]))
@@ -493,11 +665,20 @@ def price_files(draw):
             value = draw(st.sampled_from(["0", "-3", "inf", "nan", "abc", ""]))
         if draw(st.integers(0, 9)) == 0:  # tokens float and numpy's reader may read apart
             value = draw(st.sampled_from(["١٠٠", "1d2", "0x10", " 100 ", "+5"]))
+        if draw(st.integers(0, 9)) == 0:  # line ends of str.splitlines and control characters in a cell
+            char = draw(st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028"]))
+            value = draw(st.sampled_from([char + value, value + char, value[:1] + char + value[1:]]))
         return f'"{value}"' if draw(st.booleans()) else value
 
     lines = draw(st.sampled_from([[], ["# leading comment"]]))
     header = [draw(st.sampled_from(["timestamp", "Time"]))] + [f"A{j}" for j in range(n_assets)]
     lines.append(",".join(header))
+    # a comment line or a quoted cell deep inside a long clean run (its stamps in 2023, so not with an era)
+    if not era and draw(st.integers(0, 4)) == 0:
+        run = [f"{_DAY + 36000 + k},{100 + k % 7}" + ",101.5" * (n_assets - 1) for k in range(draw(st.integers(50, 300)))]
+        odd = draw(st.sampled_from(["# deep comment", f'{_DAY + 37000},"100"' + ",99" * (n_assets - 1)]))
+        run.insert(draw(st.integers(10, len(run))), odd)
+        lines += run
     # every data row short: with a chunk of one or two lines, numpy's reader sees a narrow chunk
     narrow = draw(st.integers(0, 4)) == 0
     for _ in range(draw(st.integers(0, 30))):
@@ -568,7 +749,10 @@ def test_ingest_matches_row_loop(tmp_path_factory, file_and_chunk, frequency, ma
         expected = ingest_prices_loop(file, **options)
     except IngestionError:
         expected = None
-    with mock.patch.object(mrc_module, "_CHUNK_ROWS", chunk_rows):
+    # blocks of a few lines with the smaller chunks
+    with mock.patch.object(mrc_module, "_CHUNK_ROWS", chunk_rows), mock.patch.object(
+        mrc_module, "_BLOCK_CHARS", 8 * chunk_rows
+    ):
         if expected is None:
             with pytest.raises(IngestionError):
                 ingest_prices(file, **options)
@@ -610,6 +794,14 @@ _READ_APART = {
     "quoted_newline": 'timestamp,A0\n0,100\n1,"101\n"\n2,102\n3,"103\n\n"\n4,104\n5,"105',
     "blank_lines": "timestamp,A0,A1\n0,1,1\n\n1,2,2\n \t \n2,3,3\n\n",
     "short_rows": "timestamp,A0,A1\n0,1\n1,2\n2,3,3\n3,4\n4,5\n5,6,6\n",
+    # numpy's reader strips these around a number, float rejects them
+    "control_characters": "timestamp,A0,A1\n0,1\x1f,1\n1,2,\x1c2\n2,3,3\n3,\x1d4,4\n4,5,5\n",
+    # str.splitlines ends a line at these, file iteration does not
+    "splitlines_ends": "timestamp,A0\n0,1\x0b\n1,\x852\n2,3\u2028\n3,4\x0c\n4,5\n5,6\x0b7,8\n9,10\u202811,12\n",
+    # and these, which numpy's reader also strips around a number
+    "splitlines_separators": "timestamp,A0\n0,1\n1,2\x1c3,4\n4,5\x1d6,7\n7,8\x1e9,10\n10,11\n",
+    "bare_carriage_returns": "timestamp,A0,A1\r0,1,1\r1,2,2\r\r2,3,3\r",
+    "comment_in_a_clean_run": "timestamp,A0\n" + "".join(f"{k},{k + 1}\n" for k in range(9)) + "# mid-file\n9,10\n",
 }
 
 
@@ -617,10 +809,83 @@ _READ_APART = {
 @pytest.mark.parametrize("name", list(_READ_APART))
 def test_chunks_read_apart_match_the_loop(tmp_path, name, chunk_rows):
     file = tmp_path / "prices.csv"
-    file.write_text(_READ_APART[name])
-    with mock.patch.object(mrc_module, "_CHUNK_ROWS", chunk_rows):
+    file.write_bytes(_READ_APART[name].encode())
+    with mock.patch.object(mrc_module, "_CHUNK_ROWS", chunk_rows), mock.patch.object(
+        mrc_module, "_BLOCK_CHARS", 8 * chunk_rows
+    ):
         got = ingest_prices(file)
     expected = ingest_prices_loop(file)
     assert got.skipped_rows == expected.skipped_rows
     assert got.times.tobytes() == expected.times.tobytes()
     assert got.log_prices.tobytes() == expected.log_prices.tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_clean_blocks_skip_the_chunked_route(tmp_path, newline):
+    """numpy's reader takes every block of a clean file whole, quoted cells too; a ``#`` line sends its block to the chunks."""
+    rows = [f"{_DAY + 36000 + i},{100 + i},{50 + i}.5" for i in range(40)]
+    file = tmp_path / "prices.csv"
+
+    def ingest(rows):
+        file.write_bytes((newline.join(["# comment", "timestamp,A0,A1", *rows]) + newline).encode())
+        with mock.patch.object(mrc_module, "_BLOCK_CHARS", 100), mock.patch.object(
+            mrc_module, "_chunk_cells", wraps=mrc_module._chunk_cells
+        ) as chunked:
+            return ingest_prices(file), chunked.call_count
+
+    clean, calls = ingest(rows)
+    assert calls == 0 and clean.skipped_rows == 0 and clean.times.size == 40
+    expected = ingest_prices_loop(file)
+    assert clean.log_prices.tobytes() == expected.log_prices.tobytes()
+    rows[20] = rows[20].replace(f",{120},", ',"120",')
+    quoted, calls = ingest(rows)
+    assert calls == 0
+    assert quoted.log_prices.tobytes() == clean.log_prices.tobytes()
+    rows.insert(20, "# a note")
+    commented, calls = ingest(rows)
+    assert calls == 1
+    assert commented.log_prices.tobytes() == clean.log_prices.tobytes()
+
+
+# ISO-8601 forms datetime64 reads, or must leave to datetime.fromisoformat
+_ISO_READ = ["2023-01-02", "2023-01-02T14", "2023-01-02T14:30", "2023-01-02 14:30:00",
+             "2023-01-02T14:30:00.1234567", "1960-05-06T01:02:03.123456789", "1969-12-31T23:59:59.9"]
+_ISO_LEFT = ["2023-01-02T14:30:00.", "2023-01-02T14:30:00Z", "2023-01-02T14:30:00+01:00", "20240301T093000",
+             "NaT", "now", "today", "", "2023", "2023-01", "1672653600", " 2023-01-02", "2023-01-02t14:30",
+             "0001-01-01T00:00:00.5", "2023-02-29", "2023-01-02T24:00", "2023-01-02T23:59:60", "+2023-01-02"]
+
+
+@pytest.mark.parametrize("token", _ISO_READ + _ISO_LEFT)
+def test_iso_stamps_read_as_fromisoformat(token):
+    got = mrc_module._iso_stamps([token, token])
+    assert (got is not None) == (token in _ISO_READ)
+    if got is not None:
+        assert got.tolist() == [mrc_module._parse_timestamp(token)] * 2
+
+
+def test_plain_iso_chunks_skip_fromisoformat(tmp_path):
+    file = tmp_path / "prices.csv"
+    rows = [f"2023-01-02T10:00:{i:02d}.{i}, {100 + i},101" for i in range(40)]
+    file.write_text("\n".join(["timestamp,A0,A1", *rows]) + "\n")
+    with mock.patch.object(mrc_module, "_parse_timestamp", wraps=mrc_module._parse_timestamp) as per_cell:
+        got = ingest_prices(file, frequency=0.5)
+    assert per_cell.call_count == 0
+    expected = ingest_prices_loop(file, frequency=0.5)
+    assert got.times.tobytes() == expected.times.tobytes()
+    assert got.log_prices.tobytes() == expected.log_prices.tobytes()
+
+
+def test_stacked_grams_equal_one_window_at_a_time():
+    """The pre-averaged Grams of a stack of windows, bit for bit those of each window's own product."""
+    rng = np.random.default_rng(12)
+    n_windows, n, d = 40, 61, 8
+    blocks = rng.normal(size=(n_windows, n, d)).cumsum(axis=1) * 1e-3 + 4.6
+    cfg = MrcConfig()
+    k = mrc_window_length(n, cfg)
+    half, m = k // 2, n - k + 1
+    values = blocks - blocks[:, :1]
+    prefix = np.concatenate([np.zeros((n_windows, 1, d)), np.cumsum(values, axis=1)], axis=1)
+    pre = prefix[:, k : k + m] - 2.0 * prefix[:, half : half + m] + prefix[:, :m]
+    scale = (n - 1) / (n - k + 1) * 12.0 / k / (k * k)
+    expected = np.array([(block.T @ block) * scale for block in pre])
+    assert mrc_module._preaveraged_cov(blocks, cfg).tobytes() == expected.tobytes()

@@ -1,5 +1,6 @@
 import importlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,14 +19,16 @@ from grou.selection import (
     _choose,
     _columns_for,
     _finalists,
+    _heldout,
     _screen,
+    _sign_hits,
     _split_points,
     joint_network_model_search,
     select_model,
 )
 from grou.simulate import SampledPath, grid_from_times, make_uniform_grids, simulate_path
 
-from conftest import blas_counts, heldout_scores, screen_loop, select_loop
+from conftest import blas_counts, heldout_scores, screen_loop, select_loop, sign_hits_untiled
 
 selection_module = importlib.import_module("grou.selection")
 
@@ -279,6 +282,37 @@ class TestJointSearch:
             joint_network_model_search(
                 path, n_vertices, shapes=[(1, (1,))], n_candidates=4, edge_prob=0.0
             )
+
+
+class TestSignHits:
+    """The tiled held-out sign count (``_sign_hits``) against the untiled gather (``conftest.sign_hits_untiled``)."""
+
+    @pytest.mark.parametrize("tile", [1, 7, 128])
+    @pytest.mark.parametrize(
+        "G, K, n_rows",
+        # rows below one tile, a whole number of tiles and neither; one map, one column
+        [(1, 1, 5), (1, 4, 128), (3, 1, 300), (5, 3, 127), (4, 6, 129), (7, 2, 1000)],
+    )
+    def test_equals_the_untiled_gather(self, G, K, n_rows, tile, monkeypatch):
+        rng = np.random.default_rng(100 * G + 10 * K + n_rows)
+        N = K + 3
+        values = rng.standard_normal((n_rows + 1, N)).cumsum(axis=0)
+        # repeated rows give realized moves of sign zero
+        values[1::4] = values[0:-1:4]
+        cols = np.array([rng.choice(N, K, replace=False) for _ in range(G)])
+        gain = np.eye(K) + 0.3 * rng.standard_normal((G, K, K))
+        const = 0.1 * rng.standard_normal((G, K))
+        # the identity map forecasts moves of exactly zero, and a NaN gain never hits
+        gain[0], const[0] = np.eye(K), 0.0
+        gain[-1, -1, 0] = np.nan
+        previous = values[:-1]
+        realized = np.sign(values[1:] - previous).astype(np.int8)
+        expected = sign_hits_untiled(previous, realized, gain, const, cols)
+        monkeypatch.setattr(selection_module, "_TILE_ROWS", tile)
+        got = _sign_hits(*_heldout(SimpleNamespace(values=values), 1), gain, const, cols)
+        assert got.tobytes() == expected.tobytes()
+        if G > 1:
+            assert got[-1] < 1.0
 
 
 SCREEN_SHAPES = [(1, (1,)), (1, (2,)), (2, (1, 1))]

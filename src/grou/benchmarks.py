@@ -328,6 +328,11 @@ class StudyConfig:
         # checked before any path is simulated: these would give an empty or all-NaN table
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if not 1 <= self.test_size <= self.n_obs - 2:
+            raise ValueError(
+                f"test_size must be in [1, n_obs - 2], got test_size={self.test_size} "
+                f"with n_obs={self.n_obs}"
+            )
         if isinstance(self.models, str) or not self.models:
             raise ValueError(
                 f"models must be a non-empty list of model kinds, got {self.models!r}"

@@ -31,7 +31,7 @@ from .benchmarks import (
     study_rows_to_csv,
 )
 from .errors import ConfigurationError, GrouError
-from .estimate import ThresholdPolicy, estimate_drift, estimate_triplet
+from .estimate import ThresholdPolicy, _check_shape, estimate_drift, estimate_triplet
 from .forecast import one_step_map, rolling_forecast, system_from_fit, write_forecast_csv
 from .graphs import EdgeGraph, weight_matrices
 from .model import GrouParams, build_companion, cov_integral
@@ -141,10 +141,10 @@ def _parse_shapes(doc):
             shape = (int(lags), tuple(int(r) for r in stages))
         except (TypeError, ValueError):
             raise _UsageError(f"bad shape {item!r}; expected [L, [R_1, ..., R_L]]") from None
-        if len(shape[1]) != shape[0]:
-            raise _UsageError(
-                f"bad shape {item!r}; it lists {len(shape[1])} stage counts for {shape[0]} lags"
-            )
+        try:
+            _check_shape(*shape)
+        except ConfigurationError as exc:
+            raise _UsageError(f"bad shape {item!r}; {exc}") from None
         shapes.append(shape)
     return shapes
 

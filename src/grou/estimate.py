@@ -230,6 +230,9 @@ def _regressors(path: SampledPath, weights: WeightMatrices | None, shape):
 
 
 def _check_shape(lags, stages):
+    """Reject a shape without a lag, with a negative stage count, or whose stage counts miss its lags."""
+    if lags < 1 or any(r < 0 for r in stages):
+        raise ConfigurationError(f"need L >= 1 and every R_l >= 0, got L={lags}, R={list(stages)}")
     if len(stages) != lags:
         raise ConfigurationError(f"shape mismatch: {lags} lags but {len(stages)} stage counts")
 
@@ -557,7 +560,9 @@ def estimate_drift(
     Parameters
     ----------
     shape : (lags, stage-counts)
-        Model order, e.g. ``(1, [1])`` or ``(2, [1, 1])``.
+        Model order, e.g. ``(1, [1])`` or ``(2, [1, 1])``: at least one
+        lag, one stage count per lag and no negative count, else
+        :class:`ConfigurationError`.
     triplet : LevySpec
         Driving-noise description (known or previously estimated); its
         Brownian covariance weights the statistics and its drift centers

@@ -320,15 +320,9 @@ def _iso_stamps(tokens: list[str]) -> np.ndarray | None:
 def _parse_cells(rows: list[list[str]]) -> np.ndarray:
     """``(len(rows), width)`` numbers of equal-width rows; NaN where a cell does not parse.
 
-    The bulk conversion calls ``float`` on every cell.  In a chunk holding a
-    cell it rejects, the stamps go through ``float``, then through
-    :func:`_iso_stamps`, then cell by cell, and the prices through ``float``
-    or cell by cell.
+    The stamps go through ``float``, then through :func:`_iso_stamps`, then
+    cell by cell, and the prices through ``float`` or cell by cell.
     """
-    try:
-        return np.array([cell for row in rows for cell in row], dtype=float).reshape(len(rows), -1)
-    except ValueError:
-        pass
     stamps = [row[0] for row in rows]
     try:
         times = np.array(stamps, dtype=float)
@@ -360,44 +354,34 @@ def _second_of_day(epoch_seconds: np.ndarray) -> np.ndarray:
 _SESSION = (9 * 60 + 30, 16 * 60)
 _TRIMMED = (10 * 60 + 30, 15 * 60)
 # characters read per block: a block (completed to its line end) is what
-# numpy's reader parses at once, and bounds the text and cells held at once
+# one reader parses at once, and bounds the text and cells held at once
 _BLOCK_CHARS = 1 << 20
-# lines per chunk of a block that numpy's reader cannot take whole
-_CHUNK_ROWS = 32_768
-# characters numpy's reader strips around a number, where float rejects it
-_READ_APART = "\x1c\x1d\x1e\x1f"
-# characters that send a block to the chunks: the line ends of
-# str.splitlines that file iteration keeps within a line, and a comment,
-# whose line the chunks drop and on which numpy's reader would fail anyway
-_SPLIT_APART = "#\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# characters that send a block to csv: the line ends of str.splitlines that
+# file iteration keeps within a line, and the control characters numpy's
+# reader strips around a number, where float rejects them
+_SCREEN = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
-def _block_cells(block: str, width: int) -> np.ndarray | None:
-    """A block's cells read whole by numpy's C reader, or None where it must go chunk by chunk.
+def _fast_cells(block: str, width: int) -> np.ndarray | None:
+    """A block's cells read by numpy's C reader, or None where the block must go through ``csv``.
 
     ``block`` is whole lines of the file after its header.  Without any
-    character of ``_SPLIT_APART``, ``str.splitlines`` splits it into file
-    iteration's lines, and :func:`_fast_cells` takes them as it takes a
-    chunk's.
+    character of ``_SCREEN``, ``str.splitlines`` splits it into file
+    iteration's lines, whose ``#`` lines are dropped as file iteration
+    drops them.  The result is used only where it is certain to equal
+    ``csv``'s reading: one row of ``width`` numbers per line.  The last line
+    must close its record (a quoted cell may run on into the next block),
+    and a line that numpy drops (a blank one), lines that a quoted cell
+    joins into one row, or a block of uniformly narrow rows shows as a
+    wrong shape.
     """
-    if any(char in block for char in _SPLIT_APART):
+    if any(char in block for char in _SCREEN):
         return None
-    return _fast_cells(block.splitlines(), width)
-
-
-def _fast_cells(lines: list[str], width: int) -> np.ndarray | None:
-    """The chunk's cells read by numpy's C reader, or None where they must go through ``csv``.
-
-    The result is used only where it is certain to equal ``csv``'s reading:
-    one row of ``width`` numbers per line.  The last line must close its
-    record (a quoted cell may run on into the next chunk), and a line that
-    numpy drops (a blank one), lines that a quoted cell joins into one row,
-    or a chunk of uniformly narrow rows shows as a wrong shape.  A chunk
-    holding a character of ``_READ_APART`` is left to ``float``.
-    """
-    text = "".join(lines)
-    if any(char in text for char in _READ_APART):
-        return None
+    lines = block.splitlines()
+    if "#" in block:
+        lines = [line for line in lines if not line.startswith("#")]
+    if not lines:
+        return np.empty((0, width))
     try:
         if len(next(csv.reader(lines[-1:], strict=True))) != width:
             return None
@@ -409,22 +393,20 @@ def _fast_cells(lines: list[str], width: int) -> np.ndarray | None:
     return cells if cells.shape == (len(lines), width) else None
 
 
-def _chunk_cells(lines: list[str], rest, width: int) -> tuple[np.ndarray, int]:
-    """A chunk's cells and the count of its records of the wrong width.
+def _csv_cells(block: str, rest, width: int) -> tuple[np.ndarray, int]:
+    """A block's cells read by ``csv`` record by record, and the count of its records of the wrong width.
 
-    numpy's reader takes the chunk if it can (:func:`_fast_cells`), else
-    ``csv`` reads it record by record; a record that runs past the last
-    line reads on from ``rest``.
+    The records run over the block's file-iteration lines without its ``#``
+    lines; a record that runs past the block reads on from ``rest``, the
+    file's own lines.  The cells go through :func:`_parse_cells`.
     """
-    cells = _fast_cells(lines, width)
-    if cells is not None:
-        return cells, 0
+    lines = [line for line in io.StringIO(block, newline="") if not line.startswith("#")]
     reader = csv.reader(itertools.chain(lines, rest))
-    chunk = []
+    records = []
     while reader.line_num < len(lines):
-        chunk.append(next(reader))
-    rows = [row for row in chunk if len(row) == width]
-    return (_parse_cells(rows) if rows else np.empty((0, width))), len(chunk) - len(rows)
+        records.append(next(reader))
+    rows = [row for row in records if len(row) == width]
+    return (_parse_cells(rows) if rows else np.empty((0, width))), len(records) - len(rows)
 
 
 def ingest_prices(
@@ -447,15 +429,13 @@ def ingest_prices(
     out on the grid, raises.
 
     The file is read in blocks of about ``_BLOCK_CHARS`` characters, each
-    completed to its line end.  numpy's C reader parses a block's lines
-    whole where it reads them as ``csv`` would (:func:`_block_cells`).
-    Any other block goes through the chunked route in chunks of
-    ``_CHUNK_ROWS`` lines: numpy's reader on the chunk's lines where it
-    reads them as ``csv`` would, else ``csv`` record by record with the
-    same grammar, stamps through ``float``, ``datetime64`` or
-    ``datetime.fromisoformat`` (:func:`_parse_cells`).  So the result does not depend on which reader
-    took a block or chunk.  A rejected block or chunk pays for the failed
-    attempt too.
+    completed to its line end, and each block through one of two readers:
+    numpy's C reader where it reads the block's lines as ``csv`` would
+    (:func:`_fast_cells`), else ``csv`` record by record with the same
+    grammar, stamps through ``float``, ``datetime64`` or
+    ``datetime.fromisoformat`` (:func:`_csv_cells`).  So the result does not
+    depend on which reader took a block.  A block that numpy's reader turns
+    away pays for the failed attempt too.
     """
     if not frequency > 0:
         raise ValueError(f"frequency must be positive, got {frequency}")
@@ -476,36 +456,25 @@ def ingest_prices(
         width = len(header)
         while block := fh.read(_BLOCK_CHARS):
             block += fh.readline()
-            parts = []
-            cells = _block_cells(block, width)
-            if cells is not None:
-                parts.append(cells)
-            else:
-                # file iteration's lines of the block, then of the rest of the file
-                block_lines = (
-                    line for line in io.StringIO(block, newline="") if not line.startswith("#")
-                )
-                rest = itertools.chain(block_lines, lines_in)
-                while lines := list(itertools.islice(block_lines, _CHUNK_ROWS)):
-                    cells, wrong_width = _chunk_cells(lines, rest, width)
-                    parts.append(cells)
-                    skipped += wrong_width
-            for cells in parts:
-                t = cells[:, 0]
-                cells[:, 0] = np.where(np.abs(t) > 1e14, t / 1e9, t)  # epoch nanoseconds
-                # a finite stamp, finite positive prices; whole-array passes, as
-                # reductions along the short rows are slow
-                ok = cells > 0
-                ok[:, 0] = True
-                ok &= np.isfinite(cells)
-                good = np.ones(len(cells), dtype=bool)
-                good[np.flatnonzero(~ok) // width] = False
-                if filter_hours:
-                    second = _second_of_day(np.where(good, cells[:, 0], 0.0))
-                    good &= (60 * wall_lo <= second) & (second < 60 * wall_hi)
-                n_good = int(good.sum())
-                skipped += len(cells) - n_good
-                kept.append(cells if n_good == len(cells) else cells[good])
+            cells = _fast_cells(block, width)
+            if cells is None:
+                cells, wrong_width = _csv_cells(block, lines_in, width)
+                skipped += wrong_width
+            t = cells[:, 0]
+            cells[:, 0] = np.where(np.abs(t) > 1e14, t / 1e9, t)  # epoch nanoseconds
+            # a finite stamp, finite positive prices; whole-array passes, as
+            # reductions along the short rows are slow
+            ok = cells > 0
+            ok[:, 0] = True
+            ok &= np.isfinite(cells)
+            good = np.ones(len(cells), dtype=bool)
+            good[np.flatnonzero(~ok) // width] = False
+            if filter_hours:
+                second = _second_of_day(np.where(good, cells[:, 0], 0.0))
+                good &= (60 * wall_lo <= second) & (second < 60 * wall_hi)
+            n_good = int(good.sum())
+            skipped += len(cells) - n_good
+            kept.append(cells if n_good == len(cells) else cells[good])
     if not any(part.shape[0] for part in kept):
         raise IngestionError(f"{file}: no usable price rows")
     cells = np.concatenate(kept) if len(kept) > 1 else kept[0]

@@ -158,8 +158,8 @@ def select_model(
     estimated once from the head (under ``policy``) and shared by every
     shape; every drift fit takes the automatic ridge.  The shapes run as
     the joint search's finalists do, as stacks of one graph, with the same
-    results as one fit at a time.  Candidates whose fit fails are skipped
-    with a warning.
+    results as one fit at a time.  Candidates whose fit fails, or whose
+    shape has no lag or a negative stage count, are skipped with a warning.
     """
     shapes = _shape_list(candidate_shapes)
     _check_tolerance(tolerance)

@@ -496,7 +496,7 @@ def _loop_wallclock_minutes(epoch_seconds):
 def ingest_prices_loop(file, frequency=1.0, market_hours=False, trim_open_close=False):
     """Price CSV to a :class:`PriceMatrix`, one row at a time.
 
-    The per-row loop that ``grou.mrc.ingest_prices`` replaces with chunked
+    The per-row loop that ``grou.mrc.ingest_prices`` replaces with block-wise
     array parsing, kept as its oracle.  Each row is checked in turn: field
     count, timestamp and price parse, finite timestamp, finite positive
     prices, then the wall-clock session through ``datetime.fromtimestamp``.

@@ -661,6 +661,17 @@ _OUT_OF_RANGE = {
     "test_fraction_above_one_joint": (
         "select", {"mode": "joint", "test_fraction": 1.5}, "test_fraction must be in (0, 1), got 1.5"
     ),
+    "shape_negative_stage": (
+        "select", {"shapes": [[1, [1]], [1, [-1]]]}, "bad shape [1, [-1]]; need L >= 1 and every R_l >= 0"
+    ),
+    "shape_no_lag": ("select", {"shapes": [[0, []]]}, "bad shape [0, []]; need L >= 1"),
+    "screen_shape_negative_stage": (
+        "select", {"mode": "joint", "screen_shape": [2, [1, -1]]}, "bad shape [2, [1, -1]]; need L >= 1"
+    ),
+    "n_obs_one": ("benchmark", {"n_paths": 1, "n_obs": 1}, "got test_size=400 with n_obs=1"),
+    "test_size_above_n_obs": ("benchmark", {"test_size": 3000}, "got test_size=3000 with n_obs=2187"),
+    "test_size_zero": ("benchmark", {"test_size": 0}, "test_size must be in [1, n_obs - 2], got test_size=0"),
+    "test_size_leaves_one_point": ("benchmark", {"n_obs": 50, "test_size": 49}, "got test_size=49 with n_obs=50"),
 }
 
 

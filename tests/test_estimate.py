@@ -467,6 +467,15 @@ class TestEstimateDrift:
         with pytest.raises(ValueError, match=f"ridge_scale must be finite and >= 0, got {ridge}"):
             estimate_mcar(path, spec, ridge_scale=ridge)
 
+    @pytest.mark.parametrize("shape", [(1, [-1]), (2, [1, -2]), (0, [])])
+    def test_shape_without_a_lag_or_with_a_negative_stage_rejected(self, shape):
+        # (1, [-1]) used to fit an R=0 model labelled R=-1, and (0, []) died in np.stack
+        weights, _, _ = two_edge_setup()
+        path = path_from_values(np.random.default_rng(0).normal(size=(9, 2)))
+        spec = LevySpec(np.zeros(2), np.eye(2))
+        with pytest.raises(ConfigurationError, match=rf"need L >= 1 and every R_l >= 0, got L={shape[0]}"):
+            estimate_drift(path, weights, shape, spec)
+
     def test_automatic_ridge_that_never_factorizes_raises(self, monkeypatch):
         # no ridge in reach of the escalation lifts a -1e30 direction
         def statistics(*args):

@@ -615,15 +615,15 @@ _FRACTIONS = (
 
 @st.composite
 def price_files(draw):
-    """A price CSV mixing every row the ingester must take or skip, and its chunk size."""
+    """A price CSV mixing every row the ingester must take or skip, and the reader's block size."""
     n_assets = draw(st.integers(1, 3))
     edge = _DAY + draw(st.sampled_from(_EDGES))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    # numeric stamps only, so that whole chunks reach numpy's reader
+    # numeric stamps only, so that whole blocks reach numpy's reader
     numeric = draw(st.booleans())
     if draw(st.integers(0, 5)) == 0:  # bare carriage returns
         newline = "\r"
-    # plain ISO-8601 stamps only, so that whole chunks of them reach datetime64
+    # plain ISO-8601 stamps only, so that whole blocks of them reach datetime64
     iso_only = not numeric and draw(st.integers(0, 3)) == 0
     # all of them in one year before 1970; the last two lie beyond what a float holds to the microsecond
     era = draw(st.sampled_from(["", "", "1969", "1900", "1601", "0001"])) if iso_only else ""
@@ -673,13 +673,14 @@ def price_files(draw):
     lines = draw(st.sampled_from([[], ["# leading comment"]]))
     header = [draw(st.sampled_from(["timestamp", "Time"]))] + [f"A{j}" for j in range(n_assets)]
     lines.append(",".join(header))
+    first_row = len(lines)
     # a comment line or a quoted cell deep inside a long clean run (its stamps in 2023, so not with an era)
     if not era and draw(st.integers(0, 4)) == 0:
         run = [f"{_DAY + 36000 + k},{100 + k % 7}" + ",101.5" * (n_assets - 1) for k in range(draw(st.integers(50, 300)))]
         odd = draw(st.sampled_from(["# deep comment", f'{_DAY + 37000},"100"' + ",99" * (n_assets - 1)]))
         run.insert(draw(st.integers(10, len(run))), odd)
         lines += run
-    # every data row short: with a chunk of one or two lines, numpy's reader sees a narrow chunk
+    # every data row short: with a block of one or two lines, numpy's reader sees a narrow block
     narrow = draw(st.integers(0, 4)) == 0
     for _ in range(draw(st.integers(0, 30))):
         kind = draw(st.sampled_from(["row"] * 6 + ["short", "long", "blank", "comment", "bad_stamp"]))
@@ -703,7 +704,15 @@ def price_files(draw):
                 kind, ",".join(cells)
             )
         )
-    return newline.join(lines) + newline, draw(st.sampled_from([1, 2, 3, 7, 32_768]))
+    # a run of comment lines longer than a small block
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(first_row, len(lines)))
+        lines[at:at] = ["# one of a run of comments"] * draw(st.integers(1, 40))
+    # a comment straight after an unclosed quote: the record reads on past it
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(first_row, len(lines)))
+        lines[at:at] = [f'{stamp()},"100', "# after an open quote", '"' + ",99" * (n_assets - 1)]
+    return newline.join(lines) + newline, 8 * draw(st.sampled_from([1, 2, 3, 7, 32_768]))
 
 
 def _edge_case_file():
@@ -713,11 +722,11 @@ def _edge_case_file():
         f"{day + 34199}.9999996,100,\"101.5\"",  # 09:29:59.9999996 rounds into the session
         f"{day + 34199}.9999994,100,100",  # 09:29:59.999999: still before the open
         f"{day + 40000},97,97",
-        f"{day + 40000},96, 96 ",  # same stamp, same chunk: the later row wins
+        f"{day + 40000},96, 96 ",  # same stamp, same block: the later row wins
         f"{day + 37799}.9999996,101,101",  # rounds to 10:30:00, the trimmed open
         "",
         f"{(day + 40000) * 10**9 + 500_000_000},95,95",  # epoch nanoseconds
-        "2023-01-02T11:06:41+00:00,94,94",  # ISO-8601 sends its chunk cell by cell
+        "2023-01-02T11:06:41+00:00,94,94",  # ISO-8601 sends its block cell by cell
         f"{day + 40001},93",  # short row
         "nan,1,1",
         f"{day + 40002},0,5",  # non-positive price
@@ -726,22 +735,22 @@ def _edge_case_file():
         f"{day + 57599}.9999994,90,90",  # 15:59:59.999999: inside the session
         f"{day + 57600},89,89",  # 16:00:00: the close
     ]
-    return "\r\n".join(["# leading comment", "timestamp,A0,A1", *rows]) + "\r\n", 2
+    return "\r\n".join(["# leading comment", "timestamp,A0,A1", *rows]) + "\r\n", 16
 
 
 # shrinking files through both ingesters takes minutes; a failure reports the example as drawn
 @settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(
-    file_and_chunk=price_files(),
+    file_and_block=price_files(),
     frequency=st.sampled_from([1.0, 0.5, 7.0]),
     market_hours=st.booleans(),
     trim_open_close=st.booleans(),
 )
-@example(file_and_chunk=_edge_case_file(), frequency=1.0, market_hours=True, trim_open_close=False)
-@example(file_and_chunk=_edge_case_file(), frequency=1.0, market_hours=False, trim_open_close=True)
-@example(file_and_chunk=_edge_case_file(), frequency=0.5, market_hours=False, trim_open_close=False)
-def test_ingest_matches_row_loop(tmp_path_factory, file_and_chunk, frequency, market_hours, trim_open_close):
-    text, chunk_rows = file_and_chunk
+@example(file_and_block=_edge_case_file(), frequency=1.0, market_hours=True, trim_open_close=False)
+@example(file_and_block=_edge_case_file(), frequency=1.0, market_hours=False, trim_open_close=True)
+@example(file_and_block=_edge_case_file(), frequency=0.5, market_hours=False, trim_open_close=False)
+def test_ingest_matches_row_loop(tmp_path_factory, file_and_block, frequency, market_hours, trim_open_close):
+    text, block_chars = file_and_block
     file = tmp_path_factory.mktemp("prices") / "prices.csv"
     file.write_bytes(text.encode())
     options = dict(frequency=frequency, market_hours=market_hours, trim_open_close=trim_open_close)
@@ -749,10 +758,8 @@ def test_ingest_matches_row_loop(tmp_path_factory, file_and_chunk, frequency, ma
         expected = ingest_prices_loop(file, **options)
     except IngestionError:
         expected = None
-    # blocks of a few lines with the smaller chunks
-    with mock.patch.object(mrc_module, "_CHUNK_ROWS", chunk_rows), mock.patch.object(
-        mrc_module, "_BLOCK_CHARS", 8 * chunk_rows
-    ):
+    # blocks of a line or a few with the smaller sizes
+    with mock.patch.object(mrc_module, "_BLOCK_CHARS", block_chars):
         if expected is None:
             with pytest.raises(IngestionError):
                 ingest_prices(file, **options)
@@ -764,38 +771,18 @@ def test_ingest_matches_row_loop(tmp_path_factory, file_and_chunk, frequency, ma
     assert got.log_prices.tobytes() == expected.log_prices.tobytes()
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_clean_chunks_skip_the_cell_parser(tmp_path, newline):
-    """numpy's reader takes every chunk of a clean file; an ISO stamp sends its chunk through csv."""
-    rows = [f'{_DAY + 36000 + i},{100 + i},"{50 + i}.5"' for i in range(40)]
-    file = tmp_path / "prices.csv"
-
-    def ingest(rows):
-        file.write_bytes((newline.join(["# comment", "timestamp,A0,A1", *rows]) + newline).encode())
-        with mock.patch.object(mrc_module, "_CHUNK_ROWS", 16), mock.patch.object(
-            mrc_module, "_parse_cells", wraps=mrc_module._parse_cells
-        ) as parse:
-            return ingest_prices(file), parse.call_count
-
-    clean, calls = ingest(rows)
-    assert calls == 0 and clean.skipped_rows == 0 and clean.times.size == 40
-    rows[20] = "2023-01-02T10:00:20+00:00" + rows[20][rows[20].index(",") :]
-    stamped, calls = ingest(rows)
-    assert calls == 1
-    assert stamped.times.tobytes() == clean.times.tobytes()
-    assert stamped.log_prices.tobytes() == clean.log_prices.tobytes()
-
-
-# files where a chunk reads apart in numpy and csv: a quoted cell that runs on
+# files where a block reads apart in numpy and csv: a quoted cell that runs on
 # past its line (a good row over two or three lines, the last unclosed), blank
 # and whitespace-only lines (skipped rows numpy drops or rejects), and short
-# rows that fill whole chunks (numpy takes its width from the first row)
+# rows that fill whole blocks (numpy takes its width from the first row)
 _READ_APART = {
     "quoted_newline": 'timestamp,A0\n0,100\n1,"101\n"\n2,102\n3,"103\n\n"\n4,104\n5,"105',
     "blank_lines": "timestamp,A0,A1\n0,1,1\n\n1,2,2\n \t \n2,3,3\n\n",
     "short_rows": "timestamp,A0,A1\n0,1\n1,2\n2,3,3\n3,4\n4,5\n5,6,6\n",
     # numpy's reader strips these around a number, float rejects them
     "control_characters": "timestamp,A0,A1\n0,1\x1f,1\n1,2,\x1c2\n2,3,3\n3,\x1d4,4\n4,5,5\n",
+    # one of them alone in its block: only the screen keeps the block from numpy's reader
+    "control_character_alone": "timestamp,A0,A1\n0,1,1\n1,2\x1f,2\n2,3,3\n",
     # str.splitlines ends a line at these, file iteration does not
     "splitlines_ends": "timestamp,A0\n0,1\x0b\n1,\x852\n2,3\u2028\n3,4\x0c\n4,5\n5,6\x0b7,8\n9,10\u202811,12\n",
     # and these, which numpy's reader also strips around a number
@@ -805,14 +792,13 @@ _READ_APART = {
 }
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 32_768])
+@pytest.mark.parametrize("eighths", [1, 2, 3, 32_768])
 @pytest.mark.parametrize("name", list(_READ_APART))
-def test_chunks_read_apart_match_the_loop(tmp_path, name, chunk_rows):
+def test_chunks_read_apart_match_the_loop(tmp_path, name, eighths):
+    """Blocks of ``8 * eighths`` characters: one line or a few, up to the whole file."""
     file = tmp_path / "prices.csv"
     file.write_bytes(_READ_APART[name].encode())
-    with mock.patch.object(mrc_module, "_CHUNK_ROWS", chunk_rows), mock.patch.object(
-        mrc_module, "_BLOCK_CHARS", 8 * chunk_rows
-    ):
+    with mock.patch.object(mrc_module, "_BLOCK_CHARS", 8 * eighths):
         got = ingest_prices(file)
     expected = ingest_prices_loop(file)
     assert got.skipped_rows == expected.skipped_rows
@@ -821,30 +807,37 @@ def test_chunks_read_apart_match_the_loop(tmp_path, name, chunk_rows):
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-def test_clean_blocks_skip_the_chunked_route(tmp_path, newline):
-    """numpy's reader takes every block of a clean file whole, quoted cells too; a ``#`` line sends its block to the chunks."""
+def test_clean_blocks_skip_csv(tmp_path, newline):
+    """numpy's reader takes every block of a clean file, quoted cells and ``#`` lines too; an ISO
+    stamp or a blank line sends its one block through csv."""
     rows = [f"{_DAY + 36000 + i},{100 + i},{50 + i}.5" for i in range(40)]
     file = tmp_path / "prices.csv"
 
     def ingest(rows):
         file.write_bytes((newline.join(["# comment", "timestamp,A0,A1", *rows]) + newline).encode())
         with mock.patch.object(mrc_module, "_BLOCK_CHARS", 100), mock.patch.object(
-            mrc_module, "_chunk_cells", wraps=mrc_module._chunk_cells
-        ) as chunked:
-            return ingest_prices(file), chunked.call_count
+            mrc_module, "_csv_cells", wraps=mrc_module._csv_cells
+        ) as read:
+            got = ingest_prices(file)
+        expected = ingest_prices_loop(file)
+        assert got.skipped_rows == expected.skipped_rows
+        assert got.times.tobytes() == expected.times.tobytes()
+        assert got.log_prices.tobytes() == expected.log_prices.tobytes()
+        return got, read.call_count
 
     clean, calls = ingest(rows)
     assert calls == 0 and clean.skipped_rows == 0 and clean.times.size == 40
-    expected = ingest_prices_loop(file)
-    assert clean.log_prices.tobytes() == expected.log_prices.tobytes()
-    rows[20] = rows[20].replace(f",{120},", ',"120",')
-    quoted, calls = ingest(rows)
-    assert calls == 0
-    assert quoted.log_prices.tobytes() == clean.log_prices.tobytes()
-    rows.insert(20, "# a note")
-    commented, calls = ingest(rows)
-    assert calls == 1
-    assert commented.log_prices.tobytes() == clean.log_prices.tobytes()
+    stamped = "2023-01-02T10:00:20+00:00" + rows[20][rows[20].index(",") :]
+    for odd, n_calls in [
+        ([rows[20].replace(",120,", ',"120",')], 0),
+        (["# a note", rows[20]], 0),
+        ([stamped], 1),
+        (["", rows[20]], 1),
+    ]:
+        got, calls = ingest(rows[:20] + odd + rows[21:])
+        assert calls == n_calls, odd
+        assert got.times.tobytes() == clean.times.tobytes()
+        assert got.log_prices.tobytes() == clean.log_prices.tobytes()
 
 
 # ISO-8601 forms datetime64 reads, or must leave to datetime.fromisoformat

@@ -153,6 +153,16 @@ class TestSelectModel:
             outcome = select_model(path, graph, shapes)
         assert outcome.chosen.shape == (1, (1,))
 
+    def test_shape_without_a_lag_or_with_a_negative_stage_skipped(self):
+        # with one parameter fewer, (1, (-1,)) used to win on the criterion and fail to report
+        graph, path = self.make_path(seed=3, t_end=10.0)
+        with pytest.warns(UserWarning) as caught:
+            outcome = select_model(path, graph, [(1, (1,)), (1, (-1,)), (0, ())])
+        messages = [str(w.message) for w in caught]
+        assert "shape (1, (-1,)) skipped: need L >= 1 and every R_l >= 0, got L=1, R=[-1]" in messages
+        assert "shape (0, ()) skipped: need L >= 1 and every R_l >= 0, got L=0, R=[]" in messages
+        assert [c.shape for c in outcome.candidates] == [(1, (1,))]
+
     def test_scores_match_step_by_step_oracle(self):
         graph, path = self.make_path(seed=5, t_end=12.0)
         shapes = [(1, (1,)), (1, (2,)), (2, (1, 1))]

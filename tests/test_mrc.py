@@ -840,6 +840,29 @@ def test_clean_blocks_skip_csv(tmp_path, newline):
         assert got.log_prices.tobytes() == clean.log_prices.tobytes()
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_clean_chunks_skip_the_cell_parser(tmp_path, newline):
+    """numpy's reader takes every block of a clean file, quoted cells too; an ISO stamp sends its
+    one block through the cell parser."""
+    rows = [f'{_DAY + 36000 + i},{100 + i},"{50 + i}.5"' for i in range(40)]
+    file = tmp_path / "prices.csv"
+
+    def ingest(rows):
+        file.write_bytes((newline.join(["# comment", "timestamp,A0,A1", *rows]) + newline).encode())
+        with mock.patch.object(mrc_module, "_BLOCK_CHARS", 100), mock.patch.object(
+            mrc_module, "_parse_cells", wraps=mrc_module._parse_cells
+        ) as parse:
+            return ingest_prices(file), parse.call_count
+
+    clean, calls = ingest(rows)
+    assert calls == 0 and clean.skipped_rows == 0 and clean.times.size == 40
+    rows[20] = "2023-01-02T10:00:20+00:00" + rows[20][rows[20].index(",") :]
+    stamped, calls = ingest(rows)
+    assert calls == 1
+    assert stamped.times.tobytes() == clean.times.tobytes()
+    assert stamped.log_prices.tobytes() == clean.log_prices.tobytes()
+
+
 # ISO-8601 forms datetime64 reads, or must leave to datetime.fromisoformat
 _ISO_READ = ["2023-01-02", "2023-01-02T14", "2023-01-02T14:30", "2023-01-02 14:30:00",
              "2023-01-02T14:30:00.1234567", "1960-05-06T01:02:03.123456789", "1969-12-31T23:59:59.9"]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import one_blas_thread
-from .estimate import ThresholdPolicy, estimate_drift, estimate_mcar, estimate_triplet
+from .estimate import ThresholdPolicy, _check_shape, estimate_drift, estimate_mcar, estimate_triplet
 from .forecast import one_step_map, system_from_fit
 from .graphs import EdgeGraph, WeightMatrices, complete_graph, weight_matrices
 from .model import GrouParams, build_companion
@@ -326,6 +326,7 @@ class StudyConfig:
 
     def __post_init__(self):
         # checked before any path is simulated: these would give an empty or all-NaN table
+        _check_shape(*self.shape)
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if not 1 <= self.test_size <= self.n_obs - 2:

@@ -280,19 +280,17 @@ def _cmd_forecast(args):
     h = path.grid.mesh_coarse if args.horizon == "coarse" else path.grid.mesh_fine
     h *= args.horizon_steps
     system = system_from_fit(fitted, weights)
-    noise_mat = (
-        system.noise_selector
-        @ fitted.triplet_used.covariance_rate
-        @ system.noise_selector.T
+    E, triplet = system.noise_selector, fitted.triplet_used
+    _, state_cov, _ = cov_integral(
+        system.transition, E @ triplet.covariance_rate @ E.T, E @ triplet.mean_rate, h
     )
-    _, state_cov = cov_integral(system.transition, noise_mat, h)
     variance = system.observation @ state_cov @ system.observation.T
     n_eval = min(args.eval_tail, path.n_points - 1)
     eval_idx = range(path.n_points - n_eval, path.n_points)
     means = rolling_forecast(path, fitted, weights, eval_idx, horizon=args.horizon,
                              horizon_steps=args.horizon_steps)
     # one extra forecast beyond the observed horizon, from the final point
-    const, gain = one_step_map(system, fitted.triplet_used.mean_rate, h)
+    const, gain = one_step_map(system, triplet.mean_rate, h)
     beyond = const + gain @ path.values[-1]
     times = np.concatenate([path.grid.fine[list(eval_idx)], [path.grid.t_end + h]])
     all_means = np.vstack([means, beyond])

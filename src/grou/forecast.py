@@ -8,7 +8,8 @@ One-step-ahead prediction is an affine map of the last observation,
 
     mean = observation @ expm(h*T) @ state + observation @ D(h) @ E @ mu,
 
-which rolling evaluation exploits by precomputing the map once.
+with ``D(h) = int_0^h expm(u*T) du``.  Rolling evaluation precomputes the
+map once, from one exponential (:func:`grou.model.propagator`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompanionSystem, build_companion, drift_integral, expm
+from .model import CompanionSystem, build_companion, propagator
 from .simulate import SampledPath
 
 __all__ = [
@@ -52,19 +53,17 @@ def init_state(path: SampledPath, shape) -> ForecastState:
 def one_step_map(system: CompanionSystem, mean_rate, h: float):
     """Affine representation of the h-ahead conditional mean for zero-init states.
 
-    Returns ``(const, gain)`` with ``mean = const + gain @ last_observation``.
-    Unlike :func:`grou.model.conditional_moments` this needs no
-    stationarity, which keeps rolling benchmark evaluation robust when a
-    fitted competitor drifts out of the stable region; for Hurwitz systems
-    the two agree exactly.
+    Returns ``(const, gain)`` with ``mean = const + gain @ last_observation``,
+    both read off the one exponential of :func:`grou.model.propagator`.
+    Unlike :func:`grou.model.conditional_moments` this needs no stationarity,
+    which keeps rolling benchmark evaluation robust when a fitted competitor
+    drifts out of the stable region; for Hurwitz systems the two agree.
     """
     if h < 0:
         raise ValueError(f"horizon must be >= 0, got {h}")
     K = system.n_edges
-    prop = expm(h * system.transition)
-    gain = prop[:K, :K]
-    const = drift_integral(system.transition, system.noise_selector @ np.asarray(mean_rate), h)[:K]
-    return const, gain
+    prop, drift = propagator(system.transition, system.noise_selector @ np.asarray(mean_rate), h)
+    return drift[:K], prop[:K, :K]
 
 
 def system_from_fit(fitted, weights) -> CompanionSystem:

@@ -11,11 +11,11 @@ neighborhood matrices::
 
     Q_l = diag(alpha[l]) + sum_r beta[l][r] * W_r
 
-Stationary moments come from one Schur-based Lyapunov solve. Conditional
-moments use augmented matrix exponentials: the propagator and variance from
-``cov_integral``, the mean as the affine map
-``observation @ (expm(h*T) @ x + drift_integral(T, E @ mu, h))``.  No
-quadrature is involved anywhere.
+Stationary moments come from one Schur-based Lyapunov solve.  A step of
+length ``h`` takes one exponential of an augmented block (Van Loan 1978):
+:func:`propagator` gives ``expm(h*T)`` and the drift integral
+``int_0^h expm(u*T) du @ v``, :func:`cov_integral` the covariance integral
+besides, so no quadrature is involved anywhere.
 
 Every matrix exponential in the library goes through :func:`expm`, which
 runs scipy's at one BLAS thread (see :func:`expm` for why).
@@ -45,7 +45,7 @@ __all__ = [
     "conditional_moments",
     "lyapunov_solve",
     "cov_integral",
-    "drift_integral",
+    "propagator",
 ]
 
 HURWITZ_MARGIN = 1e-10
@@ -57,7 +57,7 @@ def expm(matrix: np.ndarray) -> np.ndarray:
     Every scipy exponential, even of one 2x2 matrix, wakes the worker thread
     of scipy's bundled OpenBLAS, which then spins for ~0.1-0.2 s, and a pin
     entered afterwards does not stop it (measured on a 2-core machine with
-    scipy 1.17.1).  A simulated path takes at least four exponentials, so
+    scipy 1.17.1).  A simulated path takes at least two exponentials, so
     unpinned they kept a second core busy behind every path; that is why the
     pin sits here, at the exponential.  It is held while scipy runs (~25 us
     for a small matrix), and a concurrent user thread's BLAS runs at one
@@ -331,48 +331,45 @@ def lyapunov_solve(transition: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.T)
 
 
-def cov_integral(transition: np.ndarray, rhs: np.ndarray, h: float):
-    """``(expm(h*transition), int_0^h expm(u*T) rhs expm(u*T)^T du)``.
+def propagator(transition: np.ndarray, vec: np.ndarray, h: float):
+    """``(expm(h*T), int_0^h expm(u*T) du @ vec)``, read off one exponential.
 
-    Computed exactly (up to expm accuracy) from one exponential of the
-    augmented block matrix ``[[T, rhs], [0, -T^T]]``.  The augmented matrix
-    contains ``-T^T``, whose exponential grows for stable systems, so once
-    ``h`` is large enough to overflow that block the identity
-    ``int_0^h = gamma - expm(h T) gamma expm(h T)^T`` (with gamma the
-    stationary solution) is used instead.
-    """
-    n = transition.shape[0]
-    if h == 0.0:
-        return np.eye(n), np.zeros((n, n))
-    real_parts = np.linalg.eigvals(transition).real
-    if real_parts.max() < 0 and h * max(-real_parts.min(), 1.0) > 15.0:
-        gamma = lyapunov_solve(transition, rhs)
-        prop = expm(h * transition)
-        integral = gamma - prop @ gamma @ prop.T
-        return prop, 0.5 * (integral + integral.T)
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = transition
-    block[:n, n:] = rhs
-    block[n:, n:] = -transition.T
-    phi = expm(h * block)
-    prop = phi[:n, :n]
-    integral = phi[:n, n:] @ prop.T
-    return prop, 0.5 * (integral + integral.T)
-
-
-def drift_integral(transition: np.ndarray, vec: np.ndarray, h: float) -> np.ndarray:
-    """``int_0^h expm(u*transition) du @ vec`` without inverting the transition.
-
-    A stack of transitions ``(..., n, n)`` with vectors ``(..., n)`` gives a
-    stack of integrals.
+    They are the top left and the last column of the exponential of the
+    ``(n+1)`` block ``[[T, vec], [0, 0]]``, so T is never inverted.  Stacks
+    ``(..., n, n)`` of transitions with ``(..., n)`` vectors give stacks.
     """
     n = transition.shape[-1]
-    if h == 0.0:
-        return np.zeros(np.shape(vec))
     block = np.zeros(transition.shape[:-2] + (n + 1, n + 1))
     block[..., :n, :n] = transition
     block[..., :n, n] = vec
-    return expm(h * block)[..., :n, n]
+    phi = expm(h * block)
+    return phi[..., :n, :n], phi[..., :n, n]
+
+
+def cov_integral(transition: np.ndarray, rhs: np.ndarray, vec: np.ndarray, h: float):
+    """``(prop, integral, drift)``: :func:`propagator`'s pair and the covariance integral.
+
+    ``integral = int_0^h expm(u*T) rhs expm(u*T)^T du``.  All three come from
+    one exponential of the ``(2n+1)`` block
+    ``[[T, rhs, vec], [0, -T^T, 0], [0, 0, 0]]``.  Its ``-T^T`` grows for
+    stable systems, so once ``h`` is large enough to overflow it the integral
+    is ``gamma - prop gamma prop^T`` (gamma the stationary solution) with
+    ``prop`` and ``drift`` from :func:`propagator`.
+    """
+    n = transition.shape[0]
+    real_parts = np.linalg.eigvals(transition).real
+    if real_parts.max() < 0 and h * max(-real_parts.min(), 1.0) > 15.0:
+        gamma = lyapunov_solve(transition, rhs)
+        prop, drift = propagator(transition, vec, h)
+        integral = gamma - prop @ gamma @ prop.T
+    else:
+        block = np.zeros((2 * n + 1, 2 * n + 1))
+        block[:n] = np.column_stack([transition, rhs, vec])
+        block[n : 2 * n, n : 2 * n] = -transition.T
+        phi = expm(h * block)
+        prop, drift = phi[:n, :n], phi[:n, 2 * n]
+        integral = phi[:n, n : 2 * n] @ prop.T
+    return prop, 0.5 * (integral + integral.T), drift
 
 
 def stationary_moments(system: CompanionSystem, noise) -> MomentSet:
@@ -433,7 +430,7 @@ def conditional_moments(system: CompanionSystem, noise, state_x, horizon_h: floa
     A, E, T = system.observation, system.noise_selector, system.transition
     mu = np.asarray(noise.mean_rate, dtype=float)
     Sigma_L = np.asarray(noise.covariance_rate, dtype=float)
-    prop, integral = cov_integral(T, E @ Sigma_L @ E.T, horizon_h)
-    mean = A @ (prop @ state_x + drift_integral(T, E @ mu, horizon_h))
+    prop, integral, drift = cov_integral(T, E @ Sigma_L @ E.T, E @ mu, horizon_h)
+    mean = A @ (prop @ state_x + drift)
     variance = A @ integral @ A.T
     return mean, 0.5 * (variance + variance.T)

@@ -362,35 +362,37 @@ _BLOCK_CHARS = 1 << 20
 _SCREEN = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
-def _fast_cells(block: str, width: int) -> np.ndarray | None:
-    """A block's cells read by numpy's C reader, or None where the block must go through ``csv``.
+def _fast_cells(block: str, width: int) -> tuple[np.ndarray | None, int]:
+    """A block's cells read by numpy's C reader and its blank-line count; ``(None, 0)`` sends it to ``csv``.
 
     ``block`` is whole lines of the file after its header.  Without any
     character of ``_SCREEN``, ``str.splitlines`` splits it into file
-    iteration's lines, whose ``#`` lines are dropped as file iteration
-    drops them.  The result is used only where it is certain to equal
-    ``csv``'s reading: one row of ``width`` numbers per line.  The last line
-    must close its record (a quoted cell may run on into the next block),
-    and a line that numpy drops (a blank one), lines that a quoted cell
-    joins into one row, or a block of uniformly narrow rows shows as a
-    wrong shape.
+    iteration's lines.  Their ``#`` lines are dropped as file iteration
+    drops them, and their blank lines are dropped and counted, as ``csv``
+    reads each as an empty record, a skipped row.  The result is used only
+    where it is certain to equal ``csv``'s reading: one row of ``width``
+    numbers per line.  The last line must close its record (a quoted cell
+    may run on into the next block), and lines that a quoted cell joins into
+    one row (over blank lines too) or a block of uniformly narrow rows shows
+    as a wrong shape.
     """
     if any(char in block for char in _SCREEN):
-        return None
+        return None, 0
     lines = block.splitlines()
-    if "#" in block:
-        lines = [line for line in lines if not line.startswith("#")]
+    blank = lines.count("")
+    if blank or "#" in block:
+        lines = [line for line in lines if line and not line.startswith("#")]
     if not lines:
-        return np.empty((0, width))
+        return np.empty((0, width)), blank
     try:
         if len(next(csv.reader(lines[-1:], strict=True))) != width:
-            return None
+            return None, 0
         cells = np.loadtxt(
             lines, delimiter=",", dtype=float, ndmin=2, comments=None, quotechar='"'
         )
     except (ValueError, csv.Error):
-        return None
-    return cells if cells.shape == (len(lines), width) else None
+        return None, 0
+    return (cells, blank) if cells.shape == (len(lines), width) else (None, 0)
 
 
 def _csv_cells(block: str, rest, width: int) -> tuple[np.ndarray, int]:
@@ -456,10 +458,10 @@ def ingest_prices(
         width = len(header)
         while block := fh.read(_BLOCK_CHARS):
             block += fh.readline()
-            cells = _fast_cells(block, width)
+            cells, wrong_width = _fast_cells(block, width)
             if cells is None:
                 cells, wrong_width = _csv_cells(block, lines_in, width)
-                skipped += wrong_width
+            skipped += wrong_width
             t = cells[:, 0]
             cells[:, 0] = np.where(np.abs(t) > 1e14, t / 1e9, t)  # epoch nanoseconds
             # a finite stamp, finite positive prices; whole-array passes, as

@@ -60,7 +60,7 @@ from .estimate import (
     estimate_drift,
 )
 from .graphs import EdgeGraph, _edge_ends, _weight_stack, random_er_graph
-from .model import _companion_transition, _lag_matrix, drift_integral, expm
+from .model import _companion_transition, _lag_matrix, propagator
 from .noise import _psd_spectrum, stream_rng
 from .simulate import SampledPath
 
@@ -276,7 +276,8 @@ def _one_step_maps(theta, matrices, shape, mean_rate, h):
     ``theta`` is ``(G, p)`` in :meth:`GrouParams.flatten` order,
     ``matrices[r - 1]`` the ``(G, K, K)`` stack of ``W_r`` and ``mean_rate``
     ``(G, K)``; the lag matrices and transitions are built as
-    :func:`grou.model.build_companion` builds them.
+    :func:`grou.model.build_companion` builds them, and the whole stack takes
+    one exponential, :func:`grou.model.propagator`'s.
     """
     lags, stages = shape
     G, K = mean_rate.shape
@@ -288,7 +289,8 @@ def _one_step_maps(theta, matrices, shape, mean_rate, h):
     transition = _companion_transition(lag_matrices)
     drift = np.zeros((G, lags * K))
     drift[:, -K:] = mean_rate
-    return expm(h * transition)[:, :K, :K], drift_integral(transition, drift, h)[:, :K]
+    prop, const = propagator(transition, drift, h)
+    return prop[:, :K, :K], const[:, :K]
 
 
 def _score_graphs(path, graphs, columns, shapes, n_train, policy):

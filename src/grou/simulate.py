@@ -12,12 +12,13 @@ makes its mean and covariance exact at any mesh, since
 only its higher moments are approximate.
 
 The fine-grid spacings are split into maximal runs of equal spacing (within
-a relative 1e-9 of the run's first spacing), each run gets one set of step
-operators, and each run is solved in place over a single state buffer.  A
-long run is folded in blocks of four rows, so a uniform grid costs one set
-of operators and work linear in ``n``; short runs, such as the burn-in's,
-take ``log2(n)`` rounds of a doubling scan.  A fully irregular grid gives
-runs of length one, i.e. plain stepping.
+a relative 1e-9 of the run's first spacing), each run gets its step
+operators from one exponential (:func:`grou.model.cov_integral`), and each
+run is solved in place over a single state buffer.  A long run is folded in
+blocks of four rows, so a uniform grid costs one exponential and work linear
+in ``n``; short runs, such as the burn-in's, take ``log2(n)`` rounds of a
+doubling scan.  A fully irregular grid gives runs of length one, i.e. plain
+stepping.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from ._blas import one_blas_thread
 from .model import (
     CompanionSystem,
     cov_integral,
-    drift_integral,
     expm,
     spectral_abscissa,
     stationary_moments,
@@ -414,12 +414,11 @@ def _state_path(system, noise, times, x0, rng):
     states = np.empty((dt.size + 1, dim))
     shocks = states[1:]
     rng.standard_normal(out=shocks)
-    rhs = E @ noise.brownian_cov @ E.T
+    rhs, rate = E @ noise.brownian_cov @ E.T, E @ noise.mean_rate
     tmp = np.empty((min(dt.size, _SCAN_ROWS), dim))
     props = []
     for start, stop in runs:
-        prop, cov = cov_integral(T, rhs, dt[start])
-        drift = drift_integral(T, E @ noise.mean_rate, dt[start])
+        prop, cov, drift = cov_integral(T, rhs, rate, dt[start])
         factor_t = psd_factor(cov).T
         for lo in range(start, stop, _SCAN_ROWS):
             block = shocks[lo : min(stop, lo + _SCAN_ROWS)]

@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, expm
+from scipy.linalg import cho_factor, cho_solve, expm, solve_continuous_lyapunov
 
 from grou._blas import openblas_controls
 from grou.benchmarks import BenchmarkContext, directional_accuracy, fit_and_evaluate
@@ -14,7 +14,7 @@ from grou.estimate import _regressors, estimate_drift, estimate_triplet
 from grou.forecast import rolling_forecast
 from grou.graphs import random_er_graph, weight_matrices
 from grou.errors import GrouError, IngestionError
-from grou.model import GrouParams, build_companion, cov_integral, drift_integral, is_hurwitz
+from grou.model import GrouParams, build_companion, is_hurwitz
 from grou.mrc import PriceMatrix, RollingMrc
 from grou.noise import SymmetricGammaJumps, psd_factor
 from grou.selection import CandidateScore, _choose, _columns_for
@@ -115,19 +115,84 @@ def kronecker_lyapunov(transition, rhs):
     return 0.5 * (X + X.T)
 
 
+def propagator_two_exponentials(transition, vec, h):
+    """``(expm(h*T), int_0^h expm(u*T) du @ vec)`` as two exponentials.
+
+    ``expm(h*T)`` itself, then the last column of the exponential of the
+    ``(n+1)`` block ``[[T, vec], [0, 0]]``, with ``h == 0`` answered without
+    either: the route that ``grou.model.propagator`` folds into the block's
+    one exponential, kept as its oracle.  Stacks ``(..., n, n)`` work.
+    """
+    n = transition.shape[-1]
+    if h == 0.0:
+        return np.broadcast_to(np.eye(n), transition.shape).copy(), np.zeros(np.shape(vec))
+    block = np.zeros(transition.shape[:-2] + (n + 1, n + 1))
+    block[..., :n, :n] = transition
+    block[..., :n, n] = vec
+    return expm(h * transition), expm(h * block)[..., :n, n]
+
+
+def van_loan_two_exponentials(transition, rhs, vec, h):
+    """``(prop, integral, drift)`` of ``grou.model.cov_integral`` as two exponentials.
+
+    The propagator and ``int_0^h expm(u*T) rhs expm(u*T)^T du`` from the
+    ``2n`` Van Loan block ``[[T, rhs], [0, -T^T]]`` (past the point where
+    its ``-T^T`` block overflows, ``gamma - prop gamma prop^T`` with gamma
+    the stationary solution), and the drift from
+    :func:`propagator_two_exponentials`: the route that ``cov_integral``
+    folds into one ``(2n+1)`` block, kept as its oracle.
+    """
+    n = transition.shape[0]
+    drift = propagator_two_exponentials(transition, vec, h)[1]
+    if h == 0.0:
+        return np.eye(n), np.zeros((n, n)), drift
+    real_parts = np.linalg.eigvals(transition).real
+    if real_parts.max() < 0 and h * max(-real_parts.min(), 1.0) > 15.0:
+        gamma = solve_continuous_lyapunov(transition, -rhs)
+        gamma = 0.5 * (gamma + gamma.T)
+        prop = expm(h * transition)
+        integral = gamma - prop @ gamma @ prop.T
+    else:
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n] = transition
+        block[:n, n:] = rhs
+        block[n:, n:] = -transition.T
+        phi = expm(h * block)
+        prop = phi[:n, :n]
+        integral = phi[:n, n:] @ prop.T
+    return prop, 0.5 * (integral + integral.T), drift
+
+
 def linear_scan(prop, first, shocks):
     """Every state of ``x_{i+1} = prop @ x_i + shocks[i]`` from ``x_0 = first``.
 
-    Doubling scan: after the round with span ``s`` each row holds the sum of
-    its last ``2s`` inputs, each propagated to that row, so ``log2(n)`` batched
-    products replace the ``n``-step loop.  Returns shape ``(n + 1, dim)``.
+    A two-level fold in linear work.  The ``n`` steps are cut into about
+    ``sqrt(n)`` blocks of ``sqrt(n)`` rows; one loop steps every block at
+    once from a zero start, a second carries the state from block to block,
+    and each row then adds its block's start state propagated by
+    ``prop^(j+1)``.  It is kept apart from ``grou.simulate._scan`` (four-row
+    Toeplitz blocks, doubling rounds over the block ends) so that the
+    reference simulator it serves shares no scan with the library it
+    checks.  Returns shape ``(n + 1, dim)``.
     """
-    out = np.vstack([first, shocks])
-    power, span = prop, 1
-    while span < out.shape[0]:
-        out[span:] = out[span:] + out[:-span] @ power.T
-        power, span = power @ power, 2 * span
-    return out
+    n, dim = shocks.shape
+    width = max(1, math.isqrt(n))
+    n_blocks = -(-n // width)
+    local = np.zeros((n_blocks * width, dim))
+    local[:n] = shocks
+    local = local.reshape(n_blocks, width, dim)
+    for j in range(1, width):
+        local[:, j] += local[:, j - 1] @ prop.T
+    powers = [prop]
+    for _ in range(width - 1):
+        powers.append(prop @ powers[-1])
+    starts = np.empty((n_blocks, dim))
+    state = np.asarray(first, dtype=float)
+    for k in range(n_blocks):
+        starts[k] = state
+        state = powers[-1] @ state + local[k, -1]
+    local += (starts @ np.hstack([p.T for p in powers])).reshape(n_blocks, width, dim)
+    return np.vstack([first, local.reshape(-1, dim)[:n]])
 
 
 def gamma_differences_repeat(jumps, dt, K, rng):
@@ -173,9 +238,9 @@ def simulate_full_state(system, spec, times, x0, rng):
         raise ValueError("simulate_full_state needs a uniform grid")
     T, E = system.transition, system.noise_selector
     n, dim, K = dt.size, system.dim, system.n_edges
-    prop, cov = cov_integral(T, E @ spec.brownian_cov @ E.T, h)
+    prop, cov, drift = van_loan_two_exponentials(T, E @ spec.brownian_cov @ E.T, E @ spec.drift, h)
     shocks = rng.standard_normal((n, dim)) @ psd_factor(cov).T
-    shocks += drift_integral(T, E @ spec.drift, h)
+    shocks += drift
     jump_sums = np.zeros((n, K))
     jumps = spec.jumps
     if isinstance(jumps, SymmetricGammaJumps):
@@ -222,8 +287,8 @@ def stepwise_path(system, spec, times, x0, rng, steps=None):
     rhs = E @ spec.brownian_cov @ E.T
     ops = {}
     for h in np.unique(steps):
-        factor = psd_factor(cov_integral(T, rhs, h)[1])
-        ops[h] = (expm(h * T), drift_integral(T, E @ spec.drift, h), factor)
+        _, cov, drift = van_loan_two_exponentials(T, rhs, E @ spec.drift, h)
+        ops[h] = (expm(h * T), drift, psd_factor(cov))
     z = rng.standard_normal((n, dim))
     shocks = np.array([z[i] @ ops[h][2].T + ops[h][1] for i, h in enumerate(steps)])
     jumps = spec.jumps

@@ -13,6 +13,7 @@ from grou.benchmarks import (
     monte_carlo_study,
     predictive_study_config,
 )
+from grou.errors import ConfigurationError
 from grou.graphs import EdgeGraph, complete_graph, path_graph, random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion
 from grou.noise import CompoundPoissonJumps, LevySpec
@@ -262,6 +263,11 @@ class TestStudy:
     def test_config_rejects_empty_or_garbage_tables(self, overrides, needle):
         with pytest.raises(ValueError, match=needle):
             predictive_study_config(**overrides)
+
+    @pytest.mark.parametrize("shape", [(1, (-1,)), (0, ()), (2, (1,))])
+    def test_config_rejects_bad_shapes(self, shape):
+        with pytest.raises(ConfigurationError):
+            predictive_study_config(shape=shape)
 
     def test_thread_invariance(self, blas_at_two):
         """The rows do not depend on the BLAS thread count the caller left.

@@ -21,7 +21,7 @@ from grou.model import (
     build_companion,
     conditional_moments,
     cov_integral,
-    drift_integral,
+    propagator,
     stationary_moments,
 )
 from grou.noise import CompoundPoissonJumps, LevySpec, SymmetricGammaJumps
@@ -147,22 +147,15 @@ class TestOneExponential:
         stationary_moments(system, noise).autocov(0.3)
         conditional_moments(system, noise, np.ones(system.dim), 0.2)
         rhs = system.noise_selector @ system.noise_selector.T
-        cov_integral(system.transition, rhs, 0.1)
-        cov_integral(system.transition, rhs, 100.0)
+        cov_integral(system.transition, rhs, np.ones(system.dim), 0.1)
+        cov_integral(system.transition, rhs, np.ones(system.dim), 100.0)
         stack = np.stack([system.transition, 2 * system.transition])
-        drift_integral(stack, np.ones((2, system.dim)), 0.1)
+        propagator(stack, np.ones((2, system.dim)), 0.1)
         W = weight_matrices(path_graph(3), 1).matrices[0]
         _one_step_maps(np.ones((3, 6)), [np.stack([W] * 3)], (2, (1, 1)), np.zeros((3, 2)), 0.1)
 
         callers = {caller for caller, _ in seen}
-        assert callers == {
-            "_add_jump_responses",
-            "cov_integral",
-            "drift_integral",
-            "one_step_map",
-            "autocov",
-            "_one_step_maps",
-        }
+        assert callers == {"_add_jump_responses", "cov_integral", "propagator", "autocov"}
         assert all(count == [1] * len(blas_at_two) for _, count in seen)
         assert counts(blas_at_two) == [2] * len(blas_at_two)
 

@@ -700,6 +700,8 @@ def _config_fault(workdir, name):
         fault, needle = {
             "study_shape": ({"shape": [1, [1]]}, "bad study config shape"),
             "study_lag_mismatch": ({"shape": {"L": 2, "R": [1]}}, "shape mismatch"),
+            "study_negative_stage": ({"shape": {"L": 1, "R": [-1]}}, "every R_l >= 0"),
+            "study_no_lag": ({"shape": {"L": 0, "R": []}}, "need L >= 1"),
             "study_scenario": ({"scenario": "correct"}, "'scenario' must be a JSON object"),
             "study_missing_edge": ({"scenario": {"type": "missing_edge"}}, "needs an 'edge'"),
         }[name]
@@ -744,6 +746,8 @@ class TestUsage:
             "design_not_object",
             "study_shape",
             "study_lag_mismatch",
+            "study_negative_stage",
+            "study_no_lag",
             "study_scenario",
             "study_missing_edge",
             "select_not_object",
@@ -752,7 +756,13 @@ class TestUsage:
             *_WRONG_TYPES,
         ],
     )
-    def test_config_fault_is_usage_error(self, workdir, name, capsys):
+    def test_config_fault_is_usage_error(self, workdir, name, capsys, monkeypatch):
+        """Rejected before any path is simulated."""
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a path was simulated before the config was checked")
+
+        monkeypatch.setattr("grou.benchmarks.simulate_path", not_reached)
         argv, needle = _config_fault(workdir, name)
         assert run([*argv, "--out", str(workdir / "out")]) == 1
         assert needle in capsys.readouterr().err

@@ -2,7 +2,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from grou.errors import StationarityError
 from grou.estimate import estimate_drift
@@ -19,6 +18,7 @@ from grou.model import (
     build_companion,
     conditional_moments,
     cov_integral,
+    propagator,
     stationary_moments,
 )
 from grou.noise import LevySpec
@@ -92,12 +92,9 @@ class TestForecast:
         spec = LevySpec(np.array([0.4, -0.2]), np.eye(2))
         x = np.array([1.0, -0.7, 0.2, 0.9])
         h = 0.37
-        from grou.model import drift_integral
-
         mean_2h, _ = conditional_moments(system, spec, x, 2 * h)
-        propagated = expm(h * system.transition) @ x + drift_integral(
-            system.transition, system.noise_selector @ spec.mean_rate, h
-        )
+        prop, drift = propagator(system.transition, system.noise_selector @ spec.mean_rate, h)
+        propagated = prop @ x + drift
         mean_hh, _ = conditional_moments(system, spec, propagated, h)
         np.testing.assert_allclose(mean_2h, mean_hh, atol=1e-10)
 
@@ -107,8 +104,9 @@ class TestForecast:
         spec = LevySpec(np.zeros(2), np.eye(2))
         rhs = system.noise_selector @ spec.covariance_rate @ system.noise_selector.T
         h = 0.42
-        prop, v_h = cov_integral(system.transition, rhs, h)
-        _, v_2h = cov_integral(system.transition, rhs, 2 * h)
+        drift_rate = np.zeros(system.dim)
+        prop, v_h, _ = cov_integral(system.transition, rhs, drift_rate, h)
+        _, v_2h, _ = cov_integral(system.transition, rhs, drift_rate, 2 * h)
         np.testing.assert_allclose(
             v_2h, prop @ v_h @ prop.T + v_h, rtol=1e-8, atol=1e-12
         )

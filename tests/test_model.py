@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
+import grou.model
+from grou.benchmarks import predictive_study_config
 from grou.errors import ConfigurationError, StationarityError
+from grou.forecast import one_step_map
 from grou.graphs import path_graph, weight_matrices
 from grou.model import (
     GrouParams,
@@ -15,14 +18,20 @@ from grou.model import (
     companion_inverse,
     conditional_moments,
     cov_integral,
-    drift_integral,
     is_hurwitz,
     lyapunov_solve,
+    propagator,
     stationary_moments,
 )
 from grou.noise import LevySpec
+from grou.selection import _one_step_maps
 
-from conftest import draw_hurwitz_system, kronecker_lyapunov
+from conftest import (
+    draw_hurwitz_system,
+    kronecker_lyapunov,
+    propagator_two_exponentials,
+    van_loan_two_exponentials,
+)
 
 
 def scalar_ou(rate=2.0):
@@ -334,7 +343,7 @@ class TestIntegralHelpers:
         E = system.noise_selector
         rhs = E @ np.eye(system.n_edges) @ E.T
         h = 0.7
-        _, got = cov_integral(system.transition, rhs, h)
+        _, got, _ = cov_integral(system.transition, rhs, np.zeros(system.dim), h)
         want = quadrature_cov_integral(system.transition, rhs, h)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
@@ -342,10 +351,13 @@ class TestIntegralHelpers:
         _, _, _, system = draw_hurwitz_system(rng)
         vec = rng.normal(size=system.dim)
         h = 0.9
-        got = drift_integral(system.transition, vec, h)
         us = np.linspace(0, h, 4001)
         vals = np.array([expm(u * system.transition) @ vec for u in us])
-        np.testing.assert_allclose(got, np.trapezoid(vals, us, axis=0), rtol=1e-7, atol=1e-9)
+        want = np.trapezoid(vals, us, axis=0)
+        rhs = np.eye(system.dim)
+        for got in (propagator(system.transition, vec, h)[1],
+                    cov_integral(system.transition, rhs, vec, h)[2]):
+            np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
 
     def test_lyapunov_solver_residual(self, rng):
         for n in (3, 6):
@@ -375,3 +387,103 @@ class TestIntegralHelpers:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def rel_err(got, want, floor=0.0):
+    """Largest entry of ``got - want`` over the largest entry of ``want``, or over ``floor`` if larger."""
+    scale = max(np.abs(want).max(), floor)
+    return np.abs(got - want).max() / scale if scale else np.abs(got).max()
+
+
+class TestOneExponentialKernels:
+    """``propagator`` and ``cov_integral`` against the two-exponential route they replace.
+
+    A propagator's error is taken relative to the larger of its entries and
+    1: ``expm(h*T)`` starts at the identity, and in the Lyapunov branch it is
+    below ``e^-15`` and carried at the augmented block's absolute accuracy.
+    The Lyapunov steps take the library's companion transitions.  The block
+    route's steps keep ``h * rho(T) <= 2`` for dense stable and non-Hurwitz
+    transitions, where both routes are well conditioned; beyond that the two
+    sides differ by the conditioning of the exponential, not by the route.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        stack=st.integers(1, 3),
+        abscissa=st.sampled_from([-2.0, -0.5, -0.05, 0.0, 0.4]),
+        step=st.sampled_from(["zero", "tiny", "block", "lyapunov"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_the_two_exponential_route(self, n, stack, abscissa, step, seed):
+        rng = np.random.default_rng(seed)
+        if step == "lyapunov":
+            T = draw_hurwitz_system(rng)[3].transition * rng.uniform(1.0, 2.0, size=(stack, 1, 1))
+            n = T.shape[-1]
+        else:
+            T = rng.normal(size=(stack, n, n)) * rng.uniform(0.2, 5.0)
+            T -= (np.linalg.eigvals(T).real.max(axis=-1) - abscissa)[:, None, None] * np.eye(n)
+        vec = rng.normal(size=(stack, n))
+        root = rng.normal(size=(n, n))
+        rhs = root @ root.T
+        real = np.linalg.eigvals(T[0]).real
+        # past this step cov_integral takes its Lyapunov branch for a stable T
+        h_lyapunov = 15.0 / max(-real.min(), 1.0)
+        h = {
+            "zero": 0.0,
+            "tiny": 10.0 ** rng.uniform(-12, -6),
+            "block": rng.uniform(0.01, 2.0) / max(np.abs(np.linalg.eigvals(T)).max(), 1.0),
+            "lyapunov": rng.uniform(1.01, 4.0) * h_lyapunov,
+        }[step]
+        prop, drift = propagator(T, vec, h)
+        want_prop, want_drift = propagator_two_exponentials(T, vec, h)
+        assert rel_err(prop, want_prop, 1.0) <= 1e-13
+        assert rel_err(drift, want_drift) <= 1e-13
+        got = cov_integral(T[0], rhs, vec[0], h)
+        want = van_loan_two_exponentials(T[0], rhs, vec[0], h)
+        assert rel_err(got[0], want[0], 1.0) <= 1e-13
+        assert rel_err(got[1], want[1]) <= 1e-13
+        assert rel_err(got[2], want[2]) <= 1e-13
+
+    def test_predictive_design_steps(self):
+        """The K=10 predictive design at the study's fine mesh up to seven time units."""
+        config = predictive_study_config()
+        system = build_companion(config.params, weight_matrices(config.graph, 1))
+        T, E = system.transition, system.noise_selector
+        rhs, vec = E @ (10.0 * np.eye(10)) @ E.T, E @ np.linspace(-1.0, 1.0, 10)
+        for h in (2 / 2186, 0.01, 0.1, 0.5, 1.0, 3.0, 7.0):
+            got, want = cov_integral(T, rhs, vec, h), van_loan_two_exponentials(T, rhs, vec, h)
+            assert rel_err(got[0], want[0], 1.0) <= 1e-13, h
+            assert rel_err(got[1], want[1]) <= 1e-13, h
+            assert rel_err(got[2], want[2]) <= 1e-13, h
+            for got, want in zip(propagator(T, vec, h), propagator_two_exponentials(T, vec, h)):
+                assert rel_err(got, want, 1.0) <= 1e-13, h
+
+    def test_zero_step_is_exact(self):
+        _, _, system = paper_two_edge_system()
+        T, n = system.transition, system.dim
+        vec = np.arange(1.0, n + 1.0)
+        prop, drift = propagator(np.stack([T, 2 * T]), np.stack([vec, vec]), 0.0)
+        assert np.array_equal(prop, np.stack([np.eye(n)] * 2)) and not drift.any()
+        prop, integral, drift = cov_integral(T, np.eye(n), vec, 0.0)
+        assert np.array_equal(prop, np.eye(n)) and not integral.any() and not drift.any()
+
+    def test_one_exponential_per_transition(self, monkeypatch):
+        calls = []
+
+        def counting_expm(matrix):
+            calls.append(matrix.shape)
+            return expm(matrix)
+
+        monkeypatch.setattr(grou.model, "expm", counting_expm)
+        weights, _, system = paper_two_edge_system()
+        spec = LevySpec(np.array([0.4, -0.2]), np.eye(2))
+        one_step_map(system, spec.mean_rate, 0.1)
+        assert calls == [(5, 5)]
+        calls.clear()
+        conditional_moments(system, spec, np.ones(system.dim), 0.2)
+        assert calls == [(9, 9)]
+        calls.clear()
+        stack = [np.stack([weights.matrices[0]] * 3)]
+        _one_step_maps(np.ones((3, 6)), stack, (2, (1, 1)), np.zeros((3, 2)), 0.1)
+        assert calls == [(3, 5, 5)]

@@ -808,8 +808,8 @@ def test_chunks_read_apart_match_the_loop(tmp_path, name, eighths):
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_clean_blocks_skip_csv(tmp_path, newline):
-    """numpy's reader takes every block of a clean file, quoted cells and ``#`` lines too; an ISO
-    stamp or a blank line sends its one block through csv."""
+    """numpy's reader takes every block of a clean file, quoted cells, ``#`` lines and blank lines
+    too; an ISO stamp sends its one block through csv."""
     rows = [f"{_DAY + 36000 + i},{100 + i},{50 + i}.5" for i in range(40)]
     file = tmp_path / "prices.csv"
 
@@ -832,10 +832,12 @@ def test_clean_blocks_skip_csv(tmp_path, newline):
         ([rows[20].replace(",120,", ',"120",')], 0),
         (["# a note", rows[20]], 0),
         ([stamped], 1),
-        (["", rows[20]], 1),
+        (["", rows[20]], 0),
+        (["", "", rows[20], ""], 0),
     ]:
         got, calls = ingest(rows[:20] + odd + rows[21:])
         assert calls == n_calls, odd
+        assert got.skipped_rows == odd.count(""), odd
         assert got.times.tobytes() == clean.times.tobytes()
         assert got.log_prices.tobytes() == clean.log_prices.tobytes()
 

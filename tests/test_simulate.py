@@ -413,15 +413,15 @@ class TestScanKernel:
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2]
         # one run each for the 64-step burn-in and for the path, and one
-        # covariance and one drift exponential per run
-        assert counts[0] == 4
+        # exponential per run for its propagator, covariance and drift
+        assert counts[0] == 2
         # compound-Poisson jumps add one exponential per anchor of the
         # response kernel that some jump reaches; the path's steps are far
         # shorter than the anchor spacing, the burn-in's reach a few anchors
         T = system.transition
         delta = 0.5 / np.abs(T).sum(axis=0).max()
         burn_step = grou.simulate.BURN_IN_RELAXATION / abs(np.linalg.eigvals(T).real.max()) / 64
-        most = 4 + int(burn_step / delta)
+        most = 2 + int(burn_step / delta)
         for rate in (3.0, 30.0):
             spec = LevySpec(np.zeros(2), np.eye(2), CompoundPoissonJumps(rate, np.eye(2)))
             counts, jumps = [], []

@@ -76,5 +76,6 @@ from .simulate import (
     power_law_grids,
     read_path_csv,
     simulate_path,
+    simulate_paths,
     write_path_csv,
 )

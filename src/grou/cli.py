@@ -14,6 +14,7 @@ a run can be reproduced from its artifacts alone.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -550,11 +551,16 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`run`, built on its first call; a parse leaves no state on it."""
+    return _build_parser()
+
+
 def run(argv) -> int:
     """Entry point used by tests; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

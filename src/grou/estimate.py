@@ -42,7 +42,7 @@ from scipy.linalg import solve
 from .errors import ConfigurationError, EstimationError, SingularityError
 from .graphs import WeightMatrices
 from .model import GrouParams
-from .noise import CompoundPoissonJumps, LevySpec
+from .noise import CompoundPoissonJumps, LevySpec, _psd_spectrum
 from .simulate import SampledPath
 
 __all__ = [
@@ -122,29 +122,36 @@ def finite_differences(path: SampledPath, order_l: int) -> np.ndarray:
     """
     if order_l < 0:
         raise ValueError("order must be >= 0")
-    values = path.values
-    if values.shape[0] <= order_l:
+    return _differences(path.values, path.grid.fine, order_l)
+
+
+def _differences(values, fine, order_l):
+    """:func:`finite_differences` of ``values`` ``(..., n, K)`` on the fine times ``fine``.
+
+    Leading axes give a stack of paths on one grid, each differenced as on its own.
+    """
+    n = values.shape[-2]
+    if n <= order_l:
         raise ValueError(
-            f"need more than {order_l} points for order-{order_l} differences, "
-            f"have {values.shape[0]}"
+            f"need more than {order_l} points for order-{order_l} differences, have {n}"
         )
-    dts = np.diff(path.grid.fine)
+    dts = np.diff(fine)
     out = values
     for _ in range(order_l):
-        m = out.shape[0] - 1
-        out = (out[1:] - out[:-1]) / dts[:m, None]
+        m = out.shape[-2] - 1
+        out = (out[..., 1:, :] - out[..., :-1, :]) / dts[:m, None]
     return out
 
 
-def _estimation_window(path: SampledPath, lags: int):
-    """Coarse positions usable for a model with ``lags`` lags.
+def _estimation_window(grid, lags: int):
+    """Coarse positions of ``grid`` usable for a model with ``lags`` lags.
 
     Returns the fine indices of the usable coarse points; the left endpoint
     of the last usable coarse interval is capped so every regressor stays
     inside the domain of the order-(lags-1) finite differences.
     """
-    n_intervals = path.grid.fine.size - 1
-    idx = path.grid.coarse_idx
+    n_intervals = grid.fine.size - 1
+    idx = grid.coarse_idx
     usable = idx[idx <= n_intervals - lags]
     if usable.size < 2:
         raise EstimationError(
@@ -167,13 +174,16 @@ class ThresholdedIncrements:
         return float(self.kept.mean())
 
 
-def _coarse_increments(path, lags):
-    idx = _estimation_window(path, lags)
-    top = finite_differences(path, lags - 1)
-    dvals = top[idx]
-    times = path.grid.fine[idx]
-    spacings = np.diff(times)
-    return idx, dvals, np.diff(dvals, axis=0), spacings
+def _coarse_increments(values, grid, lags):
+    """``(idx, dvals, raw, spacings)`` of values ``(..., n, K)`` on ``grid`` at ``lags`` lags.
+
+    ``dvals`` holds the order-(lags-1) differences at the usable coarse
+    points ``idx``, and ``raw`` their increments over intervals ``spacings``.
+    """
+    idx = _estimation_window(grid, lags)
+    dvals = _differences(values, grid.fine, lags - 1)[..., idx, :]
+    spacings = np.diff(grid.fine[idx])
+    return idx, dvals, np.diff(dvals, axis=-2), spacings
 
 
 def threshold_increments(
@@ -185,7 +195,7 @@ def threshold_increments(
     ``|increment_i - b_i * spacing| <= spacing**beta_i``; censored components
     are zeroed, not dropped.
     """
-    _, _, raw, spacings = _coarse_increments(path, lags)
+    _, _, raw, spacings = _coarse_increments(path.values, path.grid, lags)
     return _truncate(raw, spacings, triplet.mean_rate, policy)
 
 
@@ -203,20 +213,22 @@ def _truncate(raw, spacings, mean_rate, policy):
     )
 
 
-def _regressors(path: SampledPath, weights: WeightMatrices | None, shape):
-    """Regressor blocks at the left ends of the usable coarse intervals.
+def _regressors(values, grid, weights: WeightMatrices | None, shape):
+    """Regressor blocks at the left ends of the usable coarse intervals of ``grid``.
 
-    Returns ``(derivs, aggregates)``: ``derivs[l - 1]`` is the derivative
-    paired with lag l (lag 1 with the highest finite difference, lag L with
-    the raw values), shape ``(L, M, K)``; ``aggregates`` stacks the
-    neighborhood aggregates ``derivs[l - 1] @ W_r^T``, lag by lag and stage
-    by stage, shape ``(sum(R), M, K)``.  This is the one definition of the
+    Returns ``(derivs, aggregates)`` of the values ``(n, K)``:
+    ``derivs[l - 1]`` is the derivative paired with lag l (lag 1 with the
+    highest finite difference, lag L with the raw values), shape
+    ``(L, M, K)``; ``aggregates`` stacks the neighborhood aggregates
+    ``derivs[l - 1] @ W_r^T``, lag by lag and stage by stage, shape
+    ``(sum(R), M, K)``.  A stack ``(..., n, K)`` of paths on ``grid`` gives
+    stacks with the same leading axes.  This is the one definition of the
     regressors behind every fit.
     """
     lags, stages = shape
     stages = tuple(int(r) for r in stages)
     _check_shape(lags, stages)
-    K = path.n_edges
+    K = values.shape[-1]
     max_stage = max(stages, default=0)
     if max_stage > 0:
         if weights is None or weights.max_stage < max_stage:
@@ -225,7 +237,7 @@ def _regressors(path: SampledPath, weights: WeightMatrices | None, shape):
             raise ConfigurationError(
                 f"weights are for {weights.n_edges} edges, path has {K}"
             )
-    derivs = _derivatives(path, lags)
+    derivs = _derivatives(values, grid, lags)
     return derivs, _aggregates(derivs, () if weights is None else weights.matrices, stages)
 
 
@@ -237,10 +249,13 @@ def _check_shape(lags, stages):
         raise ConfigurationError(f"shape mismatch: {lags} lags but {len(stages)} stage counts")
 
 
-def _derivatives(path: SampledPath, lags: int) -> np.ndarray:
-    """The ``derivs`` of :func:`_regressors`, shape ``(L, M, K)``."""
-    points = _estimation_window(path, lags)[:-1]
-    return np.stack([finite_differences(path, lags - l)[points] for l in range(1, lags + 1)])
+def _derivatives(values, grid, lags: int) -> np.ndarray:
+    """The ``derivs`` of :func:`_regressors`, shape ``(..., L, M, K)``."""
+    points = _estimation_window(grid, lags)[:-1]
+    return np.stack(
+        [_differences(values, grid.fine, lags - l)[..., points, :] for l in range(1, lags + 1)],
+        axis=-3,
+    )
 
 
 def _aggregates(derivs, matrices, stages) -> np.ndarray:
@@ -338,10 +353,11 @@ def _solve_with_ridge(info, score, ridge=None):
     ``info`` is a ``(G, p, p)`` stack of symmetric matrices and ``score``
     ``(G, p)``.  ``ridge=None`` starts each fit from a trace-scaled ridge and
     multiplies it by ten until the regularized matrix admits a Cholesky
-    factorization; only the fits that fail escalate.  An explicit ridge is
-    used as given.  Returns ``(theta, ridges)``, with NaN in both for the
-    fits whose matrix never factorized.  Each fit gets the bits of
-    ``cho_solve(cho_factor(...))`` on its own matrix.
+    factorization; only the fits that fail escalate.  An explicit ridge, one
+    for all fits or one per fit, is used as given.  Returns ``(theta,
+    ridges)``, with NaN in both for the fits whose matrix never factorized.
+    Each fit gets the bits of ``cho_solve(cho_factor(...))`` on its own
+    matrix.
     """
     # on other layouts the stacked trace sums the diagonals in another order
     info = np.ascontiguousarray(info)
@@ -350,7 +366,7 @@ def _solve_with_ridge(info, score, ridge=None):
         tiny = np.finfo(float).tiny
         ridges = _RIDGE_SCALE_DEFAULT * np.maximum(np.trace(info, axis1=1, axis2=2) / p, tiny)
     else:
-        ridges = np.full(G, float(ridge))
+        ridges = np.broadcast_to(np.asarray(ridge, dtype=float), (G,)).copy()
     theta = np.full((G, p), np.nan)
     todo = np.arange(G)
     for _ in range(_RIDGE_ESCALATIONS if ridge is None else 1):
@@ -448,28 +464,30 @@ def _drift_statistics(derivs, aggregates, stages, increments, spacings, prec):
     G, L, M, K = derivs.shape
     Q = aggregates.shape[1]
     wide = derivs.transpose(0, 2, 1, 3).reshape(G, M, L * K)
-    weighted_aggs = aggregates @ prec[:, None] * spacings[:, None]
-    inc_prec = increments @ prec
-    cross = np.einsum("glmk,gqmk->glkq", derivs, weighted_aggs).reshape(G, L * K, Q)
     flat_aggs = aggregates.reshape(G, Q, M * K)
-    info = np.block(
-        [
-            [
-                np.tile(prec, (1, L, L)) * ((wide * spacings[:, None]).transpose(0, 2, 1) @ wide),
-                cross,
-            ],
-            [
-                cross.transpose(0, 2, 1),
-                weighted_aggs.reshape(G, Q, M * K) @ flat_aggs.transpose(0, 2, 1),
-            ],
-        ]
-    )
+    # each (G, M, K) temporary is released before the next is formed
+    inc_prec = increments @ prec
     score = -np.concatenate(
         [
             np.einsum("glmk,gmk->glk", derivs, inc_prec).reshape(G, L * K),
             (flat_aggs @ inc_prec.reshape(G, M * K, 1))[..., 0],
         ],
         axis=1,
+    )
+    del inc_prec
+    weighted_aggs = aggregates @ prec[:, None]
+    weighted_aggs *= spacings[:, None]
+    cross = np.einsum("glmk,gqmk->glkq", derivs, weighted_aggs).reshape(G, L * K, Q)
+    agg_block = weighted_aggs.reshape(G, Q, M * K) @ flat_aggs.transpose(0, 2, 1)
+    del weighted_aggs
+    info = np.block(
+        [
+            [
+                np.tile(prec, (1, L, L)) * ((wide * spacings[:, None]).transpose(0, 2, 1) @ wide),
+                cross,
+            ],
+            [cross.transpose(0, 2, 1), agg_block],
+        ]
     )
     # the statistics come out grouped as [all diagonal blocks | all
     # aggregates]; GrouParams.flatten's layout interleaves them lag by lag
@@ -481,9 +499,16 @@ def _drift_statistics(derivs, aggregates, stages, increments, spacings, prec):
 
 
 def _mcar_statistics(values, increments, spacings, prec):
-    """``info = S kron (X^T diag(dt) X)`` and ``score = -vec(S C^T X)``."""
-    gram = (values * spacings[:, None]).T @ values
-    return np.kron(prec, gram), -(prec @ (increments.T @ values)).reshape(-1)
+    """``info = S kron (X^T diag(dt) X)`` and ``score = -vec(S C^T X)`` for a stack of fits.
+
+    ``values`` and ``increments`` are ``(G, M, K)`` and ``prec`` ``(G, K, K)``;
+    each fit's products run on its own slice, as in :func:`_drift_statistics`.
+    """
+    G, _, K = values.shape
+    gram = (values * spacings[:, None]).transpose(0, 2, 1) @ values
+    # S kron gram, element by element as np.kron forms it
+    info = (prec[:, :, None, :, None] * gram[:, None, :, None, :]).reshape(G, K * K, K * K)
+    return info, -(prec @ (increments.transpose(0, 2, 1) @ values)).reshape(G, K * K)
 
 
 def _bic(theta, info, n_coarse) -> float:
@@ -519,25 +544,32 @@ def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
         if ridge is None:
             raise SingularityError(_STAYED_SINGULAR)
         raise SingularityError(f"information matrix not positive definite at ridge={ridge}")
-    loglik = float(theta @ score - 0.5 * theta @ info @ theta)
-    n_coarse = thresholded.spacings.size
     diag = grid_diagnostics(path.grid)
-    diag["kept_fraction"] = thresholded.kept_fraction
     if _irregular(path.grid, diag["uniformity_fine"]):
         warnings.warn(_IRREGULAR, stacklevel=3)
+    return _result(
+        theta, score, info, ridge_used, thresholded.spacings.size,
+        {**diag, "kept_fraction": thresholded.kept_fraction}, triplet, structure, shape,
+        path.n_edges,
+    )
+
+
+def _result(theta, score, info, ridge_used, n_coarse, diagnostics, triplet, structure, shape,
+            n_edges):
+    """The :class:`EstimationResult` of a solved fit; ``info`` is symmetrized."""
     return EstimationResult(
         theta_hat=theta,
         score=score,
         info=info,
-        loglik=loglik,
+        loglik=float(theta @ score - 0.5 * theta @ info @ theta),
         bic=_bic(theta, info, n_coarse),
         n_coarse=n_coarse,
         ridge_used=float(ridge_used),
         triplet_used=triplet,
         structure=structure,
         shape=shape,
-        n_edges=path.n_edges,
-        diagnostics=diag,
+        n_edges=n_edges,
+        diagnostics=diagnostics,
     )
 
 
@@ -577,7 +609,7 @@ def estimate_drift(
         policy = ThresholdPolicy.for_noise(triplet)
     lags, stages = shape
     shape = (int(lags), tuple(int(r) for r in stages))
-    derivs, aggregates = _regressors(path, weights, shape)
+    derivs, aggregates = _regressors(path.values, path.grid, weights, shape)
     thresholded = threshold_increments(path, policy, triplet, lags=shape[0])
     (info,), (score,) = _drift_statistics(
         derivs[None], aggregates[None], shape[1], thresholded.values[None],
@@ -602,10 +634,10 @@ def estimate_mcar(
     _check_ridge("ridge_scale", ridge_scale)
     if policy is None:
         policy = ThresholdPolicy.for_noise(triplet)
-    values = _regressors(path, None, (1, (0,)))[0][0]
+    values = _regressors(path.values, path.grid, None, (1, (0,)))[0]
     thresholded = threshold_increments(path, policy, triplet, lags=1)
-    info, score = _mcar_statistics(
-        values, thresholded.values, thresholded.spacings, _triplet_precision(triplet)
+    (info,), (score,) = _mcar_statistics(
+        values, thresholded.values[None], thresholded.spacings, _triplet_precision(triplet)[None]
     )
     ridge = None if ridge_scale is None else ridge_scale * np.trace(info) / info.shape[0]
     return _finish(info, score, thresholded, path, triplet, ridge, "mcar", None)
@@ -628,12 +660,20 @@ def estimate_triplet(
     """
     if policy is None:
         policy = ThresholdPolicy()
-    raw, spacings = _triplet_increments(path, lags)
+    raw, spacings = _triplet_increments(path.values, path.grid, lags)
     b_hat, corrected, small, total_time = _small_increments(raw, spacings, policy)
     (sigma_hat,), (joint_small,) = _brownian_cov(corrected[None], small[None], total_time)
     if not joint_small.any():
         raise EstimationError(_ALL_EXCEED)
+    return _levy_spec(b_hat, sigma_hat, corrected, joint_small, total_time)
 
+
+def _levy_spec(b_hat, sigma_hat, corrected, joint_small, total_time):
+    """The :class:`LevySpec` of one set's triplet, from :func:`_small_increments` and :func:`_brownian_cov`.
+
+    The rows above any cutoff give the compound-Poisson part: their count
+    per unit time is the rate and their second moment the jump covariance.
+    """
     jumps = None
     exceed = ~joint_small
     if exceed.any():
@@ -644,13 +684,13 @@ def estimate_triplet(
     return LevySpec(b_hat, sigma_hat, jumps)
 
 
-def _triplet_increments(path, lags=1):
+def _triplet_increments(values, grid, lags=1):
     """Raw coarse increments and spacings of a triplet estimate, at least ``_MIN_INCREMENTS``."""
-    _, _, raw, spacings = _coarse_increments(path, lags)
-    if raw.shape[0] < _MIN_INCREMENTS:
+    _, _, raw, spacings = _coarse_increments(values, grid, lags)
+    if spacings.size < _MIN_INCREMENTS:
         raise EstimationError(
             f"triplet estimation needs >= {_MIN_INCREMENTS} coarse increments, "
-            f"have {raw.shape[0]}"
+            f"have {spacings.size}"
         )
     return raw, spacings
 
@@ -694,3 +734,47 @@ def _brownian_cov(corrected, small, total_time):
         sigma_hat[g] = kept.T @ kept
     sigma_hat /= total_time
     return 0.5 * (sigma_hat + np.swapaxes(sigma_hat, -1, -2)), joint_small
+
+
+def _noise_precisions(raw, spacings, policy):
+    """The noise triplets and their working precisions of a stack ``(G, M, K)`` of column sets.
+
+    ``raw`` holds each set's lag-1 coarse increments, as
+    :func:`_small_increments` takes them.  Returns ``(live, factored,
+    (b_hat, sigma, corrected, small, total_time), prec)``: ``live[g]`` is
+    False where set g has no row below every cutoff (its triplet estimate
+    raises :data:`_ALL_EXCEED`), and ``factored``, one entry per live set,
+    False where the working covariance admits no Cholesky factorization.
+    The drifts ``b_hat``, Brownian covariances ``sigma``, corrected
+    increments ``corrected`` and sub-threshold masks ``small`` (of
+    :func:`_small_increments` and :func:`_brownian_cov`) and the
+    precisions ``prec`` are those of the sets that are live and factored.
+    Each set gets the bits of :func:`estimate_triplet` and of its
+    triplet's precision on its own.
+    """
+    b_hat, corrected, small, total_time = _small_increments(raw, spacings, policy)
+    sigma, joint_small = _brownian_cov(corrected, small, total_time)
+    live = joint_small.any(axis=1)
+    kept = live.copy()
+    prec, factored = sigma[:0], np.zeros(0, dtype=bool)
+    if live.any():
+        prec, factored = _precision(
+            _jittered(sigma[live], _psd_spectrum(sigma[live], "brownian_cov"))
+        )
+        kept[live] = factored
+    if not kept.all():
+        b_hat, sigma, corrected, small = b_hat[kept], sigma[kept], corrected[kept], small[kept]
+    return live, factored, (b_hat, sigma, corrected, small, total_time), prec[factored]
+
+
+# Cells (edges x rows) per stack of fits.  A stack holds a few copies of its
+# fits' rows and regressors; the bound keeps each copy to 4 MiB however
+# many fits share a stack.
+_BATCH_CELLS = 1 << 19
+
+
+def _batches(members, cells):
+    """``members`` in stacks of at most ``_BATCH_CELLS`` cells, ``cells`` per member."""
+    size = max(1, _BATCH_CELLS // cells)
+    for start in range(0, len(members), size):
+        yield members[start : start + size]

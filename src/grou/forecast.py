@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompanionSystem, build_companion, propagator
+from .model import (
+    CompanionSystem,
+    _companion_transition,
+    _lag_matrix,
+    build_companion,
+    propagator,
+)
 from .simulate import SampledPath
 
 __all__ = [
@@ -64,6 +70,29 @@ def one_step_map(system: CompanionSystem, mean_rate, h: float):
     K = system.n_edges
     prop, drift = propagator(system.transition, system.noise_selector @ np.asarray(mean_rate), h)
     return drift[:K], prop[:K, :K]
+
+
+def _one_step_maps(theta, matrices, shape, mean_rate, h):
+    """``(gain, const)`` of :func:`one_step_map` for a stack of fitted drifts.
+
+    ``theta`` is ``(G, p)`` in :meth:`GrouParams.flatten` order,
+    ``matrices[r - 1]`` the ``(G, K, K)`` stack of ``W_r`` (or one ``W_r``
+    for every fit) and ``mean_rate`` ``(G, K)``; the lag matrices and transitions are built as
+    :func:`grou.model.build_companion` builds them, and the whole stack takes
+    one exponential, :func:`grou.model.propagator`'s.
+    """
+    lags, stages = shape
+    G, K = mean_rate.shape
+    lag_matrices, pos = [], 0
+    for l in range(lags):
+        alpha, beta = theta[:, pos : pos + K], theta[:, pos + K : pos + K + stages[l]]
+        lag_matrices.append(_lag_matrix(alpha, beta, matrices))
+        pos += K + stages[l]
+    transition = _companion_transition(lag_matrices)
+    drift = np.zeros((G, lags * K))
+    drift[:, -K:] = mean_rate
+    prop, const = propagator(transition, drift, h)
+    return prop[:, :K, :K], const[:, :K]
 
 
 def system_from_fit(fitted, weights) -> CompanionSystem:

@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 HURWITZ_MARGIN = 1e-10
+# the largest h |min Re lambda| at which cov_integral reads the integral off
+# its block exponential
+_BLOCK_CUTOFF = 15.0
 
 
 def expm(matrix: np.ndarray) -> np.ndarray:
@@ -351,24 +354,35 @@ def cov_integral(transition: np.ndarray, rhs: np.ndarray, vec: np.ndarray, h: fl
 
     ``integral = int_0^h expm(u*T) rhs expm(u*T)^T du``.  All three come from
     one exponential of the ``(2n+1)`` block
-    ``[[T, rhs, vec], [0, -T^T, 0], [0, 0, 0]]``.  Its ``-T^T`` grows for
-    stable systems, so once ``h`` is large enough to overflow it the integral
-    is ``gamma - prop gamma prop^T`` (gamma the stationary solution) with
-    ``prop`` and ``drift`` from :func:`propagator`.
+    ``[[T, rhs, vec], [0, -T^T, 0], [0, 0, 0]]``.  Its ``-T^T`` grows as
+    ``exp(h |min Re lambda|)``, and past ``h |min Re lambda| = 15`` the
+    product that reads the integral off the block cancels away its digits.
+    There, a stable system's integral is ``gamma - prop gamma prop^T``
+    (gamma the stationary solution) with ``prop`` and ``drift`` from
+    :func:`propagator`; any other system's is read off the block at
+    ``s = h / 2^k``, short enough, and doubled k times:
+    ``V(2s) = V(s) + P V(s) P^T``, ``d(2s) = d(s) + P d(s)``, ``P <- P^2``.
     """
     n = transition.shape[0]
     real_parts = np.linalg.eigvals(transition).real
-    if real_parts.max() < 0 and h * max(-real_parts.min(), 1.0) > 15.0:
+    if real_parts.max() < 0 and h * max(-real_parts.min(), 1.0) > _BLOCK_CUTOFF:
         gamma = lyapunov_solve(transition, rhs)
         prop, drift = propagator(transition, vec, h)
         integral = gamma - prop @ gamma @ prop.T
     else:
+        step, doublings = h, 0
+        while step * -real_parts.min() > _BLOCK_CUTOFF:
+            step, doublings = step / 2, doublings + 1
         block = np.zeros((2 * n + 1, 2 * n + 1))
         block[:n] = np.column_stack([transition, rhs, vec])
         block[n : 2 * n, n : 2 * n] = -transition.T
-        phi = expm(h * block)
+        phi = expm(step * block)
         prop, drift = phi[:n, :n], phi[:n, 2 * n]
         integral = phi[:n, n : 2 * n] @ prop.T
+        for _ in range(doublings):
+            integral = integral + prop @ integral @ prop.T
+            drift = drift + prop @ drift
+            prop = prop @ prop
     return prop, 0.5 * (integral + integral.T), drift
 
 

@@ -43,25 +43,23 @@ from .estimate import (
     _STAYED_SINGULAR,
     ThresholdPolicy,
     _aggregates,
+    _batches,
     _bic,
-    _brownian_cov,
     _check_shape,
     _coarse_increments,
     _derivatives,
     _drift_statistics,
     _irregular,
-    _jittered,
-    _precision,
-    _small_increments,
+    _noise_precisions,
     _solve_with_ridge,
     _symmetrized,
     _triplet_increments,
     _truncate,
     estimate_drift,
 )
+from .forecast import _one_step_maps
 from .graphs import EdgeGraph, _edge_ends, _weight_stack, random_er_graph
-from .model import _companion_transition, _lag_matrix, propagator
-from .noise import _psd_spectrum, stream_rng
+from .noise import stream_rng
 from .simulate import SampledPath
 
 __all__ = [
@@ -211,19 +209,6 @@ def _columns_for(graph: EdgeGraph, n_vertices: int):
     return [i * (2 * n - i - 1) // 2 + j - i - 1 for i, j in graph.edges]
 
 
-# Cells (edges x rows) per stack of graphs.  A stack holds a few copies of
-# its graphs' held-out rows and regressors; the bound keeps each copy to
-# 4 MiB however many graphs share an edge count.
-_BATCH_CELLS = 1 << 19
-
-
-def _batches(members, cells):
-    """``members`` in stacks of at most ``_BATCH_CELLS`` cells, ``cells`` per member."""
-    size = max(1, _BATCH_CELLS // cells)
-    for start in range(0, len(members), size):
-        yield members[start : start + size]
-
-
 def _by_candidate(columns, cols):
     """``columns[..., cols]`` with the candidate axis first: ``(..., N)`` to ``(G, ..., K)``."""
     return np.ascontiguousarray(np.moveaxis(columns[..., cols], -2, 0))
@@ -270,29 +255,6 @@ def _sign_hits(previous, realized, gain, const, cols):
     return hits / (n_rows * cols.shape[1])
 
 
-def _one_step_maps(theta, matrices, shape, mean_rate, h):
-    """``(gain, const)`` of :func:`grou.forecast.one_step_map` for a stack of fitted drifts.
-
-    ``theta`` is ``(G, p)`` in :meth:`GrouParams.flatten` order,
-    ``matrices[r - 1]`` the ``(G, K, K)`` stack of ``W_r`` and ``mean_rate``
-    ``(G, K)``; the lag matrices and transitions are built as
-    :func:`grou.model.build_companion` builds them, and the whole stack takes
-    one exponential, :func:`grou.model.propagator`'s.
-    """
-    lags, stages = shape
-    G, K = mean_rate.shape
-    lag_matrices, pos = [], 0
-    for l in range(lags):
-        alpha, beta = theta[:, pos : pos + K], theta[:, pos + K : pos + K + stages[l]]
-        lag_matrices.append(_lag_matrix(alpha, beta, matrices))
-        pos += K + stages[l]
-    transition = _companion_transition(lag_matrices)
-    drift = np.zeros((G, lags * K))
-    drift[:, -K:] = mean_rate
-    prop, const = propagator(transition, drift, h)
-    return prop[:, :K, :K], const[:, :K]
-
-
 def _score_graphs(path, graphs, columns, shapes, n_train, policy):
     """Held-out scores of every graph under every shape, one stack per shape and edge count.
 
@@ -318,7 +280,7 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
     train = path.section(0, n_train)
     irregular = _irregular(train.grid, train.grid.uniformity_fine)
     try:
-        raw_lag1, spacings_lag1 = _triplet_increments(train)
+        raw_lag1, spacings_lag1 = _triplet_increments(train.values, train.grid)
     except GrouError as exc:
         return irregular, [exc] * len(graphs)
     # per shape: the derivatives, raw coarse increments and spacings, or the
@@ -329,8 +291,11 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
             _check_shape(lags, stages)
             if lags not in by_lags:
                 # lag 1 takes the triplet's increments
-                coarse = _coarse_increments(train, lags)[2:] if lags > 1 else (raw_lag1, spacings_lag1)
-                by_lags[lags] = (_derivatives(train, lags), *coarse)
+                coarse = (
+                    _coarse_increments(train.values, train.grid, lags)[2:]
+                    if lags > 1 else (raw_lag1, spacings_lag1)
+                )
+                by_lags[lags] = (_derivatives(train.values, train.grid, lags), *coarse)
         except GrouError as exc:
             steps.append(exc)
             continue
@@ -348,17 +313,11 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
             # each graph's triplet: the drift and Brownian covariance of its columns
             batch = np.array(batch)
             cols = np.array([columns[j] for j in batch], dtype=int).reshape(batch.size, K)
-            b_hat, corrected, small, total_time = _small_increments(
+            live, factored, (mean_rate, _, corrected, small, _), prec = _noise_precisions(
                 _by_candidate(raw_lag1, cols), spacings_lag1, policy
             )
-            sigma, joint_small = _brownian_cov(corrected, small, total_time)
-            live = joint_small.any(axis=1)
             for j in batch[~live].tolist():
                 scored[j] = EstimationError(_ALL_EXCEED)
-            if not live.any():
-                continue
-            sigma = sigma[live]
-            prec, factored = _precision(_jittered(sigma, _psd_spectrum(sigma, "brownian_cov")))
             for j, ok in zip(batch[live].tolist(), factored):
                 # every shape that gets as far as the precision fails with it
                 fault = None if ok else np.linalg.LinAlgError(_NO_PRECISION)
@@ -366,11 +325,10 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
             live[live] = factored
             if not live.any():
                 continue
-            js, cols, mean_rate = batch[live].tolist(), cols[live], b_hat[live]
-            prec = prec[factored]
+            js, cols = batch[live].tolist(), cols[live]
             # lag-1 shapes truncate with the triplet's own drift correction
             # and sub-threshold mask, so their increments are at hand
-            lag1 = np.where(small[live], corrected[live], 0.0) if 1 in by_lags else None
+            lag1 = np.where(small, corrected, 0.0) if 1 in by_lags else None
             matrices = _weight_stack(
                 np.array([_edge_ends(graphs[j]) for j in js]), n_vertices, n_stages
             )

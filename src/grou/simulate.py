@@ -19,6 +19,12 @@ blocks of four rows, so a uniform grid costs one exponential and work linear
 in ``n``; short runs, such as the burn-in's, take ``log2(n)`` rounds of a
 doubling scan.  A fully irregular grid gives runs of length one, i.e. plain
 stepping.
+
+:func:`simulate_paths` simulates many paths of one system, noise and grid
+from one plan: the stationary moments and their factor, the burn-in grid,
+each run's step operators and the exponentials of the jump-response
+anchors are computed once, and only the draws and the scans are done per
+path.  :func:`simulate_path` is its call for one seed.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ __all__ = [
     "power_law_grids",
     "grid_from_times",
     "simulate_path",
+    "simulate_paths",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -262,36 +269,72 @@ def simulate_path(
         sharing randomness.
 
     The path is simulated with every bundled OpenBLAS at one thread (see
-    :func:`grou.model.expm`).
+    :func:`grou.model.expm`).  This is :func:`simulate_paths` for one seed.
+    """
+    return next(simulate_paths(system, noise, grid, [rng_seed], init))
+
+
+def simulate_paths(
+    system: CompanionSystem,
+    noise: LevySpec,
+    grid: TwoScaleGrid,
+    seeds,
+    init="stationary",
+):
+    """Simulate one path per seed on ``grid.fine``, in seed order.
+
+    Path ``i`` is ``simulate_path(system, noise, grid, init, seeds[i])`` bit
+    for bit.  The work that does not depend on the seed (the stationary
+    moments and their factor, the burn-in grid, the step operators of each
+    run of equal spacing and the jump-response anchor exponentials) is done
+    once, here, so that faults in the inputs raise at the call.  The paths
+    come from a generator, one at a time, each simulated inside its own
+    one-BLAS-thread scope, which is left before the path is handed over.
     """
     if noise.n_components != system.n_edges:
         raise ValueError("noise dimension does not match the system")
-    rng_init = stream_rng(rng_seed, 0)
-    rng_main = stream_rng(rng_seed, 1)
-    rng_burn = stream_rng(rng_seed, 2)
-    dim, K = system.dim, system.n_edges
-
-    # one scope over the whole path, so that the pin each exponential takes
+    dim = system.dim
+    # one scope over the plan, so that the pin each exponential takes
     # nests (~1 us) rather than saving and restoring the counts (~5 us)
     with one_blas_thread():
         if isinstance(init, str):
             if init != "stationary":
                 raise ValueError(f"unknown init mode {init!r}")
             moments = stationary_moments(system, noise)
-            x0 = moments.state_mean + psd_factor(moments.state_cov) @ rng_init.standard_normal(dim)
+            start = (moments.state_mean, psd_factor(moments.state_cov))
             # the exact step takes any spacing: the same cost in every regime
             # and at any Hurwitz margin
             relax = BURN_IN_RELAXATION / abs(spectral_abscissa(system))
             burn_times = np.linspace(0.0, relax, _BURN_IN_STEPS + 1)
-            x0 = _state_path(system, noise, burn_times, x0, rng_burn)[0][-1].copy()
+            burn_in = (burn_times, _step_plan(system, noise, burn_times))
         else:
-            x0 = np.asarray(init, dtype=float).reshape(-1)
-            if x0.size != dim:
-                raise ValueError(f"init state has length {x0.size}, expected {dim}")
-        states, arr_t, arr_s = _state_path(system, noise, grid.fine, x0, rng_main)
-    truth = PathTruth(noise=noise, init_state=x0, arrival_times=arr_t, arrival_sizes=arr_s)
-    values = np.ascontiguousarray(states[:, :K])
-    return SampledPath(grid=grid, values=values, labels=_default_labels(K), truth=truth)
+            start, burn_in = np.asarray(init, dtype=float).reshape(-1), None
+            if start.size != dim:
+                raise ValueError(f"init state has length {start.size}, expected {dim}")
+        main = (grid.fine, _step_plan(system, noise, grid.fine))
+    # expm(a * delta * T) for each jump-response anchor a reached so far
+    anchor_ops = {}
+
+    def paths():
+        K = system.n_edges
+        for seed in seeds:
+            rng_init = stream_rng(seed, 0)
+            rng_main = stream_rng(seed, 1)
+            rng_burn = stream_rng(seed, 2)
+            with one_blas_thread():
+                if burn_in is not None:
+                    mean, factor = start
+                    x0 = mean + factor @ rng_init.standard_normal(dim)
+                    states = _state_path(system, noise, *burn_in, x0, rng_burn, anchor_ops)[0]
+                    x0 = states[-1].copy()
+                else:
+                    x0 = start
+                states, arr_t, arr_s = _state_path(system, noise, *main, x0, rng_main, anchor_ops)
+            truth = PathTruth(noise=noise, init_state=x0, arrival_times=arr_t, arrival_sizes=arr_s)
+            values = np.ascontiguousarray(states[:, :K])
+            yield SampledPath(grid=grid, values=values, labels=_default_labels(K), truth=truth)
+
+    return paths()
 
 
 # Spacings within this relative distance of their run's first spacing share
@@ -396,55 +439,69 @@ def _fold(rows, prop, m):
         blocks[lo:hi] += tmp[: hi - lo]
 
 
-def _state_path(system, noise, times, x0, rng):
+def _step_plan(system, noise, times):
+    """The step operators of ``times``: ``(start, stop, prop, factor_t, drift)`` per run of equal spacing.
+
+    ``prop`` is the run's exact step, ``factor_t`` the transposed factor of
+    its step covariance and ``drift`` its step drift, from one
+    :func:`grou.model.cov_integral` per run.
+    """
+    T, E = system.transition, system.noise_selector
+    dt = np.diff(times)
+    rhs, rate = E @ noise.brownian_cov @ E.T, E @ noise.mean_rate
+    plan = []
+    for start, stop in _runs(dt):
+        prop, cov, drift = cov_integral(T, rhs, rate, dt[start])
+        plan.append((start, stop, prop, psd_factor(cov).T, drift))
+    return plan
+
+
+def _state_path(system, noise, times, plan, x0, rng, anchor_ops):
     """Companion states on ``times`` from ``x0``: one scan per run of equal spacing.
 
-    Draw order: the Gaussian ``(n, dim)`` block first, so that zeroing one
-    noise source leaves the draws of the others untouched (superposition
-    property); then for compound-Poisson noise the counts, the sizes and the
-    sorted arrival uniforms of each non-empty interval, and for
-    symmetric-Gamma noise the two Gamma arrays and one arrival uniform per
-    step.  Returns the states and the compound-Poisson arrival times and
-    sizes (None for Gamma noise, whose arrivals are a device of the scheme).
+    ``plan`` is :func:`_step_plan`'s for ``times``, and ``anchor_ops`` the
+    anchor exponentials of :func:`_add_jump_responses`, filled as jumps
+    reach them.  Draw order: the Gaussian ``(n, dim)`` block first, so that
+    zeroing one noise source leaves the draws of the others untouched
+    (superposition property); then for compound-Poisson noise the counts,
+    the sizes and the sorted arrival uniforms of each non-empty interval,
+    and for symmetric-Gamma noise the two Gamma arrays and one arrival
+    uniform per step.  Returns the states and the compound-Poisson arrival
+    times and sizes (None for Gamma noise, whose arrivals are a device of
+    the scheme).
     """
     dim, K = system.dim, system.n_edges
     T, E = system.transition, system.noise_selector
     dt = np.diff(times)
-    runs = _runs(dt)
     states = np.empty((dt.size + 1, dim))
     shocks = states[1:]
     rng.standard_normal(out=shocks)
-    rhs, rate = E @ noise.brownian_cov @ E.T, E @ noise.mean_rate
     tmp = np.empty((min(dt.size, _SCAN_ROWS), dim))
-    props = []
-    for start, stop in runs:
-        prop, cov, drift = cov_integral(T, rhs, rate, dt[start])
-        factor_t = psd_factor(cov).T
+    for start, stop, _, factor_t, drift in plan:
         for lo in range(start, stop, _SCAN_ROWS):
             block = shocks[lo : min(stop, lo + _SCAN_ROWS)]
             out = tmp[: block.shape[0]]
             np.matmul(block, factor_t, out=out)
             np.add(out, drift, out=block)
-        props.append(prop)
     jumps = noise.jumps
     arr_t = arr_s = None
     if isinstance(jumps, SymmetricGammaJumps):
         sizes = _gamma_differences(jumps, dt, K, rng)
         owner = np.arange(dt.size)
         offsets = times[1:] - rng.uniform(times[:-1], times[1:])
-        _add_jump_responses(T, E, owner, offsets, sizes, shocks)
+        _add_jump_responses(T, E, owner, offsets, sizes, shocks, anchor_ops)
     elif jumps is not None:
         owner, arr_t, arr_s = _poisson_arrivals(jumps, times, K, rng)
-        _add_jump_responses(T, E, owner, times[owner + 1] - arr_t, arr_s, shocks)
+        _add_jump_responses(T, E, owner, times[owner + 1] - arr_t, arr_s, shocks, anchor_ops)
     else:
         arr_t, arr_s = np.empty(0), np.empty((0, K))
     states[0] = x0
-    for (start, stop), prop in zip(runs, props):
+    for start, stop, prop, _, _ in plan:
         _scan(states[start : stop + 1], prop)
     return states, arr_t, arr_s
 
 
-def _add_jump_responses(T, E, owner, offsets, sizes, shocks):
+def _add_jump_responses(T, E, owner, offsets, sizes, shocks, anchor_ops=None):
     """``shocks[owner[j]] += expm(offsets[j] T) @ E @ sizes[j]`` for every jump j.
 
     ``owner`` must be nondecreasing.  Each offset splits as ``a * delta + r``
@@ -453,8 +510,11 @@ def _add_jump_responses(T, E, owner, offsets, sizes, shocks):
     anchor 0), and ``expm(r T)`` is the Taylor polynomial with as many terms
     as the largest ``||r T||_1`` needs to reach rounding, so the responses
     are exact to rounding for any ``T``, defective ones included.  Jumps are
-    taken anchor by anchor in blocks of ``_SCAN_ROWS``.
+    taken anchor by anchor in blocks of ``_SCAN_ROWS``.  ``anchor_ops`` maps
+    anchors to their exponentials; calls with one ``T`` may share it, so
+    that each anchor's exponential is taken once.
     """
+    anchor_ops = {} if anchor_ops is None else anchor_ops
     if owner.size == 0:
         return
     norm = np.abs(T).sum(axis=0).max()
@@ -470,7 +530,12 @@ def _add_jump_responses(T, E, owner, offsets, sizes, shocks):
         bound *= np.abs(rests).max() * norm / n_terms
     firsts = np.flatnonzero(np.diff(anchors, prepend=-1.0))
     for first, last in zip(firsts, [*firsts[1:], anchors.size]):
-        op = expm(anchors[first] * delta * T) if anchors[first] else None
+        anchor = anchors[first]
+        op = None
+        if anchor:
+            op = anchor_ops.get(anchor)
+            if op is None:
+                op = anchor_ops[anchor] = expm(anchor * delta * T)
         for lo in range(first, last, _SCAN_ROWS):
             hi = min(last, lo + _SCAN_ROWS)
             # one column per jump, so scaling by the rests broadcasts along rows

@@ -2,22 +2,46 @@ import csv
 import json
 import math
 import warnings
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, expm, solve_continuous_lyapunov
 
-from grou._blas import openblas_controls
-from grou.benchmarks import BenchmarkContext, directional_accuracy, fit_and_evaluate
+from grou._blas import one_blas_thread, openblas_controls
+from grou.benchmarks import (
+    BenchmarkContext,
+    directional_accuracy,
+    evaluate,
+    fit_benchmark,
+)
 from grou.estimate import _regressors, estimate_drift, estimate_triplet
 from grou.forecast import rolling_forecast
 from grou.graphs import random_er_graph, weight_matrices
 from grou.errors import GrouError, IngestionError
-from grou.model import GrouParams, build_companion, is_hurwitz
+from grou.model import GrouParams, build_companion, cov_integral, is_hurwitz, spectral_abscissa
+from grou.model import stationary_moments
 from grou.mrc import PriceMatrix, RollingMrc
-from grou.noise import SymmetricGammaJumps, psd_factor
+from grou.noise import (
+    SymmetricGammaJumps,
+    _gamma_differences,
+    _poisson_arrivals,
+    psd_factor,
+    stream_rng,
+)
 from grou.selection import CandidateScore, _choose, _columns_for
+from grou.simulate import (
+    _BURN_IN_STEPS,
+    BURN_IN_RELAXATION,
+    _SCAN_ROWS,
+    PathTruth,
+    SampledPath,
+    _add_jump_responses,
+    _runs,
+    _scan,
+    make_uniform_grids,
+)
 
 
 def draw_hurwitz_system(rng, max_edges=5, max_lags=3):
@@ -60,7 +84,7 @@ def build_h_matrix(path, weights, shape):
     this tensor; it is the oracle for the structured statistics.
     """
     lags, stages = shape
-    derivs, aggregates = _regressors(path, weights, shape)
+    derivs, aggregates = _regressors(path.values, path.grid, weights, shape)
     _, M, K = derivs.shape
     H = np.zeros((M, lags * K + aggregates.shape[0], K))
     cols = np.arange(K)
@@ -81,7 +105,7 @@ def mcar_h_matrix(path):
     coefficient matrix, ``x_m`` the values at the m-th usable coarse point.
     """
     K = path.n_edges
-    vals = _regressors(path, None, (1, (0,)))[0][0]
+    vals = _regressors(path.values, path.grid, None, (1, (0,)))[0][0]
     H = np.zeros((vals.shape[0], K * K, K))
     for a in range(K):
         H[:, a * K : (a + 1) * K, a] = vals
@@ -310,6 +334,136 @@ def stepwise_path(system, spec, times, x0, rng, steps=None):
     return states
 
 
+def state_path_loop(system, noise, times, x0, rng):
+    """Companion states on ``times`` from ``x0``, every step operator built for the call.
+
+    The route that ``grou.simulate`` replaces with one plan per set of
+    paths (``_step_plan``) and shared anchor exponentials, kept as its
+    oracle: one ``cov_integral`` per run of equal spacing, the library's
+    scan and jump kernel, and the draws in the library's order.
+    """
+    dim, K = system.dim, system.n_edges
+    T, E = system.transition, system.noise_selector
+    dt = np.diff(times)
+    runs = _runs(dt)
+    states = np.empty((dt.size + 1, dim))
+    shocks = states[1:]
+    rng.standard_normal(out=shocks)
+    rhs, rate = E @ noise.brownian_cov @ E.T, E @ noise.mean_rate
+    tmp = np.empty((min(dt.size, _SCAN_ROWS), dim))
+    props = []
+    for start, stop in runs:
+        prop, cov, drift = cov_integral(T, rhs, rate, dt[start])
+        factor_t = psd_factor(cov).T
+        for lo in range(start, stop, _SCAN_ROWS):
+            block = shocks[lo : min(stop, lo + _SCAN_ROWS)]
+            out = tmp[: block.shape[0]]
+            np.matmul(block, factor_t, out=out)
+            np.add(out, drift, out=block)
+        props.append(prop)
+    jumps = noise.jumps
+    arr_t = arr_s = None
+    if isinstance(jumps, SymmetricGammaJumps):
+        sizes = _gamma_differences(jumps, dt, K, rng)
+        owner = np.arange(dt.size)
+        offsets = times[1:] - rng.uniform(times[:-1], times[1:])
+        _add_jump_responses(T, E, owner, offsets, sizes, shocks)
+    elif jumps is not None:
+        owner, arr_t, arr_s = _poisson_arrivals(jumps, times, K, rng)
+        _add_jump_responses(T, E, owner, times[owner + 1] - arr_t, arr_s, shocks)
+    else:
+        arr_t, arr_s = np.empty(0), np.empty((0, K))
+    states[0] = x0
+    for (start, stop), prop in zip(runs, props):
+        _scan(states[start : stop + 1], prop)
+    return states, arr_t, arr_s
+
+
+def simulate_path_loop(system, noise, grid, init="stationary", rng_seed=0):
+    """One simulated path, everything that does not depend on the seed computed for it.
+
+    The route that ``grou.simulate.simulate_paths`` replaces with one plan
+    per set of seeds, kept as its oracle: the stationary moments and their
+    factor, a 64-step burn-in and ``state_path_loop`` for the path.
+    """
+    rng_init = stream_rng(rng_seed, 0)
+    rng_main = stream_rng(rng_seed, 1)
+    rng_burn = stream_rng(rng_seed, 2)
+    dim, K = system.dim, system.n_edges
+    with one_blas_thread():
+        if isinstance(init, str):
+            moments = stationary_moments(system, noise)
+            x0 = moments.state_mean + psd_factor(moments.state_cov) @ rng_init.standard_normal(dim)
+            relax = BURN_IN_RELAXATION / abs(spectral_abscissa(system))
+            burn_times = np.linspace(0.0, relax, _BURN_IN_STEPS + 1)
+            x0 = state_path_loop(system, noise, burn_times, x0, rng_burn)[0][-1].copy()
+        else:
+            x0 = np.asarray(init, dtype=float).reshape(-1)
+        states, arr_t, arr_s = state_path_loop(system, noise, grid.fine, x0, rng_main)
+    truth = PathTruth(noise=noise, init_state=x0, arrival_times=arr_t, arrival_sizes=arr_s)
+    values = np.ascontiguousarray(states[:, :K])
+    return SampledPath(grid=grid, values=values, truth=truth)
+
+
+def fit_and_evaluate_loop(path, n_train, context, kinds):
+    """Every kind fitted on its own through ``fit_benchmark``, then ``evaluate``.
+
+    The route that ``grou.benchmarks.fit_and_evaluate`` replaces with the
+    stacked scorer of a Monte Carlo study, kept as its oracle: the triplet
+    is estimated once from the training head when a continuous-time fit
+    needs it.  Returns ``(models, reports)``.
+    """
+    train = path.section(0, n_train)
+    with one_blas_thread():
+        if context.triplet is None and {"OU", "MCAR", "GROU"}.intersection(k.upper() for k in kinds):
+            context = replace(context, triplet=estimate_triplet(train, context.policy))
+        models = [fit_benchmark(kind, train, context) for kind in kinds]
+        return models, evaluate(models, path, range(n_train, path.n_points))
+
+
+def study_one_path_loop(config, system, path_index):
+    """The reports of path ``path_index`` of a Monte Carlo study, simulated and scored on its own.
+
+    The per-path loop that ``grou.benchmarks.monte_carlo_study`` replaces
+    with stacks of paths, kept as its oracle.
+    """
+    path_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(path_index,))
+    mesh = config.t_end / (config.n_obs - 1)
+    grid = make_uniform_grids(config.t_end, mesh, config.ratio)
+    path = simulate_path_loop(system, config.noise, grid, init="stationary", rng_seed=path_seed)
+    if config.scenario == "correct":
+        graph_fit, fit_path = config.graph, path
+    else:
+        _, edge = config.scenario
+        graph_fit = config.graph.drop_edge(edge)
+        fit_path = path.drop_columns([config.graph.edge_index(edge)])
+    max_stage = max(max(config.shape[1], default=0), 1)
+    ctx = BenchmarkContext(weights=weight_matrices(graph_fit, max_stage), shape=config.shape)
+    observed = fit_path.section(0, config.n_obs)
+    return fit_and_evaluate_loop(observed, config.n_obs - config.test_size, ctx, config.models)[1]
+
+
+def study_figures_loop(config):
+    """``rmse_*`` and ``diracc_*`` of each row of ``monte_carlo_study(config)``, path by path."""
+    max_stage = max(max(config.shape[1], default=0), 1)
+    system = build_companion(config.params, weight_matrices(config.graph, max_stage))
+    all_reports = [study_one_path_loop(config, system, i) for i in range(config.n_paths)]
+    rows = []
+    for j, kind in enumerate(config.models):
+        rmse = np.array([reports[j].rmse for reports in all_reports])
+        dacc = np.array([reports[j].dir_acc for reports in all_reports])
+        rows.append(
+            {
+                "model": kind,
+                "rmse_mean": float(rmse.mean()),
+                "rmse_sd": float(rmse.std(ddof=1)) if rmse.size > 1 else 0.0,
+                "diracc_mean": float(dacc.mean()),
+                "diracc_sd": float(dacc.std(ddof=1)) if dacc.size > 1 else 0.0,
+            }
+        )
+    return rows
+
+
 def heldout_scores(path, weights, shape, n_train, triplet):
     """Held-out directional accuracy and fitted drift of one grOU shape, step by step.
 
@@ -327,12 +481,12 @@ def heldout_scores(path, weights, shape, n_train, triplet):
 def score_shape_loop(path, weights, shape, n_train, triplet, policy):
     """Held-out directional accuracy and information criterion of one grOU shape.
 
-    One fit through ``grou.benchmarks.fit_and_evaluate``: the scoring that
+    One fit through ``fit_and_evaluate_loop``: the scoring that
     ``grou.selection`` runs as stacks, kept as its oracle.  ``triplet`` None
     estimates the noise from the training head.  Returns ``(dir_acc, bic)``.
     """
     context = BenchmarkContext(weights=weights, shape=shape, triplet=triplet, policy=policy)
-    (model,), (report,) = fit_and_evaluate(path, n_train, context, kinds=("GROU",))
+    (model,), (report,) = fit_and_evaluate_loop(path, n_train, context, kinds=("GROU",))
     return report.dir_acc, model.detail.bic
 
 

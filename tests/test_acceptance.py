@@ -47,7 +47,13 @@ from grou.noise import (
     stream_rng,
 )
 from grou.selection import select_model
-from grou.simulate import SampledPath, make_uniform_grids, power_law_grids, simulate_path
+from grou.simulate import (
+    SampledPath,
+    make_uniform_grids,
+    power_law_grids,
+    simulate_path,
+    simulate_paths,
+)
 
 from conftest import draw_hurwitz_system, simulate_full_state
 
@@ -134,11 +140,10 @@ class TestCriterion2SimulatorMoments:
         moments = stationary_moments(system, spec)
         grid = make_uniform_grids(1.0, 1 / 64, 16)
         n_paths = 10_000
-        finals = np.empty((n_paths, 2))
-        for seed in range(n_paths):
-            finals[seed] = simulate_path(
-                system, spec, grid, init="stationary", rng_seed=seed
-            ).values[-1]
+        # path i is simulate_path's with rng_seed=i (test_simulate.py::TestSimulatePaths)
+        finals = np.array(
+            [path.values[-1] for path in simulate_paths(system, spec, grid, range(n_paths))]
+        )
         mean_err = np.abs(finals.mean(axis=0) - moments.mean)
         mean_se = finals.std(axis=0, ddof=1) / np.sqrt(n_paths)
         centered = finals - finals.mean(axis=0)

@@ -39,7 +39,7 @@ PUBLIC_NAMES = {
     "SelectionOutcome", "joint_network_model_search", "select_model",
     # simulate
     "SampledPath", "TwoScaleGrid", "make_uniform_grids", "power_law_grids", "read_path_csv",
-    "simulate_path", "write_path_csv",
+    "simulate_path", "simulate_paths", "write_path_csv",
 }
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(grou.__path__))

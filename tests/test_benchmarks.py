@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from conftest import ols_benchmark_fits, set_blas_threads
+from conftest import (
+    fit_and_evaluate_loop,
+    ols_benchmark_fits,
+    set_blas_threads,
+    study_figures_loop,
+    study_one_path_loop,
+)
 
+import grou.benchmarks
+import grou.estimate
 from grou.benchmarks import (
     BenchmarkContext,
     MODEL_KINDS,
-    _study_one_path,
+    _score_stack,
     directional_accuracy,
     evaluate,
     fit_and_evaluate,
@@ -13,7 +21,8 @@ from grou.benchmarks import (
     monte_carlo_study,
     predictive_study_config,
 )
-from grou.errors import ConfigurationError
+from grou.errors import ConfigurationError, EstimationError, SingularityError
+from grou.estimate import _ALL_EXCEED, ThresholdPolicy
 from grou.graphs import EdgeGraph, complete_graph, path_graph, random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion
 from grou.noise import CompoundPoissonJumps, LevySpec
@@ -153,7 +162,8 @@ class TestFitAndEvaluate:
             calls.append(args)
             raise RuntimeError("triplet estimated")
 
-        monkeypatch.setattr("grou.benchmarks.estimate_triplet", estimate_triplet)
+        # the first step of the continuous-time fits' stacked triplet
+        monkeypatch.setattr("grou.benchmarks._triplet_increments", estimate_triplet)
         _, weights, path = simulated_k5_path(seed=6, n_obs=120)
         ctx = BenchmarkContext(weights=weights)
         _, reports = fit_and_evaluate(path, 100, ctx, kinds=("NA", "ar", "VAR", "GNAR"))
@@ -169,7 +179,7 @@ class TestFitAndEvaluate:
         system = build_companion(config.params, weight_matrices(config.graph, 1))
 
         def figures():
-            return [(r.kind, r.rmse, r.dir_acc) for r in _study_one_path(config, system, 5)]
+            return [(r.kind, r.rmse, r.dir_acc) for r in study_one_path_loop(config, system, 5)]
 
         at_two = figures()
         set_blas_threads(blas_at_two, 1)
@@ -286,3 +296,119 @@ class TestStudy:
         at_two = figures(monte_carlo_study(config))
         set_blas_threads(blas_at_two, 1)
         assert figures(monte_carlo_study(config)) == at_two
+
+
+def _same_fit(got, want):
+    """Two fitted models of one kind carry the same one-step map and, if any, the same drift fit."""
+    assert got.kind == want.kind
+    assert np.array_equal(got.const, want.const) and np.array_equal(got.gain, want.gain)
+    if want.kind in ("OU", "MCAR", "GROU"):
+        a, b = got.detail, want.detail
+        for field in ("theta_hat", "score", "info"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert (a.loglik, a.n_coarse, a.ridge_used, a.structure, a.shape, a.n_edges) == (
+            b.loglik, b.n_coarse, b.ridge_used, b.structure, b.shape, b.n_edges
+        )
+        assert a.bic == b.bic and a.diagnostics == b.diagnostics
+        assert a.triplet_used.to_json() == b.triplet_used.to_json()
+
+
+def _same_reports(got, want):
+    assert [(r.kind, r.rmse, r.dir_acc) for r in got] == [(r.kind, r.rmse, r.dir_acc) for r in want]
+
+
+class TestStackedScorer:
+    """The study's stacks and fit_and_evaluate against each kind fitted on its own."""
+
+    @pytest.mark.parametrize(
+        "context",
+        [
+            {},
+            {"shape": (2, (1, 1))},
+            {"triplet": LevySpec(np.full(10, 0.1), 2.0 * np.eye(10), CompoundPoissonJumps(1.0, np.eye(10)))},
+            {"triplet": LevySpec(np.zeros(10), np.eye(10)), "shape": (2, (1, 0))},
+            {"policy": ThresholdPolicy(0.3)},
+            {"policy": ThresholdPolicy(activity="infinite"), "shape": (2, (1, 1))},
+        ],
+    )
+    @pytest.mark.parametrize("kinds", [MODEL_KINDS, ("grou", "MCAR", "ou"), ("MCAR",), ("OU", "NA")])
+    def test_fit_and_evaluate_equals_fit_benchmark(self, context, kinds):
+        _, weights, path = simulated_k5_path(sigma2=10.0, seed=4, n_obs=700)
+        ctx = BenchmarkContext(weights=weights, **context)
+        models, reports = fit_and_evaluate(path, 550, ctx, kinds)
+        want_models, want_reports = fit_and_evaluate_loop(path, 550, ctx, kinds)
+        for got, want in zip(models, want_models, strict=True):
+            _same_fit(got, want)
+        _same_reports(reports, want_reports)
+
+    def test_ou_without_weights(self):
+        """OU alone needs no weight matrices, even under a shape with stages."""
+        _, _, path = simulated_k5_path(seed=2, n_obs=500)
+        ctx = BenchmarkContext(shape=(1, (1,)))
+        (got,), reports = fit_and_evaluate(path, 400, ctx, ("OU",))
+        (want,), want_reports = fit_and_evaluate_loop(path, 400, ctx, ("OU",))
+        _same_fit(got, want)
+        _same_reports(reports, want_reports)
+
+    @pytest.mark.parametrize("scenario", ["correct", ("missing_edge", (0, 1)), ("missing_edge", (3, 4))])
+    @pytest.mark.parametrize("shape", [(1, (1,)), (2, (1, 1))])
+    def test_study_rows_equal_the_loop(self, scenario, shape, monkeypatch):
+        """Seven paths in stacks of three: two whole batches and a partial last one."""
+        config = predictive_study_config(
+            n_paths=7, seed=21, n_obs=600, test_size=150, scenario=scenario, shape=shape
+        )
+        K = config.graph.n_edges - (scenario != "correct")
+        cells = grou.benchmarks._STACK_COPIES * config.n_obs * K
+        monkeypatch.setattr(grou.estimate, "_BATCH_CELLS", 3 * cells)
+        got = monte_carlo_study(config)
+        for row, want in zip(got, study_figures_loop(config), strict=True):
+            assert {k: row[k] for k in want} == want
+
+    def test_full_design_rows_equal_the_loop(self):
+        """The benchmark's K=10 design: 2,187 points a path, eight paths in two stacks."""
+        config = predictive_study_config(n_paths=8, seed=3)
+        for row, want in zip(monte_carlo_study(config), study_figures_loop(config), strict=True):
+            assert {k: row[k] for k in want} == want
+
+    def test_stacks_do_not_fall_back(self, monkeypatch):
+        """On clean paths the stack fits every continuous kind itself."""
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a continuous kind was fitted on its own")
+
+        for name in ("estimate_drift", "estimate_mcar", "estimate_triplet"):
+            monkeypatch.setattr(grou.benchmarks, name, not_reached)
+        config = predictive_study_config(n_paths=3, seed=8, n_obs=500, test_size=100)
+        assert len(monte_carlo_study(config)) == len(MODEL_KINDS)
+
+    @staticmethod
+    def faulty_stack(order):
+        """Paths on one grid: ``good``, ``flat`` (MCAR's fixed ridge is 0 and fails) and
+        ``jumpy`` (every increment exceeds the threshold, so its triplet fails)."""
+        _, _, path = simulated_k5_path(seed=1, n_obs=500)
+        paths = {
+            "good": path.values,
+            "flat": np.zeros_like(path.values),
+            "jumpy": 1e4 * np.cumsum(np.ones_like(path.values), axis=0),
+        }
+        return path.grid, np.stack([paths[name] for name in order])
+
+    @pytest.mark.parametrize(
+        "order, error, needle",
+        [
+            (("good", "flat", "jumpy"), SingularityError, "not positive definite at ridge=0.0"),
+            (("good", "jumpy", "flat"), EstimationError, _ALL_EXCEED),
+        ],
+    )
+    def test_first_failing_path_raises_its_own_error(self, order, error, needle):
+        grid, values = self.faulty_stack(order)
+        ctx = BenchmarkContext(weights=weight_matrices(complete_graph(5), 1))
+        for v in values:
+            try:
+                fit_and_evaluate_loop(SampledPath(grid=grid, values=v), 400, ctx, MODEL_KINDS)
+            except error as exc:
+                assert needle in str(exc)
+                break
+        else:
+            raise AssertionError("no path failed on its own")
+        with pytest.raises(error, match=needle):
+            _score_stack(grid, values, 400, ctx, MODEL_KINDS)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import blas_counts as counts
+from conftest import study_one_path_loop
 
 import grou.model
 import grou.simulate
 from grou import _blas
 from grou._blas import one_blas_thread, openblas_controls
-from grou.benchmarks import _study_one_path, predictive_study_config
+from grou.benchmarks import predictive_study_config
 from grou.forecast import one_step_map
 from grou.graphs import path_graph, weight_matrices
 from grou.model import (
@@ -101,7 +102,7 @@ def test_study_reports_blas_invariant():
     system = build_companion(config.params, weight_matrices(config.graph, 1))
 
     def summary(i):
-        return [(r.kind, r.rmse, r.dir_acc) for r in _study_one_path(config, system, i)]
+        return [(r.kind, r.rmse, r.dir_acc) for r in study_one_path_loop(config, system, i)]
 
     at_default = [summary(i) for i in range(config.n_paths)]
     with one_blas_thread():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import grou.cli
 from grou.cli import _build_parser, run
 from grou.graphs import path_graph
 from grou.model import GrouParams
@@ -762,7 +763,7 @@ class TestUsage:
         def not_reached(*args, **kwargs):
             raise AssertionError("a path was simulated before the config was checked")
 
-        monkeypatch.setattr("grou.benchmarks.simulate_path", not_reached)
+        monkeypatch.setattr("grou.benchmarks.simulate_paths", not_reached)
         argv, needle = _config_fault(workdir, name)
         assert run([*argv, "--out", str(workdir / "out")]) == 1
         assert needle in capsys.readouterr().err
@@ -774,7 +775,7 @@ class TestUsage:
         def not_reached(*args, **kwargs):
             raise AssertionError("work started before the config was checked")
 
-        monkeypatch.setattr("grou.benchmarks.simulate_path", not_reached)
+        monkeypatch.setattr("grou.benchmarks.simulate_paths", not_reached)
         monkeypatch.setattr("grou.selection._score_graphs", not_reached)
         argv, needle = _config_fault(workdir, name)
         assert run([*argv, "--out", str(workdir / "out")]) == 1
@@ -782,6 +783,33 @@ class TestUsage:
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
+
+    def test_parser_is_built_once_on_the_first_run(self, monkeypatch):
+        built = []
+
+        def build():
+            built.append(1)
+            return _build_parser()
+
+        monkeypatch.setattr(grou.cli, "_build_parser", build)
+        grou.cli._parser.cache_clear()
+        try:
+            assert not built
+            assert run(["frobnicate"]) == 1
+            assert run([]) == 1
+            assert len(built) == 1
+        finally:
+            grou.cli._parser.cache_clear()
+
+    def test_a_parse_leaves_no_state_on_the_parser(self):
+        parser = grou.cli._parser()
+        first = parser.parse_args(["benchmark", "--config", "a.json", "--seed", "3", "--out", "o"])
+        with pytest.raises(grou.cli._UsageError):
+            parser.parse_args(["benchmark", "--config", "a.json", "--seed", "x", "--out", "o"])
+        again = parser.parse_args(["benchmark", "--config", "b.json", "--out", "p"])
+        assert (first.seed, first.config) == (3, "a.json")
+        assert (again.seed, again.config, again.out) == (None, "b.json", "p")
+        assert again.func is first.func is grou.cli._cmd_benchmark
 
     def test_no_subcommand(self):
         assert run([]) == 1

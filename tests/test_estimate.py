@@ -382,7 +382,7 @@ class TestThresholdIncrements:
         path = path_from_values(values, mesh=0.25, ratio=1)
         spec = LevySpec(np.array([0.1, -0.05]), np.eye(2))
         out = threshold_increments(path, ThresholdPolicy(0.2), spec, lags=1)
-        _, _, raw, spacings = _coarse_increments(path, 1)
+        _, _, raw, spacings = _coarse_increments(path.values, path.grid, 1)
         expected = raw - spec.drift * spacings[:, None]
         np.testing.assert_allclose(out.values, expected)
         assert out.kept.all()
@@ -410,7 +410,7 @@ class TestThresholdIncrements:
         for seed in range(20):
             path = simulate_path(system, spec, grid, init="stationary", rng_seed=seed)
             out = threshold_increments(path, policy, spec, lags=2)
-            idx, _, _, spacings = _coarse_increments(path, 2)
+            idx, _, _, spacings = _coarse_increments(path.values, path.grid, 2)
             times = path.grid.fine[idx]
             cuts = out.thresholds
             arr_t, arr_s = path.truth.arrival_times, path.truth.arrival_sizes
@@ -550,7 +550,7 @@ class TestEstimateDrift:
         for seed in range(12):
             path = simulate_path(system, spec, grid, init="stationary", rng_seed=seed)
             fitted = estimate_drift(path, weights, (2, [1, 1]), spec, policy)
-            idx, _, raw, spacings = _coarse_increments(path, 2)
+            idx, _, raw, spacings = _coarse_increments(path.values, path.grid, 2)
             times = path.grid.fine[idx]
             arr_t, arr_s = path.truth.arrival_times, path.truth.arrival_sizes
             jump_sum = np.zeros_like(raw)

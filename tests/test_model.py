@@ -459,6 +459,42 @@ class TestOneExponentialKernels:
             for got, want in zip(propagator(T, vec, h), propagator_two_exponentials(T, vec, h)):
                 assert rel_err(got, want, 1.0) <= 1e-13, h
 
+    @pytest.mark.parametrize("rotation", ["orthogonal", "skewed"])
+    @pytest.mark.parametrize("h", [2.0, 4.0, 6.0, 10.0, 40.0])
+    def test_non_hurwitz_long_steps_match_the_closed_form(self, rotation, h):
+        """Eigenvalues {0.1, -5, -8}: past h |min Re| = 15 the block's -T^T
+        cancels away the integral's digits (relative error 318 at h=6 read off
+        one block), so the block is taken at h / 2^k and doubled."""
+        rng = np.random.default_rng(11)
+        lam = np.array([0.1, -5.0, -8.0])
+        S = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        if rotation == "skewed":
+            S = S @ np.array([[1.0, 0.7, -0.4], [0.0, 1.0, 0.9], [0.0, 0.0, 1.0]])
+        S_inv = np.linalg.inv(S)
+        T = S @ np.diag(lam) @ S_inv
+        rhs, vec = np.eye(3), np.array([1.0, -2.0, 0.5])
+        prop, integral, drift = cov_integral(T, rhs, vec, h)
+        # e^{uT} = S e^{u Lambda} S^-1, so each integral is elementwise in the eigenbasis
+        pair = lam[:, None] + lam[None, :]
+        want = S @ (S_inv @ rhs @ S_inv.T * np.expm1(pair * h) / pair) @ S.T
+        assert rel_err(integral, want) <= 1e-8
+        assert rel_err(drift, S @ (np.expm1(lam * h) / lam * (S_inv @ vec))) <= 1e-8
+        assert rel_err(prop, S @ np.diag(np.exp(lam * h)) @ S_inv) <= 1e-8
+
+    def test_non_hurwitz_short_step_reads_one_block(self):
+        """Below the cutoff the integral is read off one block exponential, as before."""
+        rng = np.random.default_rng(12)
+        T = rng.normal(size=(3, 3)) + 0.5 * np.eye(3)
+        rhs, vec, h = np.eye(3), np.ones(3), 0.7
+        block = np.zeros((7, 7))
+        block[:3] = np.column_stack([T, rhs, vec])
+        block[3:6, 3:6] = -T.T
+        phi = expm(h * block)
+        integral = phi[:3, 3:6] @ phi[:3, :3].T
+        got = cov_integral(T, rhs, vec, h)
+        assert np.array_equal(got[0], phi[:3, :3]) and np.array_equal(got[2], phi[:3, 6])
+        assert np.array_equal(got[1], 0.5 * (integral + integral.T))
+
     def test_zero_step_is_exact(self):
         _, _, system = paper_two_edge_system()
         T, n = system.transition, system.dim

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import ks_2samp
 
+import grou._blas
 import grou.model
 import grou.simulate
 from grou.errors import StationarityError
@@ -27,10 +28,11 @@ from grou.simulate import (
     power_law_grids,
     read_path_csv,
     simulate_path,
+    simulate_paths,
     write_path_csv,
 )
 
-from conftest import linear_scan, simulate_full_state, stepwise_path
+from conftest import linear_scan, simulate_full_state, simulate_path_loop, stepwise_path
 
 
 def scalar_system(rate=2.0):
@@ -201,19 +203,12 @@ class TestSimulatePath:
         spec = LevySpec(np.zeros(1), np.eye(1), CompoundPoissonJumps(1.0, np.eye(1)))
         coarse = make_uniform_grids(1.0, 1 / 8, 2)
         fine = make_uniform_grids(1.0, 1 / 32, 8)
+        # the draws of simulate_path with each seed (TestSimulatePaths)
         a = np.array(
-            [
-                simulate_path(system, spec, coarse, init="stationary", rng_seed=s).values[-1, 0]
-                for s in range(4000)
-            ]
+            [p.values[-1, 0] for p in simulate_paths(system, spec, coarse, range(4000))]
         )
         b = np.array(
-            [
-                simulate_path(system, spec, fine, init="stationary", rng_seed=100_000 + s).values[
-                    -1, 0
-                ]
-                for s in range(4000)
-            ]
+            [p.values[-1, 0] for p in simulate_paths(system, spec, fine, range(100_000, 104_000))]
         )
         assert ks_2samp(a, b).statistic < 0.043
 
@@ -573,6 +568,77 @@ class TestJumpResponses:
         assert np.abs(got[pick] - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _regime_specs(K):
+    return {
+        "brownian": LevySpec(np.zeros(K), np.eye(K)),
+        "compound_poisson": LevySpec(
+            np.full(K, 0.3), np.eye(K), CompoundPoissonJumps(3.0, 2.0 * np.eye(K))
+        ),
+        "symmetric_gamma": LevySpec(np.zeros(K), np.eye(K), SymmetricGammaJumps(1.0, 1.0)),
+    }
+
+
+class TestSimulatePaths:
+    """One plan for many seeds against each path simulated on its own."""
+
+    @pytest.mark.parametrize("regime", ["brownian", "compound_poisson", "symmetric_gamma"])
+    @pytest.mark.parametrize("init", ["stationary", "explicit"])
+    @pytest.mark.parametrize("grid_kind", ["dyadic", "non_dyadic", "from_times"])
+    def test_paths_equal_the_loop(self, regime, init, grid_kind):
+        system = two_edge_system()
+        spec = _regime_specs(system.n_edges)[regime]
+        grids = {
+            "dyadic": make_uniform_grids(2.0, 2.0**-6, 4),
+            "non_dyadic": make_uniform_grids(1.5, 0.013, 3),
+            # irregular: runs of one spacing and single steps, past the anchor spacing
+            "from_times": grid_from_times(
+                np.concatenate([np.linspace(0.0, 1.0, 41), 1.0 + np.cumsum([0.3, 0.05, 0.6])]), 2
+            ),
+        }
+        grid = grids[grid_kind]
+        x0 = "stationary" if init == "stationary" else np.array([0.5, -1.0, 2.0, 0.1])
+        seeds = [0, 7, np.random.SeedSequence(entropy=3, spawn_key=(2,)), 11]
+        paths = list(simulate_paths(system, spec, grid, seeds, init=x0))
+        assert len(paths) == len(seeds)
+        for seed, path in zip(seeds, paths):
+            want = simulate_path_loop(system, spec, grid, init=x0, rng_seed=seed)
+            assert np.array_equal(path.values, want.values)
+            assert np.array_equal(path.truth.init_state, want.truth.init_state)
+            if regime == "compound_poisson":
+                assert np.array_equal(path.truth.arrival_times, want.truth.arrival_times)
+                assert np.array_equal(path.truth.arrival_sizes, want.truth.arrival_sizes)
+            assert path.labels == ("e_1", "e_2") and path.grid is grid
+
+    def test_simulate_path_is_its_one_seed_call(self):
+        system = k5_predictive_system()
+        spec = _regime_specs(system.n_edges)["compound_poisson"]
+        grid = make_uniform_grids(2.0, 2.0 / 2186, 1)
+        seeds = [np.random.SeedSequence(entropy=5, spawn_key=(i,)) for i in range(3)]
+        for seed, path in zip(seeds, simulate_paths(system, spec, grid, seeds)):
+            assert np.array_equal(path.values, simulate_path(system, spec, grid, rng_seed=seed).values)
+
+    def test_faults_raise_at_the_call(self):
+        system = two_edge_system()
+        spec = LevySpec(np.zeros(2), np.eye(2))
+        grid = make_uniform_grids(1.0, 0.25, 1)
+        with pytest.raises(ValueError, match="unknown init mode"):
+            simulate_paths(system, spec, grid, [0], init="warm")
+        with pytest.raises(ValueError, match="init state has length 2"):
+            simulate_paths(system, spec, grid, [0], init=[1.0, 2.0])
+        with pytest.raises(ValueError, match="noise dimension"):
+            simulate_paths(system, LevySpec(np.zeros(3), np.eye(3)), grid, [0])
+        assert list(simulate_paths(system, spec, grid, [])) == []
+
+    def test_no_pin_is_held_between_paths(self):
+        system = two_edge_system()
+        spec = LevySpec(np.zeros(2), np.eye(2))
+        paths = simulate_paths(system, spec, make_uniform_grids(1.0, 0.25, 1), [1, 2])
+        next(paths)
+        assert grou._blas._depth == 0
+        next(paths)
+        assert grou._blas._depth == 0
+
+
 class TestBurnIn:
     @pytest.mark.parametrize(
         "rate, jumps",
@@ -587,13 +653,13 @@ class TestBurnIn:
         # the exact step takes any spacing, so the burn-in costs 64 steps
         # however close the system is to the Hurwitz margin
         grids = []
-        state_path = grou.simulate._state_path
+        step_plan = grou.simulate._step_plan
 
-        def spy(system, noise, times, x0, rng):
+        def spy(system, noise, times):
             grids.append(times)
-            return state_path(system, noise, times, x0, rng)
+            return step_plan(system, noise, times)
 
-        monkeypatch.setattr(grou.simulate, "_state_path", spy)
+        monkeypatch.setattr(grou.simulate, "_step_plan", spy)
         spec = LevySpec(np.zeros(1), np.eye(1), jumps)
         grid = make_uniform_grids(1.0, 0.25, 1)
         path = simulate_path(scalar_system(rate), spec, grid, rng_seed=4)

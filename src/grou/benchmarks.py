@@ -25,21 +25,24 @@ and the noise triplet, the OU, MCAR and grOU fits, their one-step maps and
 the scoring of every model run once per stack, on the stacked kernels the
 joint network search uses; NA, AR, VAR and GNAR are fitted path by path.
 Every figure is bit for bit what the path gives on its own, and
-:func:`fit_and_evaluate` is the same route for one path.
+:func:`fit_and_evaluate` and :func:`fit_benchmark` of OU, MCAR or grOU are
+stacks of one path.  A failing path raises its own error; none is refitted.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import GrouError
+from .errors import EstimationError
+# estimate_drift is unused here but stays bound: perfbench's tracer test checks this import site
 from .estimate import (
     ThresholdPolicy,
+    _ALL_EXCEED,
     _batches,
     _check_shape,
     _coarse_increments,
@@ -49,20 +52,18 @@ from .estimate import (
     _IRREGULAR,
     _levy_spec,
     _mcar_statistics,
+    _NO_PRECISION,
     _noise_precisions,
     _regressors,
     _result,
-    _solve_with_ridge,
-    _symmetrized,
+    _solve_fits,
     _triplet_increments,
     _triplet_precision,
     _truncate,
     estimate_drift,
-    estimate_mcar,
-    estimate_triplet,
     grid_diagnostics,
 )
-from .forecast import _one_step_maps, one_step_map, system_from_fit
+from .forecast import _one_step_maps
 from .graphs import EdgeGraph, WeightMatrices, complete_graph, weight_matrices
 from .model import GrouParams, build_companion, propagator
 from .noise import CompoundPoissonJumps, LevySpec
@@ -202,64 +203,29 @@ def _fit_gnar(train, ctx):
     return np.zeros(K), gain, {"alpha": alphas, "beta": betas}
 
 
-def _shared_triplet(train, ctx):
-    if ctx.triplet is not None:
-        return ctx.triplet
-    return estimate_triplet(train, ctx.policy)
-
-
-def _continuous_map(train, fitted, weights):
-    h = train.grid.mesh_fine
-    system = system_from_fit(fitted, weights)
-    const, gain = one_step_map(system, fitted.triplet_used.mean_rate, h)
-    return const, gain
-
-
-def _fit_ou(train, ctx):
-    triplet = _shared_triplet(train, ctx)
-    lags = ctx.shape[0]
-    fitted = estimate_drift(train, None, (lags, [0] * lags), triplet, ctx.policy)
-    const, gain = _continuous_map(train, fitted, None)
-    return const, gain, fitted
-
-
 # The unrestricted drift fit has K*K free parameters; without shrinkage its
 # one-step forecasts inflate RMSE visibly above the naive benchmark.
 _MCAR_RIDGE_SCALE = 0.02
 
-
-def _fit_mcar(train, ctx):
-    triplet = _shared_triplet(train, ctx)
-    fitted = estimate_mcar(train, triplet, ctx.policy, ridge_scale=_MCAR_RIDGE_SCALE)
-    const, gain = _continuous_map(train, fitted, None)
-    return const, gain, fitted
-
-
-def _fit_grou(train, ctx):
-    triplet = _shared_triplet(train, ctx)
-    fitted = estimate_drift(train, ctx.weights, ctx.shape, triplet, ctx.policy)
-    const, gain = _continuous_map(train, fitted, ctx.weights)
-    return const, gain, fitted
-
-
-_FITTERS = {
-    "NA": _fit_na,
-    "AR": _fit_ar,
-    "VAR": _fit_var,
-    "GNAR": _fit_gnar,
-    "OU": _fit_ou,
-    "MCAR": _fit_mcar,
-    "GROU": _fit_grou,
-}
+_FITTERS = {"NA": _fit_na, "AR": _fit_ar, "VAR": _fit_var, "GNAR": _fit_gnar}
 
 
 def fit_benchmark(kind: str, train: SampledPath, context: BenchmarkContext) -> FittedModel:
-    """Fit one comparison model on the training section of a path."""
+    """Fit one comparison model on the training section of a path.
+
+    OU, MCAR and grOU are fitted as a Monte Carlo study's stack of one path
+    and raise their own fit's error.
+    """
     kind = kind.upper()
-    if kind not in _FITTERS:
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown benchmark kind {kind!r}; choose from {MODEL_KINDS}")
     start = time.perf_counter()
-    const, gain, detail = _FITTERS[kind](train, context)
+    if kind in _CONTINUOUS_KINDS:
+        fits, faults = _continuous_fits(train.grid, train.values[None], context, [kind])
+        _raise_first(faults, [kind])
+        (const,), (gain,), _, (detail,) = fits[kind]
+    else:
+        const, gain, detail = _FITTERS[kind](train, context)
     elapsed = time.perf_counter() - start
     return FittedModel(kind=kind, const=const, gain=gain, fit_seconds=elapsed, detail=detail)
 
@@ -299,9 +265,7 @@ def evaluate(models, path: SampledPath, test_range) -> list[MetricReport]:
     naive model's directional accuracy is 0.5 by convention.  Inputs are
     never mutated.
     """
-    idx = np.asarray(list(test_range), dtype=int)
-    if idx.size == 0 or idx.min() < 1 or idx.max() >= path.n_points:
-        raise ValueError("test range must lie inside the path and start at index >= 1")
+    idx = _test_indices(test_range, path.n_points)
     realized = path.values[idx]
     previous = path.values[idx - 1]
     reports = []
@@ -322,6 +286,14 @@ def evaluate(models, path: SampledPath, test_range) -> list[MetricReport]:
     return reports
 
 
+def _test_indices(test_range, n_points):
+    """``test_range`` as an index array, checked to lie inside a path of ``n_points``."""
+    idx = np.asarray(list(test_range), dtype=int)
+    if idx.size == 0 or idx.min() < 1 or idx.max() >= n_points:
+        raise ValueError("test range must lie inside the path and start at index >= 1")
+    return idx
+
+
 def fit_and_evaluate(
     path: SampledPath, n_train: int, context: BenchmarkContext, kinds=MODEL_KINDS
 ):
@@ -335,15 +307,13 @@ def fit_and_evaluate(
     the reports scoring one-step forecasts over indices
     ``n_train .. path.n_points - 1``.  This is a Monte Carlo study's route
     for a stack of one path; its models and figures are bit for bit those
-    of :func:`fit_benchmark` and :func:`evaluate` on each kind.
+    of :func:`fit_benchmark` and :func:`evaluate` on each kind.  A failing
+    fit raises its own error, as :func:`fit_benchmark` of its kind does,
+    and nothing is fitted twice.
     """
     with one_blas_thread():
         (result,) = _score_stack(path.grid, path.values[None], n_train, context, kinds)
     return result
-
-
-class _StackFault(Exception):
-    """A fit of a stack failed; the stack is fitted again path by path to raise its error."""
 
 
 def _score_stack(grid, values, n_train, context, kinds):
@@ -355,33 +325,30 @@ def _score_stack(grid, values, n_train, context, kinds):
     charged the time of its own part of the stack divided by the paths in
     it; the triplet and the regressors that the continuous-time fits share
     are charged to none, and grOU is charged the drift statistics that OU
-    reads its own off.  Where a fit of the stack fails, the stack is fitted
-    again path by path through :func:`fit_benchmark` and :func:`evaluate`,
-    so that the first failing path raises its own error.  Returns
-    ``(models, reports)`` per path.
+    reads its own off.  Where a path's triplet or continuous-time fit
+    fails, the first fault (:func:`_raise_first`) is raised, the error that
+    path raises fitted on its own; no path is fitted twice.  An error every
+    path meets (a shape, weights or grid the fits cannot take) is raised at
+    the first kind that meets it.  Returns ``(models, reports)`` per path.
     """
     kinds = [kind.upper() for kind in kinds]
     B = values.shape[0]
     train = SampledPath(grid=grid, values=values[0]).section(0, n_train)
-    try:
-        if values.shape[1] == n_train:
-            raise _StackFault  # no test range: evaluate raises, after the fits
-        continuous = [kind for kind in kinds if kind in _CONTINUOUS_KINDS]
-        fits = _continuous_fits(train.grid, values[:, :n_train], context, continuous)
-        models = [[] for _ in range(B)]
-        for kind in kinds:
-            if kind in fits:
-                const, gain, seconds, details = fits[kind]
-                for b in range(B):
-                    models[b].append(FittedModel(kind, const[b], gain[b], seconds, details[b]))
-                continue
-            for b, v in enumerate(values):
-                head = train if b == 0 else SampledPath(grid=train.grid, values=v[:n_train])
-                models[b].append(fit_benchmark(kind, head, context))
-    except (GrouError, ValueError, _StackFault):
-        return [
-            _one_by_one(SampledPath(grid=grid, values=v), n_train, context, kinds) for v in values
-        ]
+    continuous = [kind for kind in kinds if kind in _CONTINUOUS_KINDS]
+    models, fits = [[] for _ in range(B)], None
+    for kind in kinds:
+        if kind in _CONTINUOUS_KINDS:
+            if fits is None:  # where a path fitted on its own would first reach them
+                fits, faults = _continuous_fits(train.grid, values[:, :n_train], context, continuous)
+                _raise_first(faults, continuous)
+            const, gain, seconds, details = fits[kind]
+            for b in range(B):
+                models[b].append(FittedModel(kind, const[b], gain[b], seconds, details[b]))
+            continue
+        for b, v in enumerate(values):
+            head = train if b == 0 else SampledPath(grid=train.grid, values=v[:n_train])
+            models[b].append(fit_benchmark(kind, head, context))
+    _test_indices(range(n_train, values.shape[1]), values.shape[1])
     previous = np.ascontiguousarray(values[:, n_train - 1 : -1])
     realized = np.ascontiguousarray(values[:, n_train:])
     reports = [[] for _ in range(B)]
@@ -402,37 +369,51 @@ def _score_stack(grid, values, n_train, context, kinds):
     return list(zip(models, reports))
 
 
-def _one_by_one(path, n_train, context, kinds):
-    """``(models, reports)`` of one path, each kind fitted on its own by :func:`fit_benchmark`."""
-    train = path.section(0, n_train)
-    if context.triplet is None and _CONTINUOUS_KINDS.intersection(kinds):
-        context = replace(context, triplet=estimate_triplet(train, context.policy))
-    models = [fit_benchmark(kind, train, context) for kind in kinds]
-    return models, evaluate(models, path, range(n_train, path.n_points))
+def _raise_first(faults, kinds):
+    """Raise the first of a stack's faults: by path, and in a path the triplet, then ``kinds``."""
+    for path_faults in faults:
+        for key in ("triplet", *kinds):
+            if key in path_faults:
+                raise path_faults[key]
 
 
 def _continuous_fits(grid, heads, context, kinds):
     """The OU, MCAR and grOU fits among ``kinds`` on a stack of training sections.
 
-    ``heads`` is ``(B, n, K)`` on ``grid``.  Returns, per kind, ``(const,
-    gain, seconds, details)``: the stacked one-step maps, the seconds
-    charged to each path and each path's :class:`EstimationResult`.  Raises
-    :class:`_StackFault` where some path's triplet, precision or ridge
-    solve fails.
+    ``heads`` is ``(B, n, K)`` on ``grid``.  Returns ``(fits, faults)``:
+    ``faults[b]`` maps ``"triplet"`` or a kind to the error path b's fit
+    raises on its own (its triplet's :data:`_ALL_EXCEED` or
+    :data:`_NO_PRECISION`, which ends its fits, or a failed ridge solve);
+    ``fits`` maps each kind no path failed to ``(const, gain, seconds,
+    details)``: the stacked one-step maps of the paths whose triplet held,
+    the seconds charged to each and each one's :class:`EstimationResult`.
     """
-    if not kinds:
-        return {}
     B, _, K = heads.shape
+    faults = [{} for _ in range(B)]
+    if not kinds:
+        return {}, faults
     lags, stages = context.shape
     lags, stages = int(lags), tuple(int(r) for r in stages)
     triplet, policy = context.triplet, context.policy
+    # the stack's paths, by their index in heads
+    paths = np.arange(B)
     if triplet is None:
         policy = ThresholdPolicy() if policy is None else policy
         raw, spacings = _triplet_increments(heads, grid)
         live, factored, parts, prec = _noise_precisions(raw, spacings, policy)
         del raw
-        if not (live.all() and factored.all()):
-            raise _StackFault
+        ok = live.copy()
+        ok[live] = factored
+        if not ok.all():
+            for b in np.flatnonzero(~ok).tolist():
+                faults[b]["triplet"] = (
+                    np.linalg.LinAlgError(_NO_PRECISION) if live[b]
+                    else EstimationError(_ALL_EXCEED)
+                )
+            paths, heads = paths[ok], heads[ok]
+            B = paths.size
+            if not B:
+                return {}, faults
         mean_rate, sigma, corrected, small, total_time = parts
         triplets = [
             _levy_spec(mean_rate[b], sigma[b], corrected[b], small[b].all(axis=-1), total_time)
@@ -461,11 +442,12 @@ def _continuous_fits(grid, heads, context, kinds):
     fits = {}
 
     def solve(kind, info, score, ridge, shape, l, maps, started):
-        """Solve a stack of fits at ``l`` lags and record its maps, time and results."""
-        info = _symmetrized(info)
-        theta, ridges = _solve_with_ridge(info, score, ridge)
-        if np.isnan(ridges).any():
-            raise _StackFault
+        """Solve a stack of fits at ``l`` lags and record its faults, or its maps, time and results."""
+        info, theta, ridges, errors = _solve_fits(info, score, ridge)
+        for g, error in errors.items():
+            faults[paths[g]][kind] = error
+        if errors:
+            return
         gain, const = maps(theta)
         _, kept, spacings_l = by_lags[l]
         details = [
@@ -515,7 +497,7 @@ def _continuous_fits(grid, heads, context, kinds):
         # one warning per fit and path, as each fit on its own warns
         for _ in range(B * len(kinds)):
             warnings.warn(_IRREGULAR, stacklevel=4)
-    return fits
+    return fits, faults
 
 
 @dataclass(frozen=True)

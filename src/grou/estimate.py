@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
+from scipy.linalg import LinAlgWarning, solve
 
 from .errors import ConfigurationError, EstimationError, SingularityError
 from .graphs import WeightMatrices
@@ -399,7 +399,11 @@ def _cholesky_solve(matrices, rhs):
         matrices = np.broadcast_to(matrices, (2, 1, 1))
         rhs = np.broadcast_to(rhs, (2, 1, rhs.shape[2]))
     try:
-        return solve(matrices, rhs, assume_a="pos")[:G], np.ones(G, dtype=bool)
+        with warnings.catch_warnings():
+            # scipy warns where a factorized slice is ill-conditioned;
+            # cho_solve, whose bits each slice gets, does not
+            warnings.simplefilter("ignore", LinAlgWarning)
+            return solve(matrices, rhs, assume_a="pos")[:G], np.ones(G, dtype=bool)
     except np.linalg.LinAlgError:
         if G == 1:
             return np.full((1,) + rhs.shape[1:], np.nan), np.zeros(1, dtype=bool)
@@ -532,18 +536,29 @@ def _irregular(grid, uniformity_fine) -> bool:
     return uniformity_fine < 0.99 or not coarse_uniform
 
 
-def _symmetrized(info):
-    """``(info + info^T) / 2``, C-contiguous, for one matrix or a stack."""
-    return np.ascontiguousarray(0.5 * (info + np.swapaxes(info, -1, -2)))
+def _solve_fits(info, score, ridge=None):
+    """:func:`_solve_with_ridge` on the symmetrized ``info``, naming each failed fit's fault.
+
+    Returns ``(info, theta, ridges, faults)``; ``faults`` maps the index of
+    each fit that never factorized to the :class:`SingularityError` it
+    raises on its own, which names the ridge it was given, if any.
+    """
+    info = np.ascontiguousarray(0.5 * (info + np.swapaxes(info, -1, -2)))
+    theta, ridges = _solve_with_ridge(info, score, ridge)
+    faults = {}
+    for g in np.flatnonzero(np.isnan(ridges)).tolist():
+        message = _STAYED_SINGULAR
+        if ridge is not None:
+            given = np.broadcast_to(ridge, ridges.shape)[g]
+            message = f"information matrix not positive definite at ridge={given}"
+        faults[g] = SingularityError(message)
+    return info, theta, ridges, faults
 
 
 def _finish(info, score, thresholded, path, triplet, ridge, structure, shape):
-    info = _symmetrized(info)
-    (theta,), (ridge_used,) = _solve_with_ridge(info[None], score[None], ridge)
-    if np.isnan(ridge_used):
-        if ridge is None:
-            raise SingularityError(_STAYED_SINGULAR)
-        raise SingularityError(f"information matrix not positive definite at ridge={ridge}")
+    (info,), (theta,), (ridge_used,), faults = _solve_fits(info[None], score[None], ridge)
+    if faults:
+        raise faults[0]
     diag = grid_diagnostics(path.grid)
     if _irregular(path.grid, diag["uniformity_fine"]):
         warnings.warn(_IRREGULAR, stacklevel=3)

@@ -34,13 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import EstimationError, GrouError, SingularityError
+from .errors import EstimationError, GrouError
 # estimate_drift is unused here but stays bound: perfbench's tracer test checks this import site
 from .estimate import (
     _ALL_EXCEED,
     _IRREGULAR,
     _NO_PRECISION,
-    _STAYED_SINGULAR,
     ThresholdPolicy,
     _aggregates,
     _batches,
@@ -51,8 +50,7 @@ from .estimate import (
     _drift_statistics,
     _irregular,
     _noise_precisions,
-    _solve_with_ridge,
-    _symmetrized,
+    _solve_fits,
     _triplet_increments,
     _truncate,
     estimate_drift,
@@ -346,11 +344,10 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
                 info, score = _drift_statistics(
                     d, _aggregates(d, matrices, stages), stages, increments, spacings, prec
                 )
-                info = _symmetrized(info)
-                theta, ridges = _solve_with_ridge(info, score)
+                info, theta, ridges, faults = _solve_fits(info, score)
+                for g, fault in faults.items():
+                    scored[js[g]][s] = fault
                 solved = np.flatnonzero(~np.isnan(ridges))
-                for g in np.flatnonzero(np.isnan(ridges)).tolist():
-                    scored[js[g]][s] = SingularityError(_STAYED_SINGULAR)
                 if not solved.size:
                     continue
                 gain, const = _one_step_maps(

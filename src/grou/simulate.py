@@ -173,10 +173,10 @@ def grid_from_times(times, ratio: int = 1) -> TwoScaleGrid:
     """
     times = np.asarray(times, dtype=float)
     shifted = times - times[0]
-    idx = list(range(0, times.size, _coarse_ratio(ratio)))
+    idx = np.arange(0, times.size, _coarse_ratio(ratio))
     if idx[-1] != times.size - 1:
-        idx.append(times.size - 1)
-    return TwoScaleGrid(fine=shifted, coarse_idx=np.asarray(idx))
+        idx = np.append(idx, times.size - 1)
+    return TwoScaleGrid(fine=shifted, coarse_idx=idx)
 
 
 @dataclass(frozen=True)

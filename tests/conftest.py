@@ -11,13 +11,15 @@ from scipy.linalg import cho_factor, cho_solve, expm, solve_continuous_lyapunov
 
 from grou._blas import one_blas_thread, openblas_controls
 from grou.benchmarks import (
+    _MCAR_RIDGE_SCALE,
     BenchmarkContext,
+    FittedModel,
     directional_accuracy,
     evaluate,
     fit_benchmark,
 )
-from grou.estimate import _regressors, estimate_drift, estimate_triplet
-from grou.forecast import rolling_forecast
+from grou.estimate import _regressors, estimate_drift, estimate_mcar, estimate_triplet
+from grou.forecast import one_step_map, rolling_forecast, system_from_fit
 from grou.graphs import random_er_graph, weight_matrices
 from grou.errors import GrouError, IngestionError
 from grou.model import GrouParams, build_companion, cov_integral, is_hurwitz, spectral_abscissa
@@ -405,19 +407,50 @@ def simulate_path_loop(system, noise, grid, init="stationary", rng_seed=0):
     return SampledPath(grid=grid, values=values, truth=truth)
 
 
+def continuous_fit_loop(kind, train, context):
+    """The OU, MCAR or grOU model of ``train``, fitted on its own, one step after another.
+
+    The per-kind route that ``grou.benchmarks`` replaces with one stack of
+    paths and kinds, kept as its oracle: ``estimate_triplet`` when the
+    context has no triplet, ``estimate_drift`` (OU: every stage count zero)
+    or ``estimate_mcar`` at the study's ridge scale, ``system_from_fit`` and
+    ``one_step_map`` at the fine mesh.  Returns a ``FittedModel`` whose
+    ``fit_seconds`` is 0.
+    """
+    kind = kind.upper()
+    triplet = context.triplet
+    if triplet is None:
+        triplet = estimate_triplet(train, context.policy)
+    weights = context.weights if kind == "GROU" else None
+    if kind == "MCAR":
+        fitted = estimate_mcar(train, triplet, context.policy, ridge_scale=_MCAR_RIDGE_SCALE)
+    else:
+        lags = context.shape[0]
+        shape = context.shape if kind == "GROU" else (lags, [0] * lags)
+        fitted = estimate_drift(train, weights, shape, triplet, context.policy)
+    system = system_from_fit(fitted, weights)
+    const, gain = one_step_map(system, fitted.triplet_used.mean_rate, train.grid.mesh_fine)
+    return FittedModel(kind=kind, const=const, gain=gain, fit_seconds=0.0, detail=fitted)
+
+
 def fit_and_evaluate_loop(path, n_train, context, kinds):
-    """Every kind fitted on its own through ``fit_benchmark``, then ``evaluate``.
+    """Every kind fitted on its own, then ``evaluate``.
 
     The route that ``grou.benchmarks.fit_and_evaluate`` replaces with the
     stacked scorer of a Monte Carlo study, kept as its oracle: the triplet
     is estimated once from the training head when a continuous-time fit
-    needs it.  Returns ``(models, reports)``.
+    needs it, OU, MCAR and grOU go through ``continuous_fit_loop`` and the
+    other kinds through ``fit_benchmark``.  Returns ``(models, reports)``.
     """
     train = path.section(0, n_train)
     with one_blas_thread():
         if context.triplet is None and {"OU", "MCAR", "GROU"}.intersection(k.upper() for k in kinds):
             context = replace(context, triplet=estimate_triplet(train, context.policy))
-        models = [fit_benchmark(kind, train, context) for kind in kinds]
+        models = [
+            continuous_fit_loop(kind, train, context) if kind.upper() in ("OU", "MCAR", "GROU")
+            else fit_benchmark(kind, train, context)
+            for kind in kinds
+        ]
         return models, evaluate(models, path, range(n_train, path.n_points))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    continuous_fit_loop,
     fit_and_evaluate_loop,
     ols_benchmark_fits,
     set_blas_threads,
@@ -21,7 +22,7 @@ from grou.benchmarks import (
     monte_carlo_study,
     predictive_study_config,
 )
-from grou.errors import ConfigurationError, EstimationError, SingularityError
+from grou.errors import ConfigurationError, EstimationError, GrouError, SingularityError
 from grou.estimate import _ALL_EXCEED, ThresholdPolicy
 from grou.graphs import EdgeGraph, complete_graph, path_graph, random_er_graph, weight_matrices
 from grou.model import GrouParams, build_companion
@@ -350,6 +351,13 @@ class TestStackedScorer:
         _same_fit(got, want)
         _same_reports(reports, want_reports)
 
+    def test_missing_weights_raise_the_loops_error(self):
+        """Without weights GNAR, ahead of grOU in the kinds, raises first, as in the loop."""
+        _, _, path = simulated_k5_path(seed=2, n_obs=500)
+        for run in (fit_and_evaluate_loop, fit_and_evaluate):
+            with pytest.raises(ValueError, match="GNAR needs neighborhood weight matrices"):
+                run(path, 400, BenchmarkContext(), MODEL_KINDS)
+
     @pytest.mark.parametrize("scenario", ["correct", ("missing_edge", (0, 1)), ("missing_edge", (3, 4))])
     @pytest.mark.parametrize("shape", [(1, (1,)), (2, (1, 1))])
     def test_study_rows_equal_the_loop(self, scenario, shape, monkeypatch):
@@ -370,16 +378,6 @@ class TestStackedScorer:
         for row, want in zip(monte_carlo_study(config), study_figures_loop(config), strict=True):
             assert {k: row[k] for k in want} == want
 
-    def test_stacks_do_not_fall_back(self, monkeypatch):
-        """On clean paths the stack fits every continuous kind itself."""
-        def not_reached(*args, **kwargs):
-            raise AssertionError("a continuous kind was fitted on its own")
-
-        for name in ("estimate_drift", "estimate_mcar", "estimate_triplet"):
-            monkeypatch.setattr(grou.benchmarks, name, not_reached)
-        config = predictive_study_config(n_paths=3, seed=8, n_obs=500, test_size=100)
-        assert len(monte_carlo_study(config)) == len(MODEL_KINDS)
-
     @staticmethod
     def faulty_stack(order):
         """Paths on one grid: ``good``, ``flat`` (MCAR's fixed ridge is 0 and fails) and
@@ -397,6 +395,7 @@ class TestStackedScorer:
         [
             (("good", "flat", "jumpy"), SingularityError, "not positive definite at ridge=0.0"),
             (("good", "jumpy", "flat"), EstimationError, _ALL_EXCEED),
+            (("jumpy", "flat", "good"), EstimationError, _ALL_EXCEED),
         ],
     )
     def test_first_failing_path_raises_its_own_error(self, order, error, needle):
@@ -412,3 +411,48 @@ class TestStackedScorer:
             raise AssertionError("no path failed on its own")
         with pytest.raises(error, match=needle):
             _score_stack(grid, values, 400, ctx, MODEL_KINDS)
+
+    def test_stacks_do_not_fall_back(self, monkeypatch):
+        """Each stack forms its drift and MCAR statistics once, clean or failing: no path is fitted twice."""
+        calls = []
+
+        def spy(name):
+            real = getattr(grou.estimate, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            return counted
+
+        # both import sites: a fit on its own reaches the statistics through grou.estimate
+        for name in ("_drift_statistics", "_mcar_statistics"):
+            counted = spy(name)
+            for module in (grou.benchmarks, grou.estimate):
+                monkeypatch.setattr(module, name, counted)
+        ctx = BenchmarkContext(weights=weight_matrices(complete_graph(5), 1))
+        grid, values = self.faulty_stack(("good", "good"))
+        _score_stack(grid, values, 400, ctx, MODEL_KINDS)
+        assert sorted(calls) == ["_drift_statistics", "_mcar_statistics"]
+        for order in (("good", "flat", "jumpy"), ("jumpy", "flat", "good")):
+            calls.clear()
+            grid, values = self.faulty_stack(order)
+            with pytest.raises(GrouError):
+                _score_stack(grid, values, 400, ctx, MODEL_KINDS)
+            assert sorted(calls) == ["_drift_statistics", "_mcar_statistics"], order
+
+    @pytest.mark.parametrize("name", ["flat", "jumpy"])
+    @pytest.mark.parametrize("kind", ["OU", "MCAR", "GROU"])
+    def test_fit_benchmark_raises_the_loops_error(self, kind, name):
+        """On its own, each continuous kind's fit fails, or succeeds, as the per-kind loop's does."""
+        grid, (values,) = self.faulty_stack((name,))
+        train = SampledPath(grid=grid, values=values).section(0, 400)
+        ctx = BenchmarkContext(weights=weight_matrices(complete_graph(5), 1))
+        try:
+            want = continuous_fit_loop(kind, train, ctx)
+        except GrouError as exc:
+            with pytest.raises(type(exc)) as got:
+                fit_benchmark(kind, train, ctx)
+            assert str(got.value) == str(exc)
+        else:
+            _same_fit(fit_benchmark(kind, train, ctx), want)

@@ -330,6 +330,19 @@ class TestRidgeSolve:
             args = np.array([[[value]]]), np.array([[b]])
             assert _solve_with_ridge(*args, ridge=0.0)[0][0, 0] == ridge_solve_loop(*args, 0.0)[0][0, 0]
 
+    def test_flat_path_solves_without_scipys_warning(self):
+        """An all-zero path's information is zero, so the automatic ridge starts subnormal.
+
+        That matrix factorizes with rcond 0: scipy's batched solve warns of
+        it and ``cho_solve`` does not.
+        """
+        path = path_from_values(np.zeros((9, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate_drift(path, None, (1, [0]), LevySpec(np.zeros(3), np.eye(3)))
+        (theta,), (ridge,) = ridge_solve_loop(result.info[None], result.score[None])
+        assert np.array_equal(result.theta_hat, theta) and result.ridge_used == ridge
+
     def test_non_finite_information_raises(self):
         info = np.array([np.eye(2), np.full((2, 2), np.nan)])
         with pytest.raises(ValueError):

@@ -88,6 +88,16 @@ class TestGrids:
         np.testing.assert_array_equal(grid.coarse_idx, [0, 3, 4])
         assert grid.uniformity_coarse < 1.0
 
+    @pytest.mark.parametrize("ratio", [1, 3, 10, 11, 16])
+    def test_coarse_index_equals_the_list_version(self, ratio):
+        """On 11 points: ratios 1, 3, n - 1, n and n + 5, the last three ending on an appended point."""
+        n = 11
+        want = list(range(0, n, ratio))
+        if want[-1] != n - 1:
+            want.append(n - 1)
+        idx = grid_from_times(np.arange(n) * 0.5, ratio=ratio).coarse_idx
+        assert idx.dtype == np.asarray(want).dtype and idx.tolist() == want
+
     def test_invalid_grids_rejected(self):
         with pytest.raises(ValueError):
             make_uniform_grids(1.0, -0.1, 1)

@@ -438,7 +438,7 @@ def _continuous_fits(grid, heads, context, kinds):
         by_lags[l] = (out.values, out.kept, spacings_l)
 
     diag = grid_diagnostics(grid)
-    h = grid.mesh_fine
+    h = diag["mesh_fine"]
     fits = {}
 
     def solve(kind, info, score, ridge, shape, l, maps, started):

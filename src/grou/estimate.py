@@ -28,6 +28,12 @@ O(M K p^2).
 Jump truncation keeps a component only when the corrected increment stays
 within ``spacing**beta_exp``; admissible exponents depend on whether the
 jump activity is finite or infinite.
+
+The finite differences are taken at the coarse points only: each point
+gathers the ``l + 1`` fine rows and ``l`` spacings its order-``l``
+difference reads, so a fit costs O(M l K) there however fine the grid, and
+its results are those of differencing every fine row, bit for bit.  The
+fine spacings are read once per fit, for its grid diagnostics.
 """
 
 from __future__ import annotations
@@ -125,22 +131,30 @@ def finite_differences(path: SampledPath, order_l: int) -> np.ndarray:
     return _differences(path.values, path.grid.fine, order_l)
 
 
-def _differences(values, fine, order_l):
-    """:func:`finite_differences` of ``values`` ``(..., n, K)`` on the fine times ``fine``.
+def _differences(values, fine, order_l, points=None):
+    """Order-``l`` differences of ``values`` ``(..., n, K)`` on fine times ``fine`` at ``points``.
 
-    Leading axes give a stack of paths on one grid, each differenced as on its own.
+    Row ``i`` of the order-``j`` differences is the order-``(j-1)`` row
+    ``i + 1`` minus row ``i``, divided by ``fine[i + 1] - fine[i]``.  Each
+    point gathers its ``l + 1`` rows and ``l`` spacings and runs that
+    recurrence, so only the rows it reads are differenced.  ``points``
+    defaults to every row that has order-``l`` differences, which is
+    :func:`finite_differences`.  Leading axes give a stack of paths on one
+    grid, each differenced as on its own.
     """
     n = values.shape[-2]
     if n <= order_l:
         raise ValueError(
             f"need more than {order_l} points for order-{order_l} differences, have {n}"
         )
-    dts = np.diff(fine)
-    out = values
-    for _ in range(order_l):
-        m = out.shape[-2] - 1
-        out = (out[..., 1:, :] - out[..., :-1, :]) / dts[:m, None]
-    return out
+    if points is None:
+        points = np.arange(n - order_l)
+    # rows[j] and steps[j] are the values and the spacing j fine rows after each point
+    rows = [values[..., points + j, :] for j in range(order_l + 1)]
+    steps = [(fine[points + j + 1] - fine[points + j])[:, None] for j in range(order_l)]
+    for order in range(order_l, 0, -1):
+        rows = [(rows[j + 1] - rows[j]) / steps[j] for j in range(order)]
+    return rows[0]
 
 
 def _estimation_window(grid, lags: int):
@@ -181,7 +195,7 @@ def _coarse_increments(values, grid, lags):
     points ``idx``, and ``raw`` their increments over intervals ``spacings``.
     """
     idx = _estimation_window(grid, lags)
-    dvals = _differences(values, grid.fine, lags - 1)[..., idx, :]
+    dvals = _differences(values, grid.fine, lags - 1, idx)
     spacings = np.diff(grid.fine[idx])
     return idx, dvals, np.diff(dvals, axis=-2), spacings
 
@@ -253,7 +267,7 @@ def _derivatives(values, grid, lags: int) -> np.ndarray:
     """The ``derivs`` of :func:`_regressors`, shape ``(..., L, M, K)``."""
     points = _estimation_window(grid, lags)[:-1]
     return np.stack(
-        [_differences(values, grid.fine, lags - l)[..., points, :] for l in range(1, lags + 1)],
+        [_differences(values, grid.fine, lags - l, points) for l in range(1, lags + 1)],
         axis=-3,
     )
 
@@ -419,14 +433,16 @@ def grid_diagnostics(grid) -> dict:
     single dataset these can only be reported, not asserted.
     """
     t = grid.t_end
-    fine, coarse = grid.mesh_fine, grid.mesh_coarse
+    # one pass over the fine spacings for both of their figures
+    steps = np.diff(grid.fine)
+    fine, coarse = float(steps.max()), grid.mesh_coarse
     return {
         "t_end": t,
         "mesh_fine": fine,
         "mesh_coarse": coarse,
         "t_times_coarse_mesh": t * coarse,
         "fine_mesh_times_t_over_coarse_sq": fine * t / coarse**2,
-        "uniformity_fine": grid.uniformity_fine,
+        "uniformity_fine": float(steps.min() / steps.max()),
         "uniformity_coarse": grid.uniformity_coarse,
     }
 

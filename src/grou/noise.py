@@ -243,7 +243,7 @@ def sample_increments(spec: LevySpec, grid, rng_seed) -> IncrementBatch:
     small, large = np.zeros((n, K)), np.zeros((n, K))
     arrival_times = arrival_sizes = None
     if isinstance(spec.jumps, CompoundPoissonJumps):
-        owner, arrival_times, arrival_sizes = _poisson_arrivals(spec.jumps, times, K, rng)
+        owner, arrival_times, arrival_sizes = _poisson_arrivals(spec.jumps, times, dt, K, rng)
         np.add.at(large, owner, arrival_sizes)
     elif isinstance(spec.jumps, SymmetricGammaJumps):
         small = _gamma_differences(spec.jumps, dt, K, rng)
@@ -258,15 +258,18 @@ def sample_increments(spec: LevySpec, grid, rng_seed) -> IncrementBatch:
     )
 
 
-def _poisson_arrivals(jumps: CompoundPoissonJumps, times, K, rng):
-    """Compound-Poisson arrivals on the intervals of ``times``.
+def _poisson_arrivals(jumps: CompoundPoissonJumps, times, dt, K, rng):
+    """Compound-Poisson arrivals on the intervals of ``times``, of spacings ``dt``.
 
     Draws the count of every interval, then all Gaussian sizes, then the
     uniform arrival times of each non-empty interval in turn, sorted within
     their interval.  Returns ``(owner, arrival_times, arrival_sizes)``, with
-    ``owner`` the interval index of each arrival.
+    ``owner`` the interval index of each arrival.  On equal spacings the
+    counts take one scalar mean, which draws the bits of the per-interval
+    means.
     """
-    counts = rng.poisson(jumps.rate * np.diff(times))
+    rates = jumps.rate * dt[0] if np.all(dt == dt[0]) else jumps.rate * dt
+    counts = rng.poisson(rates, dt.size)
     owner = np.repeat(np.arange(counts.size), counts)
     sizes = rng.standard_normal((owner.size, K)) @ psd_factor(jumps.jump_cov).T
     # the draws of ``rng.uniform(times[i], times[i + 1], size=counts[i])``
@@ -284,12 +287,15 @@ def _gamma_differences(jumps: SymmetricGammaJumps, dt, K, rng):
     ``rng.gamma(np.repeat(shape * dt, K).reshape(n, K), scale)``: numpy's
     ``gamma`` is ``scale`` times ``standard_gamma`` element by element in C
     order, and on equal spacings one scalar shape skips the per-element
-    shape array.
+    shape array.  Both arrays are scaled in place.
     """
     if np.all(dt == dt[0]):
         shape, size = jumps.shape * dt[0], (dt.size, K)
     else:
         shape, size = np.repeat(jumps.shape * dt, K).reshape(dt.size, K), None
-    diff = rng.standard_gamma(shape, size) * jumps.scale
-    diff -= rng.standard_gamma(shape, size) * jumps.scale
+    diff = rng.standard_gamma(shape, size)
+    diff *= jumps.scale
+    other = rng.standard_gamma(shape, size)
+    other *= jumps.scale
+    diff -= other
     return diff

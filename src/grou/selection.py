@@ -54,6 +54,7 @@ from .estimate import (
     _triplet_increments,
     _truncate,
     estimate_drift,
+    grid_diagnostics,
 )
 from .forecast import _one_step_maps
 from .graphs import EdgeGraph, _edge_ends, _weight_stack, random_er_graph
@@ -276,7 +277,8 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
     """
     policy = ThresholdPolicy() if policy is None else policy
     train = path.section(0, n_train)
-    irregular = _irregular(train.grid, train.grid.uniformity_fine)
+    diag = grid_diagnostics(train.grid)
+    irregular = _irregular(train.grid, diag["uniformity_fine"])
     try:
         raw_lag1, spacings_lag1 = _triplet_increments(train.values, train.grid)
     except GrouError as exc:
@@ -299,7 +301,7 @@ def _score_graphs(path, graphs, columns, shapes, n_train, policy):
             continue
         steps.append(by_lags[lags])
     previous, realized = _heldout(path, n_train)
-    h = train.grid.mesh_fine
+    h = diag["mesh_fine"]
     n_vertices = max(g.n_vertices for g in graphs)
     n_stages = max(max(max(rs, default=0) for _, rs in shapes), 1)
     cells = previous.shape[1] + max(l for l, _ in shapes) * train.grid.coarse_idx.size

@@ -20,6 +20,17 @@ in ``n``; short runs, such as the burn-in's, take ``log2(n)`` rounds of a
 doubling scan.  A fully irregular grid gives runs of length one, i.e. plain
 stepping.
 
+Jump responses ``expm(r T) E size`` are added to the step shocks before the
+scan, a block of jumps at a time, as one product of each jump's
+``size * r^k`` with the Taylor coefficients ``[E, T E / 1!, T^2 E / 2!,
+...]`` (:func:`_add_jump_responses`); offsets past the anchor spacing
+``0.5 / ||T||_1`` take one exponential per anchor.  The kernel takes no
+draw, so the draws come in the order :func:`_state_path` names however the
+responses are summed: the Gaussian block, then the jump draws.  On equal
+spacings the Poisson counts and the Gamma shapes take one scalar
+parameter, and the Gamma arrival uniforms are drawn as plain doubles; each
+gives the bits of the per-interval parameter arrays.
+
 :func:`simulate_paths` simulates many paths of one system, noise and grid
 from one plan: the stationary moments and their factor, the burn-in grid,
 each run's step operators and the exponentials of the jump-response
@@ -487,11 +498,15 @@ def _state_path(system, noise, times, plan, x0, rng, anchor_ops):
     arr_t = arr_s = None
     if isinstance(jumps, SymmetricGammaJumps):
         sizes = _gamma_differences(jumps, dt, K, rng)
-        owner = np.arange(dt.size)
-        offsets = times[1:] - rng.uniform(times[:-1], times[1:])
-        _add_jump_responses(T, E, owner, offsets, sizes, shocks, anchor_ops)
+        # the draws of ``rng.uniform(times[:-1], times[1:])``, bit for bit,
+        # without its per-interval parameter arrays
+        arrivals = dt * rng.random(dt.size)
+        arrivals += times[:-1]
+        _add_jump_responses(
+            T, E, np.arange(dt.size), times[1:] - arrivals, sizes, shocks, anchor_ops
+        )
     elif jumps is not None:
-        owner, arr_t, arr_s = _poisson_arrivals(jumps, times, K, rng)
+        owner, arr_t, arr_s = _poisson_arrivals(jumps, times, dt, K, rng)
         _add_jump_responses(T, E, owner, times[owner + 1] - arr_t, arr_s, shocks, anchor_ops)
     else:
         arr_t, arr_s = np.empty(0), np.empty((0, K))
@@ -505,31 +520,44 @@ def _add_jump_responses(T, E, owner, offsets, sizes, shocks, anchor_ops=None):
     """``shocks[owner[j]] += expm(offsets[j] T) @ E @ sizes[j]`` for every jump j.
 
     ``owner`` must be nondecreasing.  Each offset splits as ``a * delta + r``
-    with anchor spacing ``delta = 0.5 / ||T||_1`` and ``0 <= r < delta``.
-    ``expm`` is called once per anchor that some offset falls on (none for
-    anchor 0), and ``expm(r T)`` is the Taylor polynomial with as many terms
-    as the largest ``||r T||_1`` needs to reach rounding, so the responses
-    are exact to rounding for any ``T``, defective ones included.  Jumps are
-    taken anchor by anchor in blocks of ``_SCAN_ROWS``.  ``anchor_ops`` maps
-    anchors to their exponentials; calls with one ``T`` may share it, so
-    that each anchor's exponential is taken once.
+    with anchor spacing ``delta = 0.5 / ||T||_1`` and ``0 <= r < delta``;
+    when every offset is below ``delta`` all anchors are 0 and the split is
+    skipped.  ``expm(r T) E`` is the Taylor polynomial with as many terms as
+    the largest ``||r T||_1`` needs to reach rounding, so the responses are
+    exact to rounding for any ``T``, defective ones included.  It is taken
+    as one product per block of ``_SCAN_ROWS`` jumps, of ``P``, which stacks
+    each jump's ``sizes[j] * r^k`` built by repeated multiplication, with
+    the coefficients ``C = [E, T E / 1!, T^2 E / 2!, ...]``, formed once per
+    call.  ``expm`` is called once per anchor that some offset
+    falls on (none for anchor 0) and applied to the sums of its jumps.
+    ``anchor_ops`` maps anchors to their exponentials; calls with one ``T``
+    may share it, so that each anchor's exponential is taken once.  No
+    random draw is taken here.
     """
     anchor_ops = {} if anchor_ops is None else anchor_ops
     if owner.size == 0:
         return
     norm = np.abs(T).sum(axis=0).max()
     delta = 0.5 / max(norm, np.finfo(float).tiny)
-    anchors = np.floor(offsets / delta)
-    if anchors.any():
+    if offsets.max() < delta:
+        firsts, anchors, rests = [0], [0.0], offsets
+    else:
+        anchors = np.floor(offsets / delta)
         order = np.argsort(anchors, kind="stable")
         owner, offsets, sizes, anchors = owner[order], offsets[order], sizes[order], anchors[order]
-    rests = offsets - anchors * delta
+        rests = offsets - anchors * delta
+        firsts = np.flatnonzero(np.diff(anchors, prepend=-1.0))
     n_terms, bound = 0, 1.0
     while bound > np.finfo(float).eps / 2:
         n_terms += 1
         bound *= np.abs(rests).max() * norm / n_terms
-    firsts = np.flatnonzero(np.diff(anchors, prepend=-1.0))
-    for first, last in zip(firsts, [*firsts[1:], anchors.size]):
+    K = E.shape[1]
+    coefs = [E]
+    for k in range(1, n_terms):
+        coefs.append(T @ coefs[-1] / k)
+    coefs = np.hstack(coefs)
+    buf = np.empty(n_terms * K * min(owner.size, _SCAN_ROWS))
+    for first, last in zip(firsts, [*firsts[1:], owner.size]):
         anchor = anchors[first]
         op = None
         if anchor:
@@ -538,21 +566,22 @@ def _add_jump_responses(T, E, owner, offsets, sizes, shocks, anchor_ops=None):
                 op = anchor_ops[anchor] = expm(anchor * delta * T)
         for lo in range(first, last, _SCAN_ROWS):
             hi = min(last, lo + _SCAN_ROWS)
-            # one column per jump, so scaling by the rests broadcasts along rows
-            term = E @ sizes[lo:hi].T
-            total = term.copy()
+            # row k * K + i holds sizes[j, i] * r_j^k in jump j's column
+            powers = buf[: n_terms * K * (hi - lo)].reshape(n_terms * K, hi - lo)
+            powers[:K] = sizes[lo:hi].T
             for k in range(1, n_terms):
-                term = (T @ term) * (rests[lo:hi] / k)
-                total += term
+                np.multiply(powers[k * K - K : k * K], rests[lo:hi], out=powers[k * K : k * K + K])
+            # one row per jump, the layout of ``shocks``
+            total = powers.T @ coefs.T
             if op is not None:
-                total = op @ total
+                total = total @ op.T
             own = owner[lo:hi]
             heads = np.flatnonzero(np.diff(own, prepend=-1))
             if heads.size == own.size == own[-1] - own[0] + 1:
                 # one jump in each of consecutive intervals, as in the Gamma regime
-                shocks[own[0] : own[-1] + 1] += total.T
+                shocks[own[0] : own[-1] + 1] += total
             else:
-                shocks[own[heads]] += np.add.reduceat(total, heads, axis=1).T
+                shocks[own[heads]] += np.add.reduceat(total, heads, axis=0)
 
 
 def write_path_csv(path: SampledPath, file, header_lines=()) -> None:

@@ -221,6 +221,62 @@ def linear_scan(prop, first, shocks):
     return np.vstack([first, local.reshape(-1, dim)[:n]])
 
 
+def jump_responses_per_term(T, E, owner, offsets, sizes, shocks):
+    """``shocks[owner[j]] += expm(offsets[j] T) @ E @ sizes[j]``, one Taylor term at a time.
+
+    The kernel that ``grou.simulate._add_jump_responses`` replaced with one
+    product per block, kept as its oracle.  Offsets split into anchors
+    ``a * delta`` (``delta = 0.5 / ||T||_1``) and rests ``r``; per block of
+    one anchor's jumps each Taylor term of ``expm(r T) E @ size`` is the
+    previous one times ``T``, scaled by ``r / k``, and summed, and the sum
+    is propagated by ``expm(a * delta * T)``.  ``owner`` must be
+    nondecreasing.
+    """
+    if owner.size == 0:
+        return
+    norm = np.abs(T).sum(axis=0).max()
+    delta = 0.5 / max(norm, np.finfo(float).tiny)
+    anchors = np.floor(offsets / delta)
+    if anchors.any():
+        order = np.argsort(anchors, kind="stable")
+        owner, offsets, sizes, anchors = owner[order], offsets[order], sizes[order], anchors[order]
+    rests = offsets - anchors * delta
+    n_terms, bound = 0, 1.0
+    while bound > np.finfo(float).eps / 2:
+        n_terms += 1
+        bound *= np.abs(rests).max() * norm / n_terms
+    firsts = np.flatnonzero(np.diff(anchors, prepend=-1.0))
+    for first, last in zip(firsts, [*firsts[1:], anchors.size]):
+        op = expm(anchors[first] * delta * T) if anchors[first] else None
+        for lo in range(first, last, _SCAN_ROWS):
+            hi = min(last, lo + _SCAN_ROWS)
+            term = E @ sizes[lo:hi].T
+            total = term.copy()
+            for k in range(1, n_terms):
+                term = (T @ term) * (rests[lo:hi] / k)
+                total += term
+            if op is not None:
+                total = op @ total
+            own = owner[lo:hi]
+            heads = np.flatnonzero(np.diff(own, prepend=-1))
+            shocks[own[heads]] += np.add.reduceat(total, heads, axis=1).T
+
+
+def differences_every_row(values, fine, order_l):
+    """Order-``l`` forward differences of ``values`` ``(..., n, K)`` at every row that has them.
+
+    The route that ``grou.estimate._differences`` replaced with differences
+    at the rows a fit reads, kept as its oracle: each order differences the
+    whole previous order and divides row ``i`` by ``fine[i + 1] - fine[i]``.
+    """
+    dts = np.diff(fine)
+    out = values
+    for _ in range(order_l):
+        m = out.shape[-2] - 1
+        out = (out[..., 1:, :] - out[..., :-1, :]) / dts[:m, None]
+    return out
+
+
 def gamma_differences_repeat(jumps, dt, K, rng):
     """``(n, K)`` symmetric Gamma-difference increments, one shape per element.
 
@@ -371,7 +427,7 @@ def state_path_loop(system, noise, times, x0, rng):
         offsets = times[1:] - rng.uniform(times[:-1], times[1:])
         _add_jump_responses(T, E, owner, offsets, sizes, shocks)
     elif jumps is not None:
-        owner, arr_t, arr_s = _poisson_arrivals(jumps, times, K, rng)
+        owner, arr_t, arr_s = _poisson_arrivals(jumps, times, dt, K, rng)
         _add_jump_responses(T, E, owner, times[owner + 1] - arr_t, arr_s, shocks)
     else:
         arr_t, arr_s = np.empty(0), np.empty((0, K))

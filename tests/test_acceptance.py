@@ -174,7 +174,7 @@ class TestCriterion2SimulatorMoments:
 
 @pytest.fixture(scope="module")
 def consistency_study():
-    """200 replications per horizon and regime on the stated grids."""
+    """200 replications per horizon and regime on the stated grids, one path plan for each."""
     _, weights, params, system = two_edge_config()
     horizons = (2.0, 4.0, 8.0)
     start = time.perf_counter()
@@ -183,14 +183,14 @@ def consistency_study():
         policy = ThresholdPolicy.for_noise(spec)
         for t_end in horizons:
             grid = power_law_grids(t_end, mesh_cap=2.0**-14)
-            thetas = np.empty((200, params.n_params))
-            for rep in range(200):
-                seed = np.random.SeedSequence(entropy=777, spawn_key=(rep,))
-                path = simulate_path(system, spec, grid, init="stationary", rng_seed=seed)
-                thetas[rep] = estimate_drift(
-                    path, weights, (2, [1, 1]), spec, policy
-                ).theta_hat
-            tables[regime, t_end] = thetas
+            seeds = [np.random.SeedSequence(entropy=777, spawn_key=(rep,)) for rep in range(200)]
+            paths = simulate_paths(system, spec, grid, seeds, init="stationary")
+            tables[regime, t_end] = np.array(
+                [
+                    estimate_drift(path, weights, (2, [1, 1]), spec, policy).theta_hat
+                    for path in paths
+                ]
+            )
     elapsed = time.perf_counter() - start
     assert elapsed < 1800.0, f"consistency study took {elapsed:.0f}s (budget 30 min)"
     return tables, params.flatten()

@@ -20,6 +20,7 @@ from grou.estimate import (
     grid_diagnostics,
     threshold_increments,
     _coarse_increments,
+    _differences,
     _drift_statistics,
     _precision,
     _solve_with_ridge,
@@ -28,9 +29,22 @@ from grou.estimate import (
 from grou.graphs import EdgeGraph, complete_graph, path_graph, weight_matrices
 from grou.model import GrouParams, build_companion
 from grou.noise import CompoundPoissonJumps, LevySpec
-from grou.simulate import SampledPath, grid_from_times, make_uniform_grids, simulate_path
+from grou.selection import _score_graphs
+from grou.simulate import (
+    SampledPath,
+    grid_from_times,
+    make_uniform_grids,
+    power_law_grids,
+    simulate_path,
+)
 
-from conftest import build_h_matrix, dense_statistics, mcar_h_matrix, ridge_solve_loop
+from conftest import (
+    build_h_matrix,
+    dense_statistics,
+    differences_every_row,
+    mcar_h_matrix,
+    ridge_solve_loop,
+)
 
 
 def scalar_system(rate=2.0):
@@ -79,6 +93,82 @@ class TestFiniteDifferences:
         path = path_from_values(np.zeros((3, 1)))
         with pytest.raises(ValueError):
             finite_differences(path, 3)
+
+
+class TestCoarsePointDifferences:
+    """Differences at the rows a fit reads against differencing every row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([(), (3,), (2, 2)]),
+        st.integers(min_value=4, max_value=60),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_equal_the_rows_of_every_row_differences(self, order, lead, n, K, seed):
+        rng = np.random.default_rng(seed)
+        # an irregular grid, so that every row divides by its own spacing
+        fine = np.concatenate([[0.0], np.cumsum(rng.uniform(0.001, 0.2, n - 1))])
+        values = rng.normal(size=(*lead, n, K))
+        usable = n - order
+        points = rng.choice(usable, size=int(rng.integers(1, usable + 1)), replace=False)
+        # the last row that has order-l differences is always among them
+        points = np.union1d(points, [usable - 1])
+        got = _differences(values, fine, order, points)
+        want = differences_every_row(values, fine, order)[..., points, :]
+        assert got.shape == want.shape == (*lead, points.size, K)
+        assert np.array_equal(got, want)
+        every = differences_every_row(values, fine, order)
+        assert np.array_equal(_differences(values, fine, order), every)
+
+    def test_fits_difference_no_full_length_array(self, monkeypatch):
+        # criterion 3's t=8 grid: 131,073 fine points, coarse ratio 256
+        weights, _, system = two_edge_setup()
+        spec = LevySpec(np.zeros(2), np.eye(2))
+        grid = power_law_grids(8.0, mesh_cap=2.0**-14)
+        assert grid.ratio == 256
+        path = simulate_path(system, spec, grid, rng_seed=3)
+        n = grid.fine.size
+        rows, grid_diffs, value_diffs = [], [], []
+        differences, diff = estimate_module._differences, np.diff
+
+        def kernel_spy(values, fine, order_l, *points):
+            rows.append(len(points[0]) if points else values.shape[-2] - order_l)
+            return differences(values, fine, order_l, *points)
+
+        def diff_spy(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.ndim == 1 and a.size >= n:
+                grid_diffs.append(a.size)
+            elif a.ndim > 1 and a.shape[-2] >= 0.8 * n:
+                value_diffs.append(a.shape)
+            return diff(a, *args, **kwargs)
+
+        monkeypatch.setattr(estimate_module, "_differences", kernel_spy)
+        monkeypatch.setattr(np, "diff", diff_spy)
+        n_train = int(0.8 * n)
+        fits = {
+            "estimate_drift": (lambda: estimate_drift(path, weights, (2, [1, 1]), spec), 1),
+            "estimate_mcar": (lambda: estimate_mcar(path, spec), 1),
+            "estimate_triplet": (lambda: estimate_triplet(path, lags=2), 0),
+            # the section's own grid takes the diffs of its construction
+            "_score_graphs": (
+                lambda: _score_graphs(
+                    path, [path_graph(3)], [[0, 1]], [(2, (1, 1)), (1, (1,))], n_train,
+                    ThresholdPolicy(),
+                ),
+                None,
+            ),
+        }
+        for name, (fit, grid_count) in fits.items():
+            rows.clear(), grid_diffs.clear(), value_diffs.clear()
+            fit()
+            assert rows and max(rows) <= grid.coarse_idx.size, (name, rows)
+            assert value_diffs == [], (name, value_diffs)
+            if grid_count is not None:
+                # grid_diagnostics' one pass over the fine spacings
+                assert len(grid_diffs) == grid_count, (name, grid_diffs)
 
 
 class TestHMatrix:

@@ -165,7 +165,9 @@ class TestPoissonArrivals:
         jumps = CompoundPoissonJumps(4.0, np.array([[1.0, 0.3], [0.3, 2.0]]))
         spacings = np.random.default_rng(2).uniform(0.01, 1.0, 300)
         times = np.concatenate([[0.0], np.cumsum(spacings)])
-        owner, arrivals, sizes = _poisson_arrivals(jumps, times, 2, np.random.default_rng(7))
+        owner, arrivals, sizes = _poisson_arrivals(
+            jumps, times, np.diff(times), 2, np.random.default_rng(7)
+        )
         rng = np.random.default_rng(7)
         counts = rng.poisson(jumps.rate * np.diff(times))
         want_sizes = rng.standard_normal((counts.sum(), 2)) @ psd_factor(jumps.jump_cov).T
@@ -175,6 +177,25 @@ class TestPoissonArrivals:
         assert counts.max() > 1
         np.testing.assert_array_equal(arrivals, np.concatenate(want))
         np.testing.assert_array_equal(sizes, want_sizes)
+        np.testing.assert_array_equal(owner, np.repeat(np.arange(counts.size), counts))
+
+    @pytest.mark.parametrize("kind", ["dyadic", "mesh_0.01", "irregular"])
+    def test_counts_equal_the_per_interval_means(self, kind):
+        # equal spacings take one scalar mean, the others a mean per interval;
+        # either draws the bits of ``rng.poisson`` over the array of means
+        if kind == "dyadic":
+            times = make_uniform_grids(8.0, 2.0**-10, 4).fine
+        elif kind == "mesh_0.01":
+            times = make_uniform_grids(8.0, 0.01, 4).fine
+        else:
+            steps = np.random.default_rng(3).uniform(0.001, 0.05, 800)
+            times = np.concatenate([[0.0], np.cumsum(steps)])
+        dt = np.diff(times)
+        assert np.all(dt == dt[0]) == (kind == "dyadic")
+        jumps = CompoundPoissonJumps(3.0, np.eye(2))
+        owner, _, _ = _poisson_arrivals(jumps, times, dt, 2, np.random.default_rng(12))
+        counts = np.random.default_rng(12).poisson(jumps.rate * dt)
+        assert counts.sum() > 10
         np.testing.assert_array_equal(owner, np.repeat(np.arange(counts.size), counts))
 
 

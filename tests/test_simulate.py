@@ -32,7 +32,14 @@ from grou.simulate import (
     write_path_csv,
 )
 
-from conftest import linear_scan, simulate_full_state, simulate_path_loop, stepwise_path
+from conftest import (
+    gamma_arrivals,
+    jump_responses_per_term,
+    linear_scan,
+    simulate_full_state,
+    simulate_path_loop,
+    stepwise_path,
+)
 
 
 def scalar_system(rate=2.0):
@@ -530,7 +537,7 @@ class TestScanKernel:
 
 
 class TestJumpResponses:
-    """The batched jump-response kernel against one ``expm`` per jump."""
+    """The batched jump-response kernel against one ``expm`` per jump and the per-term kernel."""
 
     @staticmethod
     def per_jump(T, E, owner, offsets, sizes, n):
@@ -563,6 +570,10 @@ class TestJumpResponses:
         _add_jump_responses(T, E, owner, offsets, sizes, got)
         want = self.per_jump(T, E, owner, offsets, sizes, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the kernel it replaced, a Taylor term at a time
+        per_term = np.zeros((n, T.shape[0]))
+        jump_responses_per_term(T, E, owner, offsets, sizes, per_term)
+        assert np.abs(got - per_term).max() <= 1e-15 * np.abs(per_term).max()
 
     def test_one_jump_per_interval(self):
         system = two_edge_system()
@@ -576,6 +587,60 @@ class TestJumpResponses:
         pick = rng.choice(n, 50, replace=False)
         want = 1.0 + np.array([expm(offsets[i] * T) @ E @ sizes[i] for i in pick])
         assert np.abs(got[pick] - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("scan_rows", [7, grou.simulate._SCAN_ROWS])
+    def test_gamma_steps_with_subnormal_sizes(self, scan_rows, monkeypatch):
+        # criterion 3's t=8 Gamma regime: one jump per step of 2^-14, each of
+        # shape ~6e-5, so that many sizes are subnormal or zero
+        system = two_edge_system()
+        T, E = system.transition, system.noise_selector
+        monkeypatch.setattr(grou.simulate, "_SCAN_ROWS", scan_rows)
+        n = 3 * 4096 + 11
+        dt = np.full(n, 2.0**-14)
+        rng = np.random.default_rng(23)
+        sizes = _gamma_differences(SymmetricGammaJumps(1.0, 1.0), dt, 2, rng)
+        assert np.any((sizes != 0) & (np.abs(sizes) < np.finfo(float).tiny))
+        offsets = dt * rng.random(n)
+        got, want = np.zeros((n, 4)), np.zeros((n, 4))
+        _add_jump_responses(T, E, np.arange(n), offsets, sizes, got)
+        jump_responses_per_term(T, E, np.arange(n), offsets, sizes, want)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-15 * scale
+        pick = np.argsort(np.abs(sizes).max(axis=1))[-50:]
+        exact = np.array([expm(offsets[i] * T) @ E @ sizes[i] for i in pick])
+        assert np.abs(got[pick] - exact).max() <= 1e-12 * scale
+
+
+class TestGammaDraws:
+    @pytest.mark.parametrize("grid_kind", ["dyadic", "non_dyadic", "irregular"])
+    def test_arrivals_equal_uniform_draws(self, grid_kind, monkeypatch):
+        # the offsets reach the jump kernel as the draws of
+        # rng.uniform(times[:-1], times[1:]) after the two Gamma arrays, bit for bit
+        system = two_edge_system()
+        jumps = SymmetricGammaJumps(1.0, 1.0)
+        spec = LevySpec(np.zeros(2), np.eye(2), jumps)
+        grid = {
+            "dyadic": make_uniform_grids(2.0, 2.0**-8, 4),
+            "non_dyadic": make_uniform_grids(1.5, 0.013, 3),
+            "irregular": random_grid(),
+        }[grid_kind]
+        seen = []
+        kernel = grou.simulate._add_jump_responses
+
+        def spy(T, E, owner, offsets, sizes, shocks, anchor_ops=None):
+            seen.append((owner.copy(), offsets.copy(), sizes.copy()))
+            return kernel(T, E, owner, offsets, sizes, shocks, anchor_ops)
+
+        monkeypatch.setattr(grou.simulate, "_add_jump_responses", spy)
+        simulate_path(system, spec, grid, init=np.ones(4), rng_seed=9)
+        rng = stream_rng(9, 1)
+        times = grid.fine
+        rng.standard_normal((times.size - 1, system.dim))
+        sizes, arrivals = gamma_arrivals(jumps, times, system.n_edges, rng)
+        ((owner, offsets, got_sizes),) = seen
+        np.testing.assert_array_equal(owner, np.arange(times.size - 1))
+        assert np.array_equal(offsets, times[1:] - arrivals)
+        assert np.array_equal(got_sizes, sizes)
 
 
 def _regime_specs(K):
